@@ -46,6 +46,27 @@ class ExperimentConfig:
             if m not in ALL_METHODS:
                 raise ValueError(f"unknown method {m!r}")
 
+    @classmethod
+    def from_dict(cls, fields: dict) -> "ExperimentConfig":
+        """Build from JSON-style field values. ``model``, ``train`` and
+        ``scene`` are dicts of their own fields; ``train.seed`` defaults to
+        ``seed``. Fields not given keep their defaults."""
+        fields = dict(fields)
+        fields["train"] = {"seed": fields.get("seed", 0), **fields.get("train", {})}
+        for name, kind in (("model", ModelConfig), ("train", TrainConfig), ("scene", synth.SceneSpec)):
+            fields[name] = _build(kind, fields.get(name, {}), f"{name}.")
+        for name in ("k_list", "methods"):
+            if name in fields:
+                fields[name] = tuple(fields[name])
+        return _build(cls, fields, "")
+
+
+def _build(kind, fields: dict, prefix: str):
+    unknown = sorted(set(fields) - {f.name for f in dataclasses.fields(kind)})
+    if unknown:
+        raise ValueError(f"unknown config field(s): {', '.join(prefix + u for u in unknown)}")
+    return kind(**fields)
+
 
 def _build_frame(cfg: ExperimentConfig, frame_id: int, path: str | None) -> tuple[str, ingest.SparseFrame]:
     if path is not None:

@@ -54,8 +54,9 @@ def build_features(frame: SparseFrame) -> np.ndarray:
     return np.column_stack([cloud.xyz[:, 0], cloud.xyz[:, 1], frame.z_masked, b_norm])
 
 
-def knn_indices(points: np.ndarray, k: int) -> list[np.ndarray]:
-    """k nearest other nodes per node, ties broken by lower point index.
+def knn_indices(points: np.ndarray, k: int) -> np.ndarray:
+    """[N, k] array: row i holds the k nearest other nodes of node i, ties
+    broken by lower point index.
 
     ``points`` is [N, 2] (or [N, 3]); kd-tree backed, with a widened query
     window so equal-distance candidates are re-ordered deterministically.
@@ -68,13 +69,11 @@ def knn_indices(points: np.ndarray, k: int) -> list[np.ndarray]:
     tree = cKDTree(points)
     m = min(n, k + 9)  # slack absorbs ties at the cutoff
     dist, idx = tree.query(points, k=m)
-    rows = []
-    for i in range(n):
-        cand = idx[i][idx[i] != i]
-        d = dist[i][idx[i] != i]
-        order = np.lexsort((cand, d))
-        rows.append(cand[order][:k])
-    return rows
+    # push each node's own hit past every real candidate, then order each
+    # row by (distance, index) in one pass
+    dist[idx == np.arange(n)[:, None]] = np.inf
+    order = np.lexsort((idx, dist), axis=-1)
+    return np.take_along_axis(idx, order[:, :k], axis=1)
 
 
 def build_knn_graph(frame: SparseFrame, k: int, planar: bool = True) -> Graph:
@@ -88,16 +87,11 @@ def build_knn_graph(frame: SparseFrame, k: int, planar: bool = True) -> Graph:
     pts = feats[:, :2] if planar else feats[:, :3]
     rows = knn_indices(pts, k)
     n = len(rows)
-    neighbor_ids = []
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    for i, r in enumerate(rows):
-        row = np.sort(np.append(r, i))
-        neighbor_ids.append(row)
-        offsets[i + 1] = offsets[i] + len(row)
+    with_self = np.sort(np.column_stack([rows, np.arange(n)]), axis=1)
     return Graph(
         num_nodes=n,
-        row_offsets=offsets,
-        neighbor_ids=np.concatenate(neighbor_ids),
+        row_offsets=np.arange(n + 1, dtype=np.int64) * (k + 1),
+        neighbor_ids=with_self.ravel(),
         features=feats,
     )
 

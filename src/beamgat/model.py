@@ -146,7 +146,8 @@ def gat_attention_layer(
 
     Per head: project features, score each edge j->i with
     LeakyReLU(a^T [h'_i || h'_j]), softmax over each node's incoming edges,
-    aggregate, apply the nonlinearity. Head outputs are concatenated.
+    aggregate as one CSR product ``A_alpha @ h'``, apply the nonlinearity.
+    Head outputs are concatenated.
     """
     src, dst = graph.edge_arrays()
     offsets = graph.row_offsets
@@ -161,7 +162,7 @@ def gat_attention_layer(
         raw = T.add(T.take_rows(score_dst, dst), T.take_rows(score_src, src))
         logits = T.reshape(T.leaky_relu(raw, cfg.attn_slope), (-1,))
         alpha = T.segment_softmax(logits, offsets)
-        agg = T.segment_weighted_sum(T.take_rows(hp, src), alpha, offsets)
+        agg = T.spmm(alpha, hp, src, offsets)
         outs.append(_activation(agg, cfg))
     return outs[0] if len(outs) == 1 else T.concat_cols(outs)
 
@@ -194,12 +195,10 @@ def _decode(h: Tensor, params: dict[str, Tensor], cfg: ModelConfig) -> Tensor:
 
 def gcn_layer(graph: Graph, h: Tensor, w: Tensor, cfg: ModelConfig) -> Tensor:
     """Mean aggregation with fixed weights: out_i = act(mean_j h_j W)."""
-    src, _ = graph.edge_arrays()
     offsets = graph.row_offsets
-    deg = np.diff(offsets).astype(np.float64)
-    inv_deg = Tensor(np.repeat(1.0 / deg, np.diff(offsets).astype(np.int64)))
-    hp = T.matmul(h, w)
-    agg = T.segment_weighted_sum(T.take_rows(hp, src), inv_deg, offsets)
+    deg = np.diff(offsets)
+    inv_deg = np.repeat(1.0 / deg, deg)
+    agg = T.spmm(inv_deg, T.matmul(h, w), graph.neighbor_ids, offsets)
     return _activation(agg, cfg)
 
 

@@ -8,6 +8,7 @@ created without a tape are constants and receive no gradient.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse
 
 __all__ = [
     "NonFiniteError",
@@ -27,6 +28,7 @@ __all__ = [
     "segment_softmax",
     "segment_weighted_sum",
     "sigmoid",
+    "spmm",
     "take_rows",
 ]
 
@@ -66,7 +68,13 @@ class Tape:
         self._nodes.append((out, backward_fn))
 
     def backward(self, loss: Tensor) -> None:
-        """Reverse traversal from a scalar loss; accumulates leaf gradients."""
+        """Reverse traversal from a scalar loss; accumulates leaf gradients.
+
+        Nodes are popped as the pass reaches them, and each output's
+        ``.grad`` is reset to None once its backward function has run, so
+        intermediates are freed during the reverse pass rather than after
+        it. Only leaf tensors keep a gradient.
+        """
         if loss.data.size != 1:
             raise ValueError("backward requires a scalar loss")
         if loss.tape is not self:
@@ -75,12 +83,15 @@ class Tape:
             raise RuntimeError("tape already consumed; one backward pass per recording")
         self._consumed = True
         loss.grad = np.ones_like(loss.data)
-        for out, backward_fn in reversed(self._nodes):
+        # popping drops each node's closure, and the inputs it holds, as soon
+        # as the pass is past it; the emptied list also breaks the
+        # tensor <-> tape reference cycle without waiting for the gc
+        nodes = self._nodes
+        while nodes:
+            out, backward_fn = nodes.pop()
             if out.grad is not None:
                 backward_fn(out.grad)
-        # break the tensor <-> tape reference cycle so large intermediates
-        # are freed without waiting for the gc
-        self._nodes.clear()
+                out.grad = None
 
 
 def backward(tape: Tape, loss: Tensor) -> None:
@@ -291,21 +302,43 @@ def segment_softmax(logits: Tensor, offsets: np.ndarray) -> Tensor:
     return _make(alpha, (logits,), bwd)
 
 
-def segment_weighted_sum(values: Tensor, weights: Tensor, offsets: np.ndarray) -> Tensor:
-    """out[n] = sum over segment n of weights[e] * values[e]."""
-    offsets = np.asarray(offsets, dtype=np.int64)
-    seg = _segment_ids(offsets)
-    if values.data.shape[0] != weights.data.shape[0]:
-        raise ValueError("values/weights length mismatch")
-    weighted = values.data * weights.data[:, None]
-    out = np.add.reduceat(weighted, offsets[:-1], axis=0)
+def spmm(
+    weights: "Tensor | np.ndarray",
+    values: Tensor,
+    neighbor_ids: np.ndarray,
+    row_offsets: np.ndarray,
+) -> Tensor:
+    """Sparse-dense product ``A @ values`` with A given in CSR form:
+    out[i] = sum over e in row i of weights[e] * values[neighbor_ids[e]].
+
+    Backward is ``A^T @ g`` for ``values`` and the per-edge row dot
+    <g[i], values[neighbor_ids[e]]> (SDDMM) for ``weights``. A plain
+    ndarray for ``weights`` is a constant and gets no gradient.
+    """
+    neighbor_ids = np.asarray(neighbor_ids, dtype=np.int64)
+    row_offsets = np.asarray(row_offsets, dtype=np.int64)
+    weight_t = weights if isinstance(weights, Tensor) else None
+    w = np.asarray(weights.data if weight_t is not None else weights, dtype=np.float64)
+    if w.shape != neighbor_ids.shape or row_offsets[-1] != len(neighbor_ids):
+        raise ValueError("weights/neighbor_ids/row_offsets length mismatch")
+    n_rows = len(row_offsets) - 1
+    adj = scipy.sparse.csr_array((w, neighbor_ids, row_offsets), shape=(n_rows, values.data.shape[0]))
 
     def bwd(g):
-        g_edge = g[seg]
-        _accum(values, g_edge * weights.data[:, None])
-        _accum(weights, np.sum(g_edge * values.data, axis=1))
+        if values.tape is not None:
+            _accum(values, adj.T @ g)
+        if weight_t is not None and weight_t.tape is not None:
+            edge = values.data[neighbor_ids]
+            edge *= np.repeat(g, np.diff(row_offsets), axis=0)  # g[i] on each edge of row i
+            _accum(weight_t, edge.reshape(len(w), -1).sum(axis=1))
 
-    return _make(out, (values, weights), bwd)
+    inputs = (values,) if weight_t is None else (values, weight_t)
+    return _make(adj @ values.data, inputs, bwd)
+
+
+def segment_weighted_sum(values: Tensor, weights: Tensor, offsets: np.ndarray) -> Tensor:
+    """out[n] = sum over segment n of weights[e] * values[e]."""
+    return spmm(weights, values, np.arange(values.data.shape[0]), offsets)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

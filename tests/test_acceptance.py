@@ -218,6 +218,7 @@ def test_criterion_03_dense_attention_oracle(capsys):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_04_method_ordering(capsys):
     def body():
         scores = {"linear": [], "superior_gat": [], "gat_baseline": [], "simple_gcn": []}
@@ -245,6 +246,7 @@ def test_criterion_04_method_ordering(capsys):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_05_k_sensitivity(capsys):
     def body():
         import gc

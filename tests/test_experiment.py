@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -223,3 +224,49 @@ def test_cli_config_file_supplies_defaults(tmp_path, capsys):
     assert rc == 0
     lines = (tmp_path / "runs" / "reports.csv").read_text().splitlines()
     assert lines[1].startswith("plane0,linear,")
+
+
+def test_cli_flags_not_passed_leave_config_file_values(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "sample_target": 300, "k_list": [4], "methods": ["linear"],
+        "train": {"epochs": 3}, "out_dir": str(tmp_path / "runs"),
+    }))
+    args = cli.build_parser().parse_args(["--config", str(cfg_path)])
+    cfg = cli.config_from_args(args)
+    assert cfg.sample_target == 300
+    assert cfg.k_list == (4,)
+    assert cfg.methods == ("linear",)
+    assert cfg.train.epochs == 3
+    assert cli.main(["--config", str(cfg_path)]) == 0
+    rows = (tmp_path / "runs" / "reports.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[1:3] for r in rows] == [["linear", "4"]]
+
+
+def test_cli_flags_passed_override_config_file(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "sample_target": 300, "k_list": [4], "seed": 5, "timing": True,
+        "train": {"epochs": 3, "seed": 8},
+    }))
+    args = cli.build_parser().parse_args(
+        ["--config", str(cfg_path), "--k", "6,7", "--epochs", "9", "--seed", "2", "--no-timing"])
+    cfg = cli.config_from_args(args)
+    assert cfg.k_list == (6, 7)
+    assert cfg.sample_target == 300
+    assert (cfg.train.epochs, cfg.train.seed, cfg.seed) == (9, 2, 2)
+    assert cfg.timing is False
+
+
+def test_cli_config_train_seed_follows_experiment_seed(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"seed": 5}))
+    cfg = cli.config_from_args(cli.build_parser().parse_args(["--config", str(cfg_path)]))
+    assert (cfg.seed, cfg.train.seed) == (5, 5)
+
+
+def test_cli_unknown_config_field_is_an_error(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"train": {"epoch": 3}}))
+    assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path / "runs")]) == 1
+    assert "train.epoch" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from beamgat import ingest
 from beamgat.graph import add_beam_edges, build_features, build_knn_graph, dump_edges_csv, knn_indices
@@ -18,6 +19,32 @@ def brute_force_knn(points: np.ndarray, k: int) -> list[np.ndarray]:
         order = order[order != i]
         rows.append(order[:k])
     return rows
+
+
+def loop_knn_indices(points: np.ndarray, k: int) -> list[np.ndarray]:
+    """Per-row reference for ``knn_indices``: the same widened kd-tree query,
+    each row's self-hit removed and the rest ordered by (distance, index)
+    one row at a time."""
+    n = len(points)
+    dist, idx = cKDTree(points).query(points, k=min(n, k + 9))
+    rows = []
+    for i in range(n):
+        cand = idx[i][idx[i] != i]
+        d = dist[i][idx[i] != i]
+        rows.append(cand[np.lexsort((cand, d))][:k])
+    return rows
+
+
+def loop_build_knn_graph(frame: ingest.SparseFrame, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row reference for ``build_knn_graph``: (row_offsets, neighbor_ids)."""
+    rows = loop_knn_indices(build_features(frame)[:, :2], k)
+    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+    neighbor_ids = []
+    for i, r in enumerate(rows):
+        row = np.sort(np.append(r, i))
+        neighbor_ids.append(row)
+        offsets[i + 1] = offsets[i] + len(row)
+    return offsets, np.concatenate(neighbor_ids)
 
 
 def frame_from_xy(xy: np.ndarray, beams=None, num_beams=8) -> ingest.SparseFrame:
@@ -72,6 +99,45 @@ class TestKnn:
         slow = brute_force_knn(pts, 10)
         for f, s in zip(fast, slow):
             assert set(f.tolist()) == set(s.tolist())
+
+
+def duplicate_heavy_xy(rng: np.random.Generator) -> np.ndarray:
+    """20 groups of 30 coincident points, plus a lattice with repeats."""
+    groups = np.repeat(rng.uniform(-5, 5, size=(20, 2)), 30, axis=0)
+    lattice = np.round(rng.uniform(0, 4, size=(400, 2)))
+    return np.vstack([groups, lattice])
+
+
+class TestKnnMatchesLoopReference:
+    """The vectorized kNN is bit-for-bit the per-row loop, tie order included."""
+
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    def test_duplicate_heavy(self, k):
+        pts = duplicate_heavy_xy(np.random.default_rng(k))
+        fast = knn_indices(pts, k)
+        slow = loop_knn_indices(pts, k)
+        assert fast.shape == (len(pts), k)
+        for f, s in zip(fast, slow):
+            assert f.tolist() == s.tolist()
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 9, 12])
+    def test_tiny_n_is_k_plus_one(self, k):
+        rng = np.random.default_rng(k)
+        pts = rng.uniform(size=(k + 1, 2))
+        pts[-1] = pts[0]  # one coincident pair
+        for f, s in zip(knn_indices(pts, k), loop_knn_indices(pts, k)):
+            assert f.tolist() == s.tolist()
+
+    @pytest.mark.parametrize("n, k", [(650, 3), (800, 10), (4, 3), (13, 12)])
+    def test_build_knn_graph(self, n, k):
+        rng = np.random.default_rng(n)
+        xy = duplicate_heavy_xy(rng)[:n] if n > k + 1 else rng.uniform(size=(n, 2))
+        frame = frame_from_xy(xy)
+        g = build_knn_graph(frame, k)
+        offsets, neighbor_ids = loop_build_knn_graph(frame, k)
+        np.testing.assert_array_equal(g.row_offsets, offsets)
+        np.testing.assert_array_equal(g.neighbor_ids, neighbor_ids)
+        assert g.row_offsets.dtype == offsets.dtype and g.neighbor_ids.dtype == neighbor_ids.dtype
 
 
 class TestBuildFeatures:

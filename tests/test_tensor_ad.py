@@ -1,3 +1,6 @@
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -140,6 +143,61 @@ def test_segment_weighted_sum_grad(seed):
         T.reshape(T.segment_weighted_sum(Tensor(v0), w, offsets), (-1,)), target), w0)
 
 
+# Irregular CSR over 4 source rows: an empty row, singleton rows, a source
+# repeated within one row (3, 3) and rows of lengths 0, 1, 3, 1 and 4.
+SPMM_OFFSETS = np.array([0, 0, 1, 4, 5, 9])
+SPMM_IDS = np.array([2, 0, 0, 3, 1, 3, 3, 0, 2])
+
+
+def dense_adjacency(weights, ids, offsets, n_cols):
+    dense = np.zeros((len(offsets) - 1, n_cols))
+    for row in range(len(offsets) - 1):
+        for e in range(offsets[row], offsets[row + 1]):
+            dense[row, ids[e]] += weights[e]
+    return dense
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_spmm_matches_dense_product(seed):
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=len(SPMM_IDS))
+    v = rng.normal(size=(4, 3))
+    out = T.spmm(Tensor(w), Tensor(v), SPMM_IDS, SPMM_OFFSETS).data
+    np.testing.assert_allclose(out, dense_adjacency(w, SPMM_IDS, SPMM_OFFSETS, 4) @ v, atol=1e-14)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_spmm_grad(seed):
+    rng = np.random.default_rng(seed)
+    w0 = rng.normal(size=len(SPMM_IDS))
+    v0 = rng.normal(size=(4, 3))
+    target = rng.normal(size=5 * 3)
+
+    check_grad(lambda v: T.mse_loss(
+        T.reshape(T.spmm(Tensor(w0), v, SPMM_IDS, SPMM_OFFSETS), (-1,)), target), v0)
+    check_grad(lambda w: T.mse_loss(
+        T.reshape(T.spmm(w, Tensor(v0), SPMM_IDS, SPMM_OFFSETS), (-1,)), target), w0)
+
+
+def test_spmm_constant_weights_get_no_gradient():
+    rng = np.random.default_rng(0)
+    tape = Tape()
+    weights = rng.normal(size=len(SPMM_IDS))
+    before = weights.copy()
+    v = Tensor(rng.normal(size=(4, 2)), tape)
+    out = T.spmm(weights, v, SPMM_IDS, SPMM_OFFSETS)
+    tape.backward(T.mse_loss(T.reshape(out, (-1,)), np.zeros(10)))
+    assert v.grad is not None
+    np.testing.assert_array_equal(weights, before)
+    dense = dense_adjacency(weights, SPMM_IDS, SPMM_OFFSETS, 4)
+    np.testing.assert_allclose(v.grad, dense.T @ (2.0 * out.data / out.data.size), atol=1e-14)
+
+
+def test_spmm_length_mismatch_rejected():
+    with pytest.raises(ValueError):
+        T.spmm(np.ones(3), Tensor(np.ones((4, 2))), SPMM_IDS, SPMM_OFFSETS)
+
+
 def test_layer_norm_constant_row_zeros():
     out = T.layer_norm(Tensor([[5.0, 5.0, 5.0]]), Tensor(np.ones(3)), Tensor(np.zeros(3)))
     np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
@@ -269,3 +327,58 @@ def test_gradient_accumulation_at_shared_input():
     loss = T.mse_loss(both, np.zeros(2))
     tape.backward(loss)
     np.testing.assert_allclose(x.grad, 2.0 * 2.0 * both.data / 2.0, atol=1e-12)
+
+
+def test_backward_frees_intermediates_and_keeps_leaf_grads():
+    rng = np.random.default_rng(0)
+    b = rng.normal(size=(3, 2))
+    x0 = rng.normal(size=(4, 3))
+
+    def build(x):
+        h = T.matmul(x, Tensor(b))
+        return h, T.mse_loss(T.reshape(T.sigmoid(h), (-1,)), np.zeros(8))
+
+    tape = Tape()
+    x = Tensor(x0, tape)
+    h, loss = build(x)
+    tape.backward(loss)
+    assert tape._nodes == []
+    assert h.grad is None and loss.grad is None
+    numeric = finite_diff_grad(lambda v: float(build(Tensor(v))[1].data), x0)
+    assert rel_err(x.grad, numeric) < 1e-5
+
+
+def test_backward_drops_large_intermediate():
+    tape = Tape()
+    x = Tensor(np.ones((2000, 8)), tape)
+    big = T.scale(x, 3.0)
+    ref = weakref.ref(big.data)
+    loss = T.mse_loss(T.reshape(big, (-1,)), np.zeros(16000))
+    del big
+    tape.backward(loss)
+    assert ref() is None
+    np.testing.assert_allclose(x.grad, 2.0 * 9.0 / 16000)
+
+
+def test_backward_peak_memory_stays_flat_along_a_chain():
+    # Each of the 30 chained outputs is freed as soon as its node has run,
+    # so the reverse pass needs a few arrays at a time rather than one
+    # gradient per node.
+    n, steps = 20000, 30
+    nbytes = n * 8
+    tape = Tape()
+    x = Tensor(np.ones(n), tape)
+    h = x
+    for _ in range(steps):
+        h = T.scale(h, 1.01)
+    loss = T.mse_loss(h, np.zeros(n))
+    del h
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tape.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 5 * nbytes, f"backward peaked {(peak - base) / nbytes:.1f} arrays above its start"
+    np.testing.assert_allclose(x.grad, 2.0 * 1.01 ** (2 * steps) / n)

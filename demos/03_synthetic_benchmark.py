@@ -1,8 +1,10 @@
 """Benchmark all reconstruction methods on one synthetic frame.
 
-Trains the gated attention model and both learned baselines per frame
-(transductive, as in the evaluation protocol), runs the interpolation
-baselines, and prints a small results table.  Takes a few minutes.  Run:
+Trains the gated attention model and both learned baselines on the frame
+itself, supervised only by re-masked observed points (the default
+``TrainConfig``; dropped ground truth never enters the loss), runs the
+interpolation baselines, and prints a small results table.  Takes a few
+minutes.  Run:
 
     python3 demos/03_synthetic_benchmark.py
 """

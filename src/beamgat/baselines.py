@@ -23,8 +23,9 @@ def linear_interp(frame: SparseFrame, bin_count: int = 360) -> np.ndarray:
     Within each azimuth bin, every observed beam is represented by its point
     closest to the bin center. A dropped point takes the linear interpolation
     (in beam index) between the nearest observed beams below and above it;
-    one-sided cases copy the nearest observed beam's z. A bin with no
-    observed points at all falls back to the planar-nearest observed point.
+    one-sided cases copy the nearest observed beam's z. A point whose bin
+    holds no other observed beam (in particular, a bin with no observed
+    points) falls back to the planar-nearest observed point.
     """
     cloud = frame.cloud
     if cloud.beam is None:
@@ -38,43 +39,43 @@ def linear_interp(frame: SparseFrame, bin_count: int = 360) -> np.ndarray:
     bins = _azimuth_bins(cloud.xyz, bin_count)
     centers = (np.arange(bin_count) + 0.5) / bin_count * 2 * np.pi - np.pi
     azim = np.arctan2(cloud.xyz[:, 1], cloud.xyz[:, 0])
+    err = np.abs(azim - centers[bins])
 
-    # representative observed point per (bin, beam): closest to bin center
-    rep: dict[tuple[int, int], int] = {}
-    rep_err: dict[tuple[int, int], float] = {}
-    for i in obs:
-        key = (int(bins[i]), int(cloud.beam[i]))
-        err = abs(azim[i] - centers[bins[i]])
-        if key not in rep or err < rep_err[key]:
-            rep[key] = int(i)
-            rep_err[key] = err
+    beam_lo = int(cloud.beam.min())
+    span = int(cloud.beam.max()) - beam_lo + 1
+    key = bins * span + (cloud.beam - beam_lo)  # (bin, beam) as one sortable key
 
-    beams_in_bin: dict[int, np.ndarray] = {}
-    for (b, beam) in rep:
-        beams_in_bin.setdefault(b, []).append(beam)  # type: ignore[arg-type]
-    beams_in_bin = {b: np.sort(np.array(v)) for b, v in beams_in_bin.items()}
+    # representative observed point per (bin, beam): closest to the bin
+    # center, the lowest index on ties; reps come out ordered by (bin, beam)
+    ranked = obs[np.lexsort((obs, err[obs], key[obs]))]
+    first = np.r_[True, key[ranked[1:]] != key[ranked[:-1]]]
+    rep = ranked[first]
+    rep_key, rep_bin, rep_beam = key[rep], bins[rep], cloud.beam[rep]
 
+    # nearest observed beams strictly below and above each dropped point,
+    # within its own bin
     dropped = np.flatnonzero(frame.dropped_mask)
-    tree = cKDTree(cloud.xyz[obs, :2])
+    b, beam = bins[dropped], cloud.beam[dropped]
+    below = np.searchsorted(rep_key, key[dropped], side="left") - 1
+    above = np.searchsorted(rep_key, key[dropped], side="right")
+    has_lo = (below >= 0) & (rep_bin[np.maximum(below, 0)] == b)
+    has_hi = (above < rep.size) & (rep_bin[np.minimum(above, rep.size - 1)] == b)
+
     z_hat = np.empty(dropped.size)
-    for out_i, i in enumerate(dropped):
-        b, beam = int(bins[i]), int(cloud.beam[i])
-        avail = beams_in_bin.get(b)
-        if avail is None or avail.size == 0:
-            _, j = tree.query(cloud.xyz[i, :2])
-            z_hat[out_i] = frame.z_truth[obs[j]]
-            continue
-        lower = avail[avail < beam]
-        upper = avail[avail > beam]
-        if lower.size and upper.size:
-            b0, b1 = int(lower[-1]), int(upper[0])
-            z0 = frame.z_truth[rep[(b, b0)]]
-            z1 = frame.z_truth[rep[(b, b1)]]
-            t = (beam - b0) / (b1 - b0)
-            z_hat[out_i] = z0 + t * (z1 - z0)
-        else:
-            nearest = int(lower[-1]) if lower.size else int(upper[0])
-            z_hat[out_i] = frame.z_truth[rep[(b, nearest)]]
+    both = has_lo & has_hi
+    b0, b1 = rep_beam[below[both]], rep_beam[above[both]]
+    z0, z1 = frame.z_truth[rep[below[both]]], frame.z_truth[rep[above[both]]]
+    t = (beam[both] - b0) / (b1 - b0)
+    z_hat[both] = z0 + t * (z1 - z0)
+    only_lo = has_lo & ~has_hi
+    z_hat[only_lo] = frame.z_truth[rep[below[only_lo]]]
+    only_hi = has_hi & ~has_lo
+    z_hat[only_hi] = frame.z_truth[rep[above[only_hi]]]
+    # no observed beam in the bin: the planar-nearest observed point
+    empty = ~(has_lo | has_hi)
+    if empty.any():
+        _, j = cKDTree(cloud.xyz[obs, :2]).query(cloud.xyz[dropped[empty], :2])
+        z_hat[empty] = frame.z_truth[obs[j]]
     return z_hat
 
 

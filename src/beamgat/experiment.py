@@ -83,8 +83,15 @@ def _build_frame(cfg: ExperimentConfig, frame_id: int, path: str | None) -> tupl
 
 
 def _evaluate(
-    cfg: ExperimentConfig, tag: str, frame: ingest.SparseFrame, k: int, method: str
+    cfg: ExperimentConfig,
+    tag: str,
+    frame: ingest.SparseFrame,
+    k: int,
+    method: str,
+    graph: graph_mod.Graph | None = None,
 ) -> tuple[metrics.EvalReport, np.ndarray]:
+    """One (frame, k, method) cell. ``graph`` is the frame's kNN graph for
+    ``k``; learned methods build it when it is not given."""
     dropped = np.flatnonzero(frame.dropped_mask)
     truth = frame.cloud.xyz[dropped].copy()
     truth[:, 2] = frame.z_truth[dropped]
@@ -106,11 +113,12 @@ def _evaluate(
         infer_s = time.perf_counter() - t0
         z_hat = recon[:, 2]
     else:
-        g = graph_mod.build_knn_graph(frame, k)
+        if graph is None:
+            graph = graph_mod.build_knn_graph(frame, k)
         model_cfg = cfg.model.with_(architecture=method)
-        result = trainer.train_frame(frame, g, model_cfg, cfg.train)
+        result = trainer.train_frame(frame, graph, model_cfg, cfg.train)
         train_s = result.train_time_s
-        z_hat, infer_s = trainer.predict_dropped(frame, g, result.params, model_cfg)
+        z_hat, infer_s = trainer.predict_dropped(frame, graph, result.params, model_cfg)
         recon = truth.copy()
         recon[:, 2] = z_hat
 
@@ -131,10 +139,13 @@ def _evaluate(
 def _run_one_frame(args) -> list[metrics.EvalReport]:
     cfg, frame_id, path = args
     tag, frame = _build_frame(cfg, frame_id, path)
+    learned = any(m in LEARNED_METHODS for m in cfg.methods)
     reports = []
     for k in cfg.k_list:
+        # one graph per (frame, k), shared by every learned method
+        graph = graph_mod.build_knn_graph(frame, k) if learned else None
         for method in cfg.methods:
-            report, _ = _evaluate(cfg, tag, frame, k, method)
+            report, _ = _evaluate(cfg, tag, frame, k, method, graph)
             reports.append(report)
     return reports
 

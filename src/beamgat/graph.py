@@ -58,8 +58,11 @@ def knn_indices(points: np.ndarray, k: int) -> np.ndarray:
     """[N, k] array: row i holds the k nearest other nodes of node i, ties
     broken by lower point index.
 
-    ``points`` is [N, 2] (or [N, 3]); kd-tree backed, with a widened query
-    window so equal-distance candidates are re-ordered deterministically.
+    ``points`` is [N, 2] (or [N, 3]); kd-tree backed. The query window is
+    widened past k so that equal-distance candidates are re-ordered
+    deterministically; a row whose farthest returned candidate still ties
+    its k-th neighbour may have missed an equal-distance point, so such rows
+    alone are queried again with twice the window until none ties.
     """
     n = points.shape[0]
     if k < 1:
@@ -67,13 +70,23 @@ def knn_indices(points: np.ndarray, k: int) -> np.ndarray:
     if k >= n:
         raise ValueError(f"k={k} requires at least k+1={k + 1} points, got {n}")
     tree = cKDTree(points)
-    m = min(n, k + 9)  # slack absorbs ties at the cutoff
-    dist, idx = tree.query(points, k=m)
-    # push each node's own hit past every real candidate, then order each
-    # row by (distance, index) in one pass
-    dist[idx == np.arange(n)[:, None]] = np.inf
-    order = np.lexsort((idx, dist), axis=-1)
-    return np.take_along_axis(idx, order[:, :k], axis=1)
+    out = np.empty((n, k), dtype=np.int64)
+    rows = np.arange(n)
+    m = min(n, k + 9)  # slack absorbs most ties at the cutoff
+    while rows.size:
+        dist, idx = tree.query(points[rows], k=m)
+        farthest = dist[:, -1].copy()
+        # push each node's own hit past every real candidate, then order each
+        # row by (distance, index) in one pass
+        dist[idx == rows[:, None]] = np.inf
+        order = np.lexsort((idx, dist), axis=-1)[:, :k]
+        out[rows] = np.take_along_axis(idx, order, axis=1)
+        if m == n:
+            break
+        kth = np.take_along_axis(dist, order[:, -1:], axis=1)[:, 0]
+        rows = rows[farthest <= kth]
+        m = min(n, 2 * m)
+    return out
 
 
 def build_knn_graph(frame: SparseFrame, k: int, planar: bool = True) -> Graph:

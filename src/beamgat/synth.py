@@ -58,7 +58,10 @@ def synthesize_scene(
 ) -> PointCloud:
     """Cast one ray per (beam elevation, azimuth) from the origin and
     intersect the scene surface; beam indices are exact by construction.
-    Rays that miss (upward beams, out-of-range hits) are skipped."""
+    Rays that miss (upward beams, out-of-range hits) are skipped.
+
+    All rays are cast at once; points come out beam-major, in azimuth order
+    within each beam."""
     azimuth_count = int(np.ceil(spec.point_count / num_beams))
     elev = np.radians(
         elev_min_deg + (np.arange(num_beams) + 0.5) / num_beams * (elev_max_deg - elev_min_deg)
@@ -66,83 +69,71 @@ def synthesize_scene(
     azim = (np.arange(azimuth_count) + 0.5) / azimuth_count * 2 * np.pi - np.pi
     rng = np.random.default_rng(spec.seed)
 
-    xs, ys, zs, beams = [], [], [], []
-    for b, phi in enumerate(elev):
-        dz = np.sin(phi)
-        c = np.cos(phi)
-        for theta in azim:
-            dx, dy = c * np.cos(theta), c * np.sin(theta)
-            hit = _cast(spec, dx, dy, dz)
-            if hit is None:
-                continue
-            x, y, z = hit
-            if spec.noise_sigma > 0:
-                z += rng.normal(0.0, spec.noise_sigma)
-            xs.append(x)
-            ys.append(y)
-            zs.append(z)
-            beams.append(b)
-    if not xs:
+    c = np.cos(elev)[:, None]
+    dx = (c * np.cos(azim)).ravel()
+    dy = (c * np.sin(azim)).ravel()
+    dz = np.repeat(np.sin(elev), azimuth_count)
+    beam = np.repeat(np.arange(num_beams, dtype=np.int64), azimuth_count)
+
+    t = _ground_t(spec, dx, dy, dz)  # NaN where the ray misses the ground
+    hit = ~np.isnan(t)
+    if spec.kind == "two_plane":
+        # the wall at x = wall_x, any z above ground, unless the ground comes first
+        ray = np.flatnonzero(dx > 1e-9)
+        t_wall = spec.wall_x / dx[ray]
+        ray_wall = (t_wall * dz[ray] >= spec.ground_z) & ~(t[ray] < t_wall)
+        ray, t_wall = ray[ray_wall], t_wall[ray_wall]
+        t[ray] = t_wall
+        hit[ray] = np.hypot(t_wall * dx[ray], t_wall * dy[ray]) <= spec.extent
+    if not hit.any():
         raise ValueError("no rays hit the scene")
-    xyz = np.column_stack([xs, ys, zs])
+    t, dx, dy, dz = t[hit], dx[hit], dy[hit], dz[hit]
+    z = t * dz
+    if spec.noise_sigma > 0:
+        z = z + rng.normal(0.0, spec.noise_sigma, z.size)
     return PointCloud(
-        xyz=xyz,
-        reflectance=np.full(len(xs), 0.5),
-        beam=np.array(beams, dtype=np.int64),
+        xyz=np.column_stack([t * dx, t * dy, z]),
+        reflectance=np.full(z.size, 0.5),
+        beam=beam[hit],
         num_beams=num_beams,
     )
 
 
-def _cast(spec: SceneSpec, dx: float, dy: float, dz: float) -> tuple[float, float, float] | None:
-    if spec.kind == "two_plane" and dx > 1e-9:
-        # wall first: x = wall_x, any z above ground
-        t_wall = spec.wall_x / dx
-        zw = t_wall * dz
-        if zw >= spec.ground_z:
-            t_ground = _ground_t(spec, dx, dy, dz)
-            if t_ground is not None and t_ground < t_wall:
-                return _point_at(spec, dx, dy, dz, t_ground)
-            x, y, z = t_wall * dx, t_wall * dy, zw
-            if np.hypot(x, y) <= spec.extent:
-                return x, y, z
-            return None
-    t = _ground_t(spec, dx, dy, dz)
-    if t is None:
-        return None
-    return _point_at(spec, dx, dy, dz, t)
+def _ground_t(spec: SceneSpec, dx: np.ndarray, dy: np.ndarray, dz: np.ndarray) -> np.ndarray:
+    """Per ray, the first ray-surface intersection, or NaN for a miss: march
+    to a sign change of g(t) = t dz - surface(t dx, t dy), then bisect.
 
+    The live rays march together, one step per pass, and memory stays
+    O(rays). Each ray advances by t = t + step, so its t values round
+    exactly as in a one-ray march; the rays that crossed are then bisected
+    together in 60 lock-step rounds."""
 
-def _ground_t(spec: SceneSpec, dx: float, dy: float, dz: float) -> float | None:
-    """First ray-surface intersection by marching to a sign change of
-    g(t) = t dz - surface(t dx, t dy), then bisecting."""
-    if dz >= -1e-9:
-        return None
+    def g(ray: np.ndarray, t: np.ndarray) -> np.ndarray:
+        return t * dz[ray] - _surface_z(spec, t * dx[ray], t * dy[ray])
 
-    def g(t: float) -> float:
-        return t * dz - _surface_z(spec, np.array(t * dx), np.array(t * dy)).item()
-
-    planar = np.hypot(dx, dy)
-    t_max = spec.extent / planar if planar > 1e-12 else -spec.ground_z / -dz * 2
+    t_hit = np.full(dz.shape, np.nan)
+    ray = np.flatnonzero(dz < -1e-9)
+    ray = ray[g(ray, np.zeros(ray.size)) > 0]
+    planar = np.hypot(dx[ray], dy[ray])
+    with np.errstate(divide="ignore"):
+        t_max = np.where(planar > 1e-12, spec.extent / planar, -spec.ground_z / -dz[ray] * 2)
     step = t_max / 256
-    lo, g_lo = 0.0, g(0.0)
-    if g_lo <= 0:
-        return None
-    t = step
-    while t <= t_max:
-        g_t = g(t)
-        if g_t <= 0:
-            hi = t
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if g(mid) > 0:
-                    lo = mid
-                else:
-                    hi = mid
-            return 0.5 * (lo + hi)
-        lo, g_lo = t, g_t
-        t += step
-    return None
+    lo, t = np.zeros(ray.size), step
+    crossed = [(ray[:0], lo[:0], t[:0])]  # (ray, lo, hi) brackets
+    while ray.size:
+        more = t <= t_max
+        ray, lo, t, t_max, step = ray[more], lo[more], t[more], t_max[more], step[more]
+        below = g(ray, t) <= 0
+        crossed.append((ray[below], lo[below], t[below]))
+        more = ~below
+        ray, lo, t_max, step = ray[more], t[more], t_max[more], step[more]
+        t = lo + step
 
-
-def _point_at(spec: SceneSpec, dx: float, dy: float, dz: float, t: float):
-    return t * dx, t * dy, t * dz
+    ray, lo, hi = (np.concatenate(parts) for parts in zip(*crossed))
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        above = g(ray, mid) > 0
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
+    t_hit[ray] = 0.5 * (lo + hi)
+    return t_hit

@@ -107,13 +107,18 @@ def _check_finite(data: np.ndarray) -> np.ndarray:
     return data
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
+def _accum(t: Tensor, g: np.ndarray, shared: bool = False) -> None:
+    """Add ``g`` into ``t.grad``. A first gradient is kept as it is, so a
+    backward function hands over an array it has just built; ``shared``
+    marks one that is also held elsewhere (the output gradient passed
+    through, or one array given to two inputs), which is copied so that a
+    later ``+=`` cannot write through to the other holder."""
     if t.tape is None:
         return
     if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64)
-        if t.grad.shape != t.data.shape:
-            t.grad = np.broadcast_to(t.grad, t.data.shape).copy()
+        if shared or g.shape != t.data.shape:
+            g = np.array(np.broadcast_to(g, t.data.shape), dtype=np.float64)
+        t.grad = g
     else:
         t.grad += g
 
@@ -152,11 +157,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; also supports adding a length-F bias to an [N, F] matrix."""
     if a.data.shape == b.data.shape:
         def bwd(g):
-            _accum(a, g)
-            _accum(b, g)
+            _accum(a, g, shared=True)
+            _accum(b, g, shared=True)
     elif a.data.ndim == 2 and b.data.ndim == 1 and a.data.shape[1] == b.data.shape[0]:
         def bwd(g):
-            _accum(a, g)
+            _accum(a, g, shared=True)
             _accum(b, g.sum(axis=0))
     else:
         raise ValueError(f"add shape mismatch: {a.shape} + {b.shape}")
@@ -184,7 +189,7 @@ def scale(x: Tensor, s: "Tensor | float") -> Tensor:
 
 def add_const(x: Tensor, c: float) -> Tensor:
     def bwd(g):
-        _accum(x, g)
+        _accum(x, g, shared=True)
 
     return _make(x.data + c, (x,), bwd)
 
@@ -221,7 +226,7 @@ def reshape(x: Tensor, shape) -> Tensor:
     old = x.data.shape
 
     def bwd(g):
-        _accum(x, g.reshape(old))
+        _accum(x, g.reshape(old), shared=True)
 
     return _make(x.data.reshape(shape), (x,), bwd)
 
@@ -233,7 +238,7 @@ def concat_cols(parts: list[Tensor]) -> Tensor:
 
     def bwd(g):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _accum(p, g[:, lo:hi])
+            _accum(p, g[:, lo:hi], shared=True)
 
     return _make(data, tuple(parts), bwd)
 
@@ -343,10 +348,10 @@ def segment_weighted_sum(values: Tensor, weights: Tensor, offsets: np.ndarray) -
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Row-wise normalization with population variance, then affine."""
-    mu = x.data.mean(axis=1, keepdims=True)
-    var = x.data.var(axis=1, keepdims=True)  # denominator F
+    centered = x.data - x.data.mean(axis=1, keepdims=True)
+    var = (centered * centered).mean(axis=1, keepdims=True)  # as x.var: denominator F
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat = np.multiply(centered, inv, out=centered)
     data = xhat * gain.data + bias.data
 
     def bwd(g):

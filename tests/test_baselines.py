@@ -1,9 +1,60 @@
 import numpy as np
 import pytest
 
-from beamgat import ingest
-from beamgat.baselines import linear_interp, nearest_neighbor_sub
+from scipy.spatial import cKDTree
+
+from beamgat import ingest, synth
+from beamgat.baselines import _azimuth_bins, linear_interp, nearest_neighbor_sub
 from beamgat.ingest import EveryNth, PointCloud
+
+from conftest import random_frame
+
+
+def loop_linear_interp(frame: ingest.SparseFrame, bin_count: int = 360) -> np.ndarray:
+    """Per-point reference for ``linear_interp``: representatives chosen one
+    observed point at a time, each dropped point interpolated on its own."""
+    cloud = frame.cloud
+    obs = np.flatnonzero(frame.observed_mask)
+    bins = _azimuth_bins(cloud.xyz, bin_count)
+    centers = (np.arange(bin_count) + 0.5) / bin_count * 2 * np.pi - np.pi
+    azim = np.arctan2(cloud.xyz[:, 1], cloud.xyz[:, 0])
+
+    rep: dict[tuple[int, int], int] = {}
+    rep_err: dict[tuple[int, int], float] = {}
+    for i in obs:
+        key = (int(bins[i]), int(cloud.beam[i]))
+        err = abs(azim[i] - centers[bins[i]])
+        if key not in rep or err < rep_err[key]:
+            rep[key] = int(i)
+            rep_err[key] = err
+
+    beams_in_bin: dict[int, list[int]] = {}
+    for (b, beam) in rep:
+        beams_in_bin.setdefault(b, []).append(beam)
+    avail_by_bin = {b: np.sort(np.array(v)) for b, v in beams_in_bin.items()}
+
+    dropped = np.flatnonzero(frame.dropped_mask)
+    tree = cKDTree(cloud.xyz[obs, :2])
+    z_hat = np.empty(dropped.size)
+    for out_i, i in enumerate(dropped):
+        b, beam = int(bins[i]), int(cloud.beam[i])
+        avail = avail_by_bin.get(b)
+        if avail is None or avail.size == 0:
+            _, j = tree.query(cloud.xyz[i, :2])
+            z_hat[out_i] = frame.z_truth[obs[j]]
+            continue
+        lower = avail[avail < beam]
+        upper = avail[avail > beam]
+        if lower.size and upper.size:
+            b0, b1 = int(lower[-1]), int(upper[0])
+            z0 = frame.z_truth[rep[(b, b0)]]
+            z1 = frame.z_truth[rep[(b, b1)]]
+            t = (beam - b0) / (b1 - b0)
+            z_hat[out_i] = z0 + t * (z1 - z0)
+        else:
+            nearest = int(lower[-1]) if lower.size else int(upper[0])
+            z_hat[out_i] = frame.z_truth[rep[(b, nearest)]]
+    return z_hat
 
 
 def frame_from(xyz, beams, num_beams=8, pattern=EveryNth(4, 0)):
@@ -65,6 +116,37 @@ class TestLinearInterp:
         a = linear_interp(frame)
         b = linear_interp(frame)
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("kind, point_count, noise_sigma, offset", [
+        ("two_plane", 4000, 0.45, 0),
+        ("sinusoid", 2600, 0.45, 1),
+        ("plane", 1500, 0.0, 3),
+    ])
+    def test_matches_loop_reference_on_scenes(self, kind, point_count, noise_sigma, offset):
+        spec = synth.SceneSpec(kind=kind, point_count=point_count, noise_sigma=noise_sigma, seed=1)
+        frame = ingest.apply_beam_dropout(synth.synthesize_scene(spec), EveryNth(4, offset))
+        z_hat = linear_interp(frame)
+        assert z_hat.tobytes() == loop_linear_interp(frame).tobytes()
+
+    @pytest.mark.parametrize("n, bin_count", [(40, 360), (300, 360), (2000, 90), (500, 7)])
+    def test_matches_loop_reference_on_random_frames(self, n, bin_count):
+        # few points per bin leave many bins empty (tree fallback); few bins
+        # put many points of one beam in a bin (representative choice)
+        frame = random_frame(np.random.default_rng(n), n, num_beams=12)
+        z_hat = linear_interp(frame, bin_count=bin_count)
+        assert z_hat.tobytes() == loop_linear_interp(frame, bin_count=bin_count).tobytes()
+
+    def test_representative_ties_keep_first_observed_index(self):
+        # beams 0 and 2 each hold two points equally far from the bin center;
+        # the first observed one of each pair is the representative
+        pts = [[10.0, 0.5, 1.0], [10.0, 0.5, 7.0], [10.0, 0.5, 4.0],
+               [10.0, 0.5, 3.0], [10.0, 0.5, 9.0], [0.0, 10.0, 0.0]]
+        beams = [0, 0, 1, 2, 2, 3]
+        frame = frame_from(pts, beams, pattern=EveryNth(4, 1))
+        assert frame.dropped_mask.tolist() == [False, False, True, False, False, False]
+        z_hat = linear_interp(frame)
+        assert z_hat[0] == pytest.approx(2.0)
+        assert z_hat.tobytes() == loop_linear_interp(frame).tobytes()
 
 
 class TestNearestNeighborSub:

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from beamgat import baselines, cli, ingest, metrics, synth
+from beamgat import baselines, cli, graph as graph_mod, ingest, metrics, synth
 from beamgat.experiment import (
     ExperimentConfig,
     emit_xz_projection,
@@ -96,6 +96,40 @@ def test_learned_method_smoke_run(tmp_path):
     assert report.method == "superior_gat"
     assert np.isfinite(report.rmse_z)
     assert report.n_dropped > 0
+
+
+def count_graph_builds(monkeypatch) -> list[int]:
+    """Record the k of every kNN graph the experiment builds."""
+    built = []
+    original = graph_mod.build_knn_graph
+
+    def counting(frame, k, *args, **kwargs):
+        built.append(k)
+        return original(frame, k, *args, **kwargs)
+
+    monkeypatch.setattr(graph_mod, "build_knn_graph", counting)
+    return built
+
+
+def test_graph_built_once_per_k_for_all_learned_methods(tmp_path, monkeypatch):
+    built = count_graph_builds(monkeypatch)
+    cfg = ExperimentConfig(
+        methods=("linear", "superior_gat", "gat_baseline", "simple_gcn"),
+        k_list=(4, 6),
+        out_dir=str(tmp_path / "runs"),
+        **{**FAST, "train": TrainConfig(epochs=1)},
+    )
+    reports = run_experiment(cfg)
+    assert built == [4, 6]
+    assert len(reports) == 2 * 4
+    assert all(np.isfinite(r.rmse_z) for r in reports)
+
+
+def test_baseline_only_grid_builds_no_graph(tmp_path, monkeypatch):
+    built = count_graph_builds(monkeypatch)
+    cfg = ExperimentConfig(methods=("linear", "nn"), out_dir=str(tmp_path / "runs"), **FAST)
+    run_experiment(cfg)
+    assert built == []
 
 
 def test_rerun_with_timing_off_is_byte_identical(tmp_path):

@@ -5,6 +5,7 @@ from scipy.spatial import cKDTree
 from beamgat import ingest
 from beamgat.graph import add_beam_edges, build_features, build_knn_graph, dump_edges_csv, knn_indices
 from beamgat.ingest import EveryNth, PointCloud
+from beamgat.synth import SceneSpec, synthesize_scene
 
 from conftest import random_frame
 
@@ -24,14 +25,21 @@ def brute_force_knn(points: np.ndarray, k: int) -> list[np.ndarray]:
 def loop_knn_indices(points: np.ndarray, k: int) -> list[np.ndarray]:
     """Per-row reference for ``knn_indices``: the same widened kd-tree query,
     each row's self-hit removed and the rest ordered by (distance, index)
-    one row at a time."""
+    one row at a time; a row whose farthest candidate ties its k-th
+    neighbour is queried again with twice the window."""
     n = len(points)
-    dist, idx = cKDTree(points).query(points, k=min(n, k + 9))
+    tree = cKDTree(points)
     rows = []
     for i in range(n):
-        cand = idx[i][idx[i] != i]
-        d = dist[i][idx[i] != i]
-        rows.append(cand[np.lexsort((cand, d))][:k])
+        m = min(n, k + 9)
+        while True:
+            dist, idx = tree.query(points[i], k=m)
+            cand, d = idx[idx != i], dist[idx != i]
+            row = np.lexsort((cand, d))[:k]
+            if m == n or dist[-1] > d[row[-1]]:
+                break
+            m = min(n, 2 * m)
+        rows.append(cand[row])
     return rows
 
 
@@ -89,6 +97,23 @@ class TestKnn:
         pts = rng.uniform(-30, 30, size=(n, 2))
         fast = knn_indices(pts, k)
         slow = brute_force_knn(pts, k)
+        for f, s in zip(fast, slow):
+            assert f.tolist() == s.tolist()
+
+    def test_more_ties_than_query_slack_match_brute_force(self):
+        # 30 coincident points per spot: 29 candidates tie at distance 0
+        pts = np.repeat(np.random.default_rng(3).uniform(-5, 5, size=(20, 2)), 30, axis=0)
+        fast = knn_indices(pts, 3)
+        slow = brute_force_knn(pts, 3)
+        for f, s in zip(fast, slow):
+            assert f.tolist() == s.tolist()
+
+    def test_two_plane_scene_matches_brute_force(self):
+        # wall points share exact (x, y) across beams, up to 20 per spot
+        cloud = synthesize_scene(SceneSpec(kind="two_plane", point_count=4000, seed=1))
+        pts = cloud.xyz[:, :2]
+        fast = knn_indices(pts, 10)
+        slow = brute_force_knn(pts, 10)
         for f, s in zip(fast, slow):
             assert f.tolist() == s.tolist()
 

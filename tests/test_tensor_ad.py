@@ -218,6 +218,23 @@ def test_layer_norm_statistics():
     assert np.abs(out.var(axis=1) - 1.0).max() < 1e-6
 
 
+def reference_layer_norm(x, gain, bias, eps=1e-5):
+    """The op's forward as first written, with ``x.var`` recomputing the mean."""
+    mu = x.mean(axis=1, keepdims=True)
+    var = x.var(axis=1, keepdims=True)
+    return (x - mu) * (1.0 / np.sqrt(var + eps)) * gain + bias
+
+
+@pytest.mark.parametrize("shape, loc, scale", [((7, 16), 0.0, 1.0), ((50, 64), 1e4, 3.0),
+                                               ((3, 5), -2.5, 1e-3), ((1, 1), 4.0, 1.0)])
+def test_layer_norm_forward_bit_identical_to_var_form(shape, loc, scale):
+    rng = np.random.default_rng(shape[0])
+    x = rng.normal(loc, scale, size=shape)
+    gain, bias = rng.normal(size=shape[1]), rng.normal(size=shape[1])
+    out = T.layer_norm(Tensor(x), Tensor(gain), Tensor(bias)).data
+    assert out.tobytes() == reference_layer_norm(x, gain, bias).tobytes()
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_layer_norm_grad(seed):
     rng = np.random.default_rng(seed)
@@ -327,6 +344,41 @@ def test_gradient_accumulation_at_shared_input():
     loss = T.mse_loss(both, np.zeros(2))
     tape.backward(loss)
     np.testing.assert_allclose(x.grad, 2.0 * 2.0 * both.data / 2.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_add_of_one_tensor_on_both_sides_does_not_alias_gradients(seed):
+    # h feeds both sides of an add and a later op; d and e receive the same
+    # output gradient, so an uncopied first gradient would let h's second
+    # accumulation write through into e's pending gradient
+    rng = np.random.default_rng(seed)
+    w0, target = rng.normal(size=(3, 4)), rng.normal(size=12)
+
+    def build(w):
+        h = T.sigmoid(w)
+        e = T.scale(h, 3.0)
+        d = T.add(h, h)
+        f = T.add_const(T.add(d, e), 0.5)
+        return T.mse_loss(T.reshape(T.add(f, h), (-1,)), target)
+
+    check_grad(build, w0)
+    tape = Tape()
+    w = Tensor(w0, tape)
+    tape.backward(build(w))
+    h = 1.0 / (1.0 + np.exp(-w0))
+    g = 2.0 * ((6.0 * h + 0.5).ravel() - target).reshape(3, 4) / 12
+    np.testing.assert_allclose(w.grad, 6.0 * g * h * (1.0 - h), rtol=1e-12)
+
+
+def test_first_gradient_is_taken_without_a_copy():
+    tape = Tape()
+    x = Tensor(np.ones((2, 3)), tape)
+    built = np.full((2, 3), 7.0)
+    T._accum(x, built)
+    assert x.grad is built
+    y = Tensor(np.ones((2, 3)), tape)
+    T._accum(y, built, shared=True)
+    assert y.grad is not built and np.array_equal(y.grad, built)
 
 
 def test_backward_frees_intermediates_and_keeps_leaf_grads():

@@ -88,10 +88,10 @@ def _evaluate(
     frame: ingest.SparseFrame,
     k: int,
     method: str,
-    graph: graph_mod.Graph | None = None,
+    graph: graph_mod.Graph | None,
 ) -> tuple[metrics.EvalReport, np.ndarray]:
     """One (frame, k, method) cell. ``graph`` is the frame's kNN graph for
-    ``k``; learned methods build it when it is not given."""
+    ``k``, which learned methods need; baselines take None."""
     dropped = np.flatnonzero(frame.dropped_mask)
     truth = frame.cloud.xyz[dropped].copy()
     truth[:, 2] = frame.z_truth[dropped]
@@ -113,8 +113,6 @@ def _evaluate(
         infer_s = time.perf_counter() - t0
         z_hat = recon[:, 2]
     else:
-        if graph is None:
-            graph = graph_mod.build_knn_graph(frame, k)
         model_cfg = cfg.model.with_(architecture=method)
         result = trainer.train_frame(frame, graph, model_cfg, cfg.train)
         train_s = result.train_time_s

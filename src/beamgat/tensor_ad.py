@@ -107,17 +107,17 @@ def _check_finite(data: np.ndarray) -> np.ndarray:
     return data
 
 
-def _accum(t: Tensor, g: np.ndarray, shared: bool = False) -> None:
-    """Add ``g`` into ``t.grad``. A first gradient is kept as it is, so a
-    backward function hands over an array it has just built; ``shared``
-    marks one that is also held elsewhere (the output gradient passed
-    through, or one array given to two inputs), which is copied so that a
-    later ``+=`` cannot write through to the other holder."""
+def _accum(t: Tensor, g: np.ndarray) -> None:
+    """Add ``g`` into ``t.grad``. A first gradient of the right shape is
+    kept as it is, not copied: the output gradient a backward function
+    passes through is dropped by ``Tape.backward`` once that function has
+    run, so ``t`` is its only holder; a backward function that hands one
+    array to two inputs copies it for the second."""
     if t.tape is None:
         return
     if t.grad is None:
-        if shared or g.shape != t.data.shape:
-            g = np.array(np.broadcast_to(g, t.data.shape), dtype=np.float64)
+        if g.shape != t.data.shape:
+            g = np.broadcast_to(g, t.data.shape).copy()
         t.grad = g
     else:
         t.grad += g
@@ -157,11 +157,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; also supports adding a length-F bias to an [N, F] matrix."""
     if a.data.shape == b.data.shape:
         def bwd(g):
-            _accum(a, g, shared=True)
-            _accum(b, g, shared=True)
+            _accum(a, g)
+            _accum(b, g.copy())
     elif a.data.ndim == 2 and b.data.ndim == 1 and a.data.shape[1] == b.data.shape[0]:
         def bwd(g):
-            _accum(a, g, shared=True)
+            _accum(a, g)
             _accum(b, g.sum(axis=0))
     else:
         raise ValueError(f"add shape mismatch: {a.shape} + {b.shape}")
@@ -189,7 +189,7 @@ def scale(x: Tensor, s: "Tensor | float") -> Tensor:
 
 def add_const(x: Tensor, c: float) -> Tensor:
     def bwd(g):
-        _accum(x, g, shared=True)
+        _accum(x, g)
 
     return _make(x.data + c, (x,), bwd)
 
@@ -226,7 +226,7 @@ def reshape(x: Tensor, shape) -> Tensor:
     old = x.data.shape
 
     def bwd(g):
-        _accum(x, g.reshape(old), shared=True)
+        _accum(x, g.reshape(old))
 
     return _make(x.data.reshape(shape), (x,), bwd)
 
@@ -238,7 +238,7 @@ def concat_cols(parts: list[Tensor]) -> Tensor:
 
     def bwd(g):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _accum(p, g[:, lo:hi], shared=True)
+            _accum(p, g[:, lo:hi])
 
     return _make(data, tuple(parts), bwd)
 

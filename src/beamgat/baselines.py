@@ -79,13 +79,12 @@ def linear_interp(frame: SparseFrame, bin_count: int = 360) -> np.ndarray:
     return z_hat
 
 
-def nearest_neighbor_sub(frame: SparseFrame, z_only: bool = False) -> np.ndarray:
+def nearest_neighbor_sub(frame: SparseFrame) -> np.ndarray:
     """Reconstruct each dropped point as a copy of its planar-nearest
     observed point.
 
-    Returns [n_dropped, 3]: by default the neighbor's full (x, y, z) is
-    substituted, which trades global coordinate alignment for local z
-    accuracy. ``z_only=True`` keeps the dropped point's own (x, y).
+    Returns [n_dropped, 3]: the neighbor's full (x, y, z) is substituted,
+    which trades global coordinate alignment for local z accuracy.
     """
     cloud = frame.cloud
     obs = np.flatnonzero(frame.observed_mask)
@@ -95,10 +94,6 @@ def nearest_neighbor_sub(frame: SparseFrame, z_only: bool = False) -> np.ndarray
     tree = cKDTree(cloud.xyz[obs, :2])
     _, j = tree.query(cloud.xyz[dropped, :2])
     nn = obs[np.atleast_1d(j)]
-    if z_only:
-        out = cloud.xyz[dropped].copy()
-        out[:, 2] = frame.z_truth[nn]
-        return out
     out = cloud.xyz[nn].copy()
     out[:, 2] = frame.z_truth[nn]
     return out

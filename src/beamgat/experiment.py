@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import logging
 import os
+import time
 
 import numpy as np
 
@@ -13,7 +15,9 @@ from . import baselines, graph as graph_mod, ingest, metrics, synth, trainer
 from .model import ModelConfig
 from .trainer import TrainConfig
 
-__all__ = ["ExperimentConfig", "emit_xz_projection", "run_experiment"]
+__all__ = ["ExperimentConfig", "run_experiment"]
+
+log = logging.getLogger(__name__)
 
 LEARNED_METHODS = ("superior_gat", "gat_baseline", "simple_gcn")
 ALL_METHODS = ("linear", "nn") + LEARNED_METHODS
@@ -97,18 +101,13 @@ def _evaluate(
     truth[:, 2] = frame.z_truth[dropped]
 
     train_s = 0.0
+    t0 = time.perf_counter()
     if method == "linear":
-        import time
-
-        t0 = time.perf_counter()
         z_hat = baselines.linear_interp(frame)
         infer_s = time.perf_counter() - t0
         recon = truth.copy()
         recon[:, 2] = z_hat
     elif method == "nn":
-        import time
-
-        t0 = time.perf_counter()
         recon = baselines.nearest_neighbor_sub(frame)
         infer_s = time.perf_counter() - t0
         z_hat = recon[:, 2]
@@ -135,8 +134,14 @@ def _evaluate(
 
 
 def _run_one_frame(args) -> list[metrics.EvalReport]:
+    """All cells of one frame; a frame file that cannot be read yields no
+    rows (the same for any ``workers``)."""
     cfg, frame_id, path = args
-    tag, frame = _build_frame(cfg, frame_id, path)
+    try:
+        tag, frame = _build_frame(cfg, frame_id, path)
+    except (OSError, ingest.TruncatedRecordError) as exc:
+        log.warning("skipping frame %s: %s", path, exc)
+        return []
     learned = any(m in LEARNED_METHODS for m in cfg.methods)
     reports = []
     for k in cfg.k_list:
@@ -166,12 +171,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[metrics.EvalReport]:
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             per_frame = list(pool.map(_run_one_frame, jobs))
     else:
-        per_frame = []
-        for job in jobs:
-            try:
-                per_frame.append(_run_one_frame(job))
-            except (OSError, ingest.TruncatedRecordError) as exc:
-                print(f"warning: skipping frame {job[2]}: {exc}")
+        per_frame = [_run_one_frame(job) for job in jobs]
 
     reports = [r for frame_reports in per_frame for r in frame_reports]
     write_reports_csv(reports, os.path.join(cfg.out_dir, "reports.csv"))
@@ -208,21 +208,3 @@ def write_summary_csv(reports: list[metrics.EvalReport], path: str) -> None:
                 f"{agg['train_s'][0]:.9g},{agg['infer_s'][0]:.9g},{len(rs)}\n"
             )
 
-
-def emit_xz_projection(
-    frame: ingest.SparseFrame, z_hat: np.ndarray, path: str, stride: int = 15
-) -> None:
-    """X-Z profile CSV for external plotting: all observed points plus every
-    stride-th dropped point with its prediction."""
-    dropped = np.flatnonzero(frame.dropped_mask)
-    observed = np.flatnonzero(frame.observed_mask)
-    with open(path, "w") as fh:
-        fh.write("x,z_truth,z_pred,dropped\n")
-        for i in observed:
-            x, zt = frame.cloud.xyz[i, 0], frame.z_truth[i]
-            fh.write(f"{x:.9g},{zt:.9g},{zt:.9g},0\n")
-        for row, i in enumerate(dropped):
-            if row % stride != 0:
-                continue
-            x, zt = frame.cloud.xyz[i, 0], frame.z_truth[i]
-            fh.write(f"{x:.9g},{zt:.9g},{z_hat[row]:.9g},1\n")

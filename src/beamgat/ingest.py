@@ -55,14 +55,6 @@ class PointCloud:
     def __len__(self) -> int:
         return self.xyz.shape[0]
 
-    def validate(self) -> None:
-        assert self.xyz.ndim == 2 and self.xyz.shape[1] == 3
-        assert self.reflectance.shape == (len(self),)
-        if self.beam is not None:
-            assert self.beam.shape == (len(self),)
-            assert self.beam.min(initial=0) >= 0
-            assert self.beam.max(initial=0) < self.num_beams
-
 
 @dataclasses.dataclass
 class SparseFrame:

@@ -30,6 +30,8 @@ __all__ = [
 ]
 
 ARCHITECTURES = ("superior_gat", "gat_baseline", "simple_gcn")
+GAT_BASELINE_LAYERS = 3
+SIMPLE_GCN_LAYERS = 2
 
 
 @dataclasses.dataclass(frozen=True)
@@ -40,8 +42,6 @@ class ModelConfig:
     head_width: int = 16  # residual width = heads * head_width
     ffn_hidden: int = 128
     dec_hidden: int = 32
-    layers: int = 1  # baselines only; the gated model is single-layer
-    activation: str = "leaky_relu"  # aggregation nonlinearity: leaky_relu | elu
     attn_slope: float = 0.2
     ffn_slope: float = 0.01
     # Per-feature scale applied to first-layer weights at init.  Raw (x, y)
@@ -56,8 +56,6 @@ class ModelConfig:
     def __post_init__(self):
         if self.architecture not in ARCHITECTURES:
             raise ValueError(f"unknown architecture {self.architecture!r}")
-        if self.architecture == "superior_gat" and self.layers != 1:
-            raise ValueError("the gated model is single-layer by design")
         if len(self.input_scale) != self.in_features:
             raise ValueError("input_scale must have one entry per input feature")
 
@@ -111,14 +109,12 @@ def init_params(cfg: ModelConfig, seed: int) -> dict[str, np.ndarray]:
         norm("ffn_norm", w)
         decoder()
     elif cfg.architecture == "gat_baseline":
-        n_layers = cfg.layers if cfg.layers > 1 else 3
-        for layer in range(n_layers):
+        for layer in range(GAT_BASELINE_LAYERS):
             f_in = cfg.in_features if layer == 0 else w
             heads(f"l{layer}", f_in)
         decoder()
     else:  # simple_gcn
-        n_layers = cfg.layers if cfg.layers > 1 else 2
-        for layer in range(n_layers):
+        for layer in range(SIMPLE_GCN_LAYERS):
             f_in = cfg.in_features if layer == 0 else w
             p[f"l{layer}.W"] = first_layer(f_in, w)
         decoder()
@@ -127,12 +123,6 @@ def init_params(cfg: ModelConfig, seed: int) -> dict[str, np.ndarray]:
 
 def bind_params(params: dict[str, np.ndarray], tape: Tape | None) -> dict[str, Tensor]:
     return {name: Tensor(arr, tape) for name, arr in params.items()}
-
-
-def _activation(x: Tensor, cfg: ModelConfig) -> Tensor:
-    if cfg.activation == "elu":
-        return T.elu(x)
-    return T.leaky_relu(x, cfg.attn_slope)
 
 
 def gat_attention_layer(
@@ -146,7 +136,7 @@ def gat_attention_layer(
 
     Per head: project features, score each edge j->i with
     LeakyReLU(a^T [h'_i || h'_j]), softmax over each node's incoming edges,
-    aggregate as one CSR product ``A_alpha @ h'``, apply the nonlinearity.
+    aggregate as one CSR product ``A_alpha @ h'``, apply LeakyReLU.
     Head outputs are concatenated.
     """
     src, dst = graph.edge_arrays()
@@ -163,7 +153,7 @@ def gat_attention_layer(
         logits = T.reshape(T.leaky_relu(raw, cfg.attn_slope), (-1,))
         alpha = T.segment_softmax(logits, offsets)
         agg = T.spmm(alpha, hp, src, offsets)
-        outs.append(_activation(agg, cfg))
+        outs.append(T.leaky_relu(agg, cfg.attn_slope))
     return outs[0] if len(outs) == 1 else T.concat_cols(outs)
 
 
@@ -194,32 +184,28 @@ def _decode(h: Tensor, params: dict[str, Tensor], cfg: ModelConfig) -> Tensor:
 
 
 def gcn_layer(graph: Graph, h: Tensor, w: Tensor, cfg: ModelConfig) -> Tensor:
-    """Mean aggregation with fixed weights: out_i = act(mean_j h_j W)."""
+    """Mean aggregation with fixed weights: out_i = LeakyReLU(mean_j h_j W)."""
     offsets = graph.row_offsets
     deg = np.diff(offsets)
     inv_deg = np.repeat(1.0 / deg, deg)
     agg = T.spmm(inv_deg, T.matmul(h, w), graph.neighbor_ids, offsets)
-    return _activation(agg, cfg)
+    return T.leaky_relu(agg, cfg.attn_slope)
 
 
 def simple_gcn_forward(graph: Graph, h: Tensor, params: dict[str, Tensor], cfg: ModelConfig) -> Tensor:
-    layer = 0
-    while f"l{layer}.W" in params:
+    for layer in range(SIMPLE_GCN_LAYERS):
         h = gcn_layer(graph, h, params[f"l{layer}.W"], cfg)
-        layer += 1
     return _decode(h, params, cfg)
 
 
 def gat_baseline_forward(graph: Graph, h: Tensor, params: dict[str, Tensor], cfg: ModelConfig) -> Tensor:
     """Stacked plain attention layers with additive residuals where widths
     match; no gating, no FFN."""
-    layer = 0
-    while f"l{layer}.h0.W" in params:
+    for layer in range(GAT_BASELINE_LAYERS):
         out = gat_attention_layer(graph, h, params, f"l{layer}", cfg)
         if out.shape == h.shape:
             out = T.add(out, h)
         h = out
-        layer += 1
     return _decode(h, params, cfg)
 
 

@@ -16,7 +16,6 @@ __all__ = [
     "Tensor",
     "add",
     "add_const",
-    "backward",
     "concat_cols",
     "elu",
     "layer_norm",
@@ -92,10 +91,6 @@ class Tape:
             if out.grad is not None:
                 backward_fn(out.grad)
                 out.grad = None
-
-
-def backward(tape: Tape, loss: Tensor) -> None:
-    tape.backward(loss)
 
 
 def _check_finite(data: np.ndarray) -> np.ndarray:

@@ -31,7 +31,6 @@ class TrainConfig:
     mask_fraction: float = 0.25
     seed: int = 0
     patience: int = 30
-    transductive: bool = False  # ablation only: trains on dropped ground truth (leaks)
 
     def __post_init__(self):
         if not 0.0 < self.mask_fraction < 1.0:
@@ -119,16 +118,10 @@ def train_frame(
     t0 = time.perf_counter()
     for epoch in range(train_cfg.epochs):
         rng = np.random.default_rng([train_cfg.seed, epoch])
-        if train_cfg.transductive:
-            sup = dropped
-            feats = base_features
-        else:
-            sup = _stratified_subset(
-                frame.cloud.beam, observed, train_cfg.mask_fraction, rng
-            )
-            assert not dropped_set.intersection(sup.tolist()), "supervision leaked into dropped set"
-            feats = base_features.copy()
-            feats[sup, 2] = 0.0
+        sup = _stratified_subset(frame.cloud.beam, observed, train_cfg.mask_fraction, rng)
+        assert not dropped_set.intersection(sup.tolist()), "supervision leaked into dropped set"
+        feats = base_features.copy()
+        feats[sup, 2] = 0.0
 
         tape = Tape()
         bound = bind_params(params, tape)
@@ -169,11 +162,3 @@ def predict_dropped(
     out = z_hat.data[dropped].copy()
     return out, time.perf_counter() - t0
 
-
-def write_loss_history(history: list[float], times_ms: list[float] | None, path: str) -> None:
-    """Per-frame loss CSV: epoch,loss,elapsed_ms."""
-    with open(path, "w") as fh:
-        fh.write("epoch,loss,elapsed_ms\n")
-        for i, loss in enumerate(history):
-            ms = times_ms[i] if times_ms else 0.0
-            fh.write(f"{i},{loss:.9g},{ms:.3f}\n")

@@ -172,12 +172,6 @@ class TestNearestNeighborSub:
         for row in recon:
             assert np.min(np.linalg.norm(obs - row, axis=1)) < 1e-12
 
-    def test_z_only_variant_keeps_xy(self):
-        frame = beam_plane_frame(seed=6)
-        dropped = np.flatnonzero(frame.dropped_mask)
-        recon = nearest_neighbor_sub(frame, z_only=True)
-        np.testing.assert_array_equal(recon[:, :2], frame.cloud.xyz[dropped, :2])
-
     def test_full_substitution_changes_xy(self):
         # the substituted (x, y) generally differ from the dropped point's own
         frame = beam_plane_frame(seed=7)

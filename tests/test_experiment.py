@@ -5,11 +5,7 @@ import numpy as np
 import pytest
 
 from beamgat import baselines, cli, graph as graph_mod, ingest, metrics, synth
-from beamgat.experiment import (
-    ExperimentConfig,
-    emit_xz_projection,
-    run_experiment,
-)
+from beamgat.experiment import ExperimentConfig, run_experiment
 from beamgat.model import ModelConfig
 from beamgat.trainer import TrainConfig
 
@@ -178,41 +174,28 @@ def test_kitti_input_dir_round_trip(tmp_path):
     assert np.isfinite(report.rmse_z)
 
 
-# ---------------------------------------------------------------------------
-# x-z projection CSV
-# ---------------------------------------------------------------------------
-
-
-def _tiny_frame():
-    spec = synth.SceneSpec(kind="sinusoid", point_count=300, seed=5)
-    return ingest.apply_beam_dropout(synth.synthesize_scene(spec))
-
-
-def test_xz_projection_row_counts(tmp_path):
-    frame = _tiny_frame()
-    dropped = np.flatnonzero(frame.dropped_mask)
-    z_hat = np.zeros(dropped.size)
-    path = tmp_path / "xz.csv"
-    emit_xz_projection(frame, z_hat, str(path), stride=4)
-    lines = path.read_text().splitlines()
-    n_obs = int(frame.observed_mask.sum())
-    n_drop_rows = len(range(0, dropped.size, 4))
-    assert lines[0] == "x,z_truth,z_pred,dropped"
-    assert len(lines) == 1 + n_obs + n_drop_rows
-
-
-def test_xz_projection_stride_one_keeps_all_dropped(tmp_path):
-    frame = _tiny_frame()
-    dropped = np.flatnonzero(frame.dropped_mask)
-    path = tmp_path / "xz.csv"
-    emit_xz_projection(frame, frame.z_truth[dropped], str(path), stride=1)
-    rows = path.read_text().splitlines()[1:]
-    flags = np.array([int(r.rsplit(",", 1)[1]) for r in rows])
-    assert (flags == 1).sum() == dropped.size
-    # with truth passed as the prediction, pred column equals truth column
-    for r in rows:
-        _, zt, zp, _ = r.split(",")
-        assert zt == zp
+def test_unreadable_frame_is_skipped_for_any_worker_count(tmp_path, caplog):
+    cloud = synth.synthesize_scene(synth.SceneSpec(kind="sinusoid", point_count=500, seed=4))
+    frame_dir = tmp_path / "frames"
+    frame_dir.mkdir()
+    ingest.write_kitti_bin(cloud, str(frame_dir / "000000.bin"))
+    (frame_dir / "000001.bin").write_bytes(bytes(17))  # not a whole record
+    outs = []
+    for workers in (1, 2):
+        cfg = ExperimentConfig(
+            input_dir=str(frame_dir),
+            frame_limit=2,
+            methods=("linear",),
+            out_dir=str(tmp_path / f"runs{workers}"),
+            workers=workers,
+            timing=False,
+            **FAST,
+        )
+        (report,) = run_experiment(cfg)
+        assert report.frame == "000000"
+        outs.append((tmp_path / f"runs{workers}" / "reports.csv").read_bytes())
+    assert outs[0] == outs[1]
+    assert "skipping frame" in caplog.text and "000001.bin" in caplog.text
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +283,14 @@ def test_cli_config_train_seed_follows_experiment_seed(tmp_path):
 
 
 def test_cli_unknown_config_field_is_an_error(tmp_path, capsys):
+    # a misspelt field, and the fields removed from the config
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"train": {"epoch": 3}}))
-    assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path / "runs")]) == 1
-    assert "train.epoch" in capsys.readouterr().err
+    for section, field, value in [
+        ("train", "epoch", 3),
+        ("train", "transductive", True),
+        ("model", "layers", 3),
+        ("model", "activation", "elu"),
+    ]:
+        cfg_path.write_text(json.dumps({section: {field: value}}))
+        assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path / "runs")]) == 1
+        assert f"{section}.{field}" in capsys.readouterr().err

@@ -3,7 +3,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from beamgat import ingest
-from beamgat.graph import add_beam_edges, build_features, build_knn_graph, dump_edges_csv, knn_indices
+from beamgat.graph import build_features, build_knn_graph, knn_indices
 from beamgat.ingest import EveryNth, PointCloud
 from beamgat.synth import SceneSpec, synthesize_scene
 
@@ -210,8 +210,17 @@ class TestBuildKnnGraph:
     def test_row_lengths_k_plus_one(self):
         frame = random_frame(np.random.default_rng(2), 120)
         g = build_knn_graph(frame, k=5)
-        np.testing.assert_array_equal(np.diff(g.row_offsets), 6)
-        g.validate()
+        counts = np.diff(g.row_offsets)
+        np.testing.assert_array_equal(counts, 6)
+        # CSR invariants: rows start at 0, none is empty, the last offset
+        # closes the id array, and no row repeats a neighbor
+        assert g.row_offsets[0] == 0
+        assert np.all(counts >= 1)
+        assert g.row_offsets[-1] == len(g.neighbor_ids)
+        src, dst = g.edge_arrays()
+        order = np.lexsort((src, dst))
+        src, dst = src[order], dst[order]
+        assert not np.any((src[1:] == src[:-1]) & (dst[1:] == dst[:-1]))
 
     def test_self_loop_present(self):
         frame = random_frame(np.random.default_rng(3), 50)
@@ -242,51 +251,14 @@ class TestBuildKnnGraph:
             row_new = g_p.neighbor_ids[g_p.row_offsets[new_i]:g_p.row_offsets[new_i + 1]]
             assert set(row_new.tolist()) == {int(inv[o]) for o in row_old}
 
-    def test_planar_vs_3d_flag(self):
-        # dropped nodes at z=0 would mis-neighbor under 3-D masked distance
-        xy = np.array([[0.0, 0.0], [0.1, 0.0], [10.0, 0.0], [10.1, 0.0]])
-        frame = frame_from_xy(xy, beams=[0, 1, 1, 2])
-        g2 = build_knn_graph(frame, k=1, planar=True)
-        g3 = build_knn_graph(frame, k=1, planar=False)
-        assert g2.num_edges == g3.num_edges
-
-
-class TestAddBeamEdges:
-    def test_chain_within_beam(self):
-        angles = np.radians([0, 90, 180, 270])
-        xy = np.column_stack([np.cos(angles) * 5, np.sin(angles) * 5])
-        n = 4
-        xyz = np.column_stack([xy, np.zeros(n)])
-        cloud = PointCloud(xyz=xyz, reflectance=np.zeros(n),
-                           beam=np.full(n, 1), num_beams=8)
-        frame = ingest.apply_beam_dropout(
-            PointCloud(xyz=np.vstack([xyz, [[1, 1, 0]]]), reflectance=np.zeros(n + 1),
-                       beam=np.append(np.full(n, 1), 0), num_beams=8),
-            EveryNth(4, 0),
+    def test_distance_is_planar(self):
+        # node 0 is dropped (masked z = 0): in the plane its nearest point is
+        # node 1, while masked 3-D distance would pick node 2
+        cloud = PointCloud(
+            xyz=np.array([[0.0, 0.0, 5.0], [0.1, 0.0, 5.0], [1.0, 0.0, 0.0]]),
+            reflectance=np.zeros(3), beam=np.array([0, 1, 2]), num_beams=8,
         )
+        frame = ingest.apply_beam_dropout(cloud, EveryNth(4, 0))
+        assert frame.dropped_mask.tolist() == [True, False, False]
         g = build_knn_graph(frame, k=1)
-        g2 = add_beam_edges(g, frame)
-        src, dst = g2.edge_arrays()
-        edges = set(zip(src.tolist(), dst.tolist()))
-        # azimuth order is 0, 1, 2, 3 (angles 0, 90, 180, 270 in [-pi, pi) sort as 180 first)
-        azim = np.arctan2(frame.cloud.xyz[:4, 1], frame.cloud.xyz[:4, 0])
-        chain = np.argsort(azim)
-        for u, v in zip(chain[:-1], chain[1:]):
-            assert (u, v) in edges and (v, u) in edges
-
-    def test_dedup_keeps_edge_count(self):
-        frame = random_frame(np.random.default_rng(6), 60)
-        g = build_knn_graph(frame, k=3)
-        g2 = add_beam_edges(g, frame)
-        g3 = add_beam_edges(g2, frame)
-        assert g2.num_edges == g3.num_edges
-
-
-def test_dump_edges_csv(tmp_path):
-    frame = random_frame(np.random.default_rng(7), 30)
-    g = build_knn_graph(frame, k=2)
-    path = tmp_path / "edges.csv"
-    dump_edges_csv(g, str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "src,dst,dist"
-    assert len(lines) == g.num_edges + 1
+        assert g.neighbor_ids[g.row_offsets[0]:g.row_offsets[1]].tolist() == [0, 1]

@@ -357,6 +357,27 @@ class TestInit:
                 bound = np.sqrt(6.0 / (fan_in + fan_out))
                 assert np.abs(arr).max() <= bound, name
 
+    def test_parameter_names_and_shapes(self):
+        # names and shapes are the checkpoint format
+        def heads(prefix, f_in):
+            return [item for h in range(4) for item in
+                    [(f"{prefix}.h{h}.W", (f_in, 16)), (f"{prefix}.h{h}.a", (32, 1))]]
+
+        decoder = [("dec.W1", (64, 32)), ("dec.b1", (32,)), ("dec.W2", (32, 1)), ("dec.b2", (1,))]
+        expected = {
+            "superior_gat": heads("attn", 4) + [
+                ("proj_in", (4, 64)), ("in_norm.gain", (64,)), ("in_norm.bias", (64,)),
+                ("gate_logit", ()), ("gate_norm.gain", (64,)), ("gate_norm.bias", (64,)),
+                ("ffn.W1", (64, 128)), ("ffn.b1", (128,)), ("ffn.W2", (128, 64)), ("ffn.b2", (64,)),
+                ("ffn_norm.gain", (64,)), ("ffn_norm.bias", (64,)),
+            ] + decoder,
+            "gat_baseline": heads("l0", 4) + heads("l1", 64) + heads("l2", 64) + decoder,
+            "simple_gcn": [("l0.W", (4, 64)), ("l1.W", (64, 64))] + decoder,
+        }
+        for arch, names_shapes in expected.items():
+            params = init_params(ModelConfig(architecture=arch), 0)
+            assert [(name, arr.shape) for name, arr in params.items()] == names_shapes, arch
+
     def test_checkpoint_round_trip(self, tmp_path):
         params = init_params(ModelConfig(), 1)
         path = str(tmp_path / "ckpt.npz")

@@ -12,7 +12,6 @@ from beamgat.trainer import (
     adam_step,
     predict_dropped,
     train_frame,
-    write_loss_history,
 )
 
 TINY = ModelConfig(heads=2, head_width=4, ffn_hidden=16, dec_hidden=8)
@@ -189,16 +188,6 @@ def test_early_stopping_cuts_history_short():
     assert len(result.loss_history) < 400
 
 
-def test_transductive_mode_memorizes_dropped_truth():
-    frame = _flat_frame(n=120, seed=8)
-    graph = graph_mod.build_knn_graph(frame, k=4)
-    cfg = TrainConfig(epochs=60, learning_rate=1e-2, seed=0, transductive=True)
-    result = train_frame(frame, graph, TINY, cfg)
-    z_hat, _ = predict_dropped(frame, graph, result.params, TINY)
-    dropped = np.flatnonzero(frame.dropped_mask)
-    assert float(np.sqrt(np.mean((z_hat - frame.z_truth[dropped]) ** 2))) < 0.05
-
-
 # ---------------------------------------------------------------------------
 # predict_dropped
 # ---------------------------------------------------------------------------
@@ -239,23 +228,3 @@ def test_predict_is_pure(small_sine_frame, small_sine_graph):
     a, _ = predict_dropped(small_sine_frame, small_sine_graph, params, TINY)
     b, _ = predict_dropped(small_sine_frame, small_sine_graph, params, TINY)
     assert np.array_equal(a, b)
-
-
-# ---------------------------------------------------------------------------
-# loss-history CSV
-# ---------------------------------------------------------------------------
-
-
-def test_write_loss_history_schema(tmp_path):
-    path = tmp_path / "loss.csv"
-    write_loss_history([0.5, 0.25], [1.5, 2.5], str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "epoch,loss,elapsed_ms"
-    assert lines[1] == "0,0.5,1.500"
-    assert lines[2] == "1,0.25,2.500"
-
-
-def test_write_loss_history_without_times(tmp_path):
-    path = tmp_path / "loss.csv"
-    write_loss_history([1.0], None, str(path))
-    assert path.read_text().splitlines()[1] == "0,1,0.000"

@@ -20,8 +20,8 @@ def _names(text: str) -> list[str]:
 
 def build_parser() -> argparse.ArgumentParser:
     """Every flag defaults to None ("not passed"), so only the flags a user
-    passes override the ``--config`` file; each ``dest`` is the
-    ExperimentConfig field it sets (``epochs`` sets ``train.epochs``)."""
+    passes override the ``--config`` file; each ``dest`` is the config path
+    it sets (``--epochs`` sets ``train.epochs``)."""
     p = argparse.ArgumentParser(
         prog="beamgat",
         description="Reconstruct dropped LiDAR beams and benchmark methods.",
@@ -36,7 +36,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", dest="frame_limit", metavar="N", type=int, help="frame limit (default: 1)")
     p.add_argument("--seed", type=int, help="experiment and training seed (default: 0)")
     p.add_argument("--out", dest="out_dir", metavar="DIR", help="output directory (default: runs)")
-    p.add_argument("--epochs", type=int, help="training epochs (default: 200)")
+    p.add_argument("--epochs", dest="train.epochs", metavar="EPOCHS", type=int,
+                   help="training epochs (default: 200)")
     p.add_argument("--sample-target", type=int, help="points kept per frame (default: 50000)")
     p.add_argument("--dropout-nth", type=int, help="drop every n-th beam (default: 4)")
     p.add_argument("--workers", type=int, help="frame worker processes (default: 1)")
@@ -53,12 +54,10 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     if config:
         with open(config) as fh:
             fields = json.load(fh)
-    train = dict(fields.get("train", {}))
-    if "epochs" in passed:
-        train["epochs"] = passed.pop("epochs")
-    if "seed" in passed:
-        train["seed"] = passed["seed"]
-    return ExperimentConfig.from_dict({**fields, **passed, "train": train})
+    for dest, value in passed.items():
+        section, _, name = dest.rpartition(".")
+        (fields.setdefault(section, {}) if section else fields)[name] = value
+    return ExperimentConfig.from_dict(fields)
 
 
 def main(argv: list[str] | None = None) -> int:

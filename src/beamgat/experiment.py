@@ -4,6 +4,7 @@ metrics into reproducible frame x k x method runs with CSV outputs."""
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import dataclasses
 import logging
 import os
@@ -30,7 +31,6 @@ class ExperimentConfig:
     frame_limit: int = 1
     sample_target: int = 50000
     dropout_nth: int = 4
-    dropout_offset: int = 0
     k_list: tuple[int, ...] = (10,)
     methods: tuple[str, ...] = ALL_METHODS
     model: ModelConfig = ModelConfig()
@@ -53,10 +53,9 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, fields: dict) -> "ExperimentConfig":
         """Build from JSON-style field values. ``model``, ``train`` and
-        ``scene`` are dicts of their own fields; ``train.seed`` defaults to
-        ``seed``. Fields not given keep their defaults."""
+        ``scene`` are dicts of their own fields, except ``EXPERIMENT_SET``.
+        Fields not given keep their defaults."""
         fields = dict(fields)
-        fields["train"] = {"seed": fields.get("seed", 0), **fields.get("train", {})}
         for name, kind in (("model", ModelConfig), ("train", TrainConfig), ("scene", synth.SceneSpec)):
             fields[name] = _build(kind, fields.get(name, {}), f"{name}.")
         for name in ("k_list", "methods"):
@@ -65,10 +64,17 @@ class ExperimentConfig:
         return _build(cls, fields, "")
 
 
+# Nested fields that each cell overwrites, so a config file may not set them:
+# the architecture is the method, the scene kind is ``synthetic``, the scene
+# seed is ``seed + frame_id`` and the training seed is ``seed``.
+EXPERIMENT_SET = frozenset({"model.architecture", "scene.kind", "scene.seed", "train.seed"})
+
+
 def _build(kind, fields: dict, prefix: str):
-    unknown = sorted(set(fields) - {f.name for f in dataclasses.fields(kind)})
-    if unknown:
-        raise ValueError(f"unknown config field(s): {', '.join(prefix + u for u in unknown)}")
+    settable = {prefix + f.name for f in dataclasses.fields(kind)} - EXPERIMENT_SET
+    rejected = sorted({prefix + name for name in fields} - settable)
+    if rejected:
+        raise ValueError(f"config field(s) unknown or set by the experiment: {', '.join(rejected)}")
     return kind(**fields)
 
 
@@ -82,7 +88,7 @@ def _build_frame(cfg: ExperimentConfig, frame_id: int, path: str | None) -> tupl
         cloud = synth.synthesize_scene(spec)
         tag = f"{cfg.synthetic}{frame_id}"
     cloud = ingest.stratified_sample(cloud, cfg.sample_target, seed=cfg.seed + frame_id)
-    pattern = ingest.EveryNth(cfg.dropout_nth, cfg.dropout_offset)
+    pattern = ingest.EveryNth(cfg.dropout_nth)
     return tag, ingest.apply_beam_dropout(cloud, pattern)
 
 
@@ -112,8 +118,9 @@ def _evaluate(
         infer_s = time.perf_counter() - t0
         z_hat = recon[:, 2]
     else:
-        model_cfg = cfg.model.with_(architecture=method)
-        result = trainer.train_frame(frame, graph, model_cfg, cfg.train)
+        model_cfg = dataclasses.replace(cfg.model, architecture=method)
+        train_cfg = dataclasses.replace(cfg.train, seed=cfg.seed)
+        result = trainer.train_frame(frame, graph, model_cfg, train_cfg)
         train_s = result.train_time_s
         z_hat, infer_s = trainer.predict_dropped(frame, graph, result.params, model_cfg)
         recon = truth.copy()
@@ -162,16 +169,21 @@ def run_experiment(cfg: ExperimentConfig) -> list[metrics.EvalReport]:
             os.path.join(cfg.input_dir, f)
             for f in os.listdir(cfg.input_dir)
             if f.endswith(".bin")
-        )[: cfg.frame_limit]
+        )
         jobs = [(cfg, i, p) for i, p in enumerate(paths)]
     else:
         jobs = [(cfg, i, None) for i in range(cfg.frame_limit)]
 
-    if cfg.workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            per_frame = list(pool.map(_run_one_frame, jobs))
-    else:
-        per_frame = [_run_one_frame(job) for job in jobs]
+    # Frames are read in order, up to ``workers`` at a time, until frame_limit
+    # of them have given rows: a frame file that cannot be read takes no slot.
+    per_frame: list[list[metrics.EvalReport]] = []
+    pool = concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1 else None
+    with pool or contextlib.nullcontext():
+        run = pool.map if pool else map
+        while jobs and len(per_frame) < cfg.frame_limit:
+            batch = min(max(cfg.workers, 1), cfg.frame_limit - len(per_frame))
+            per_frame += filter(None, run(_run_one_frame, jobs[:batch]))
+            jobs = jobs[batch:]
 
     reports = [r for frame_reports in per_frame for r in frame_reports]
     write_reports_csv(reports, os.path.join(cfg.out_dir, "reports.csv"))

@@ -34,6 +34,12 @@ class Graph:
         return self.neighbor_ids, dst
 
 
+NUM_FEATURES = 4  # columns of build_features
+# Init scale of each feature's first-layer weights: raw (x, y) span tens of
+# meters while z̃ and the beam are O(1), and unscaled logits saturate at init.
+FEATURE_INIT_SCALE = (0.05, 0.05, 1.0, 1.0)
+
+
 def build_features(frame: SparseFrame) -> np.ndarray:
     """Node feature rows [x, y, z_masked, beam/(B-1)].
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+from collections.abc import Callable
 
 import numpy as np
 
@@ -23,6 +24,7 @@ __all__ = [
     "SparseFrame",
     "TruncatedRecordError",
     "apply_beam_dropout",
+    "choose_per_beam",
     "estimate_beams",
     "read_kitti_bin",
     "stratified_sample",
@@ -158,48 +160,46 @@ def estimate_beams(
     )
 
 
+def choose_per_beam(
+    beam: np.ndarray, quota: Callable[[np.ndarray], np.ndarray], rng: np.random.Generator
+) -> np.ndarray:
+    """Sorted positions into ``beam``, drawn without replacement beam by beam:
+    ``quota(counts)`` maps the populated beams' sizes (ascending beam order)
+    to how many of each to keep, and each beam's ascending positions get one
+    ``rng.choice``, in ascending beam order."""
+    order = np.argsort(beam, kind="stable")
+    grouped = beam[order]
+    starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
+    counts = np.diff(starts, append=beam.size)
+    picks = [rng.choice(order[start:start + count], size=int(q), replace=False)
+             for start, count, q in zip(starts, counts, quota(counts))]
+    return np.sort(np.concatenate(picks))
+
+
 def stratified_sample(cloud: PointCloud, target: int, seed: int) -> PointCloud:
     """Subsample to ~``target`` points with per-beam quotas proportional to
     beam population (largest-remainder rounding), preserving original order."""
     if cloud.beam is None:
         raise ValueError("beam indices must be set before stratified sampling")
-    n = len(cloud)
-    if target >= n:
+    if target >= len(cloud):
         return cloud
-    counts = np.bincount(cloud.beam, minlength=cloud.num_beams)
-    nonempty = np.flatnonzero(counts)
-    if target < len(nonempty):
-        raise ValueError(
-            f"target {target} below number of non-empty beams {len(nonempty)}"
-        )
-    exact = counts[nonempty] * (target / n)
-    quota = np.floor(exact).astype(np.int64)
-    # never empty a populated beam
-    quota = np.maximum(quota, 1)
-    remainder = exact - np.floor(exact)
-    short = target - int(quota.sum())
-    if short > 0:
-        order = np.lexsort((nonempty, -remainder))
-        for b in order[:short]:
-            if quota[b] < counts[nonempty[b]]:
-                quota[b] += 1
-    elif short < 0:
-        order = np.lexsort((-nonempty, remainder))
-        i = 0
-        while short < 0 and i < len(order):
-            b = order[i]
-            if quota[b] > 1:
-                quota[b] -= 1
-                short += 1
-            i += 1
-    quota = np.minimum(quota, counts[nonempty])
 
-    rng = np.random.default_rng(seed)
-    keep = np.zeros(n, dtype=bool)
-    for b, q in zip(nonempty, quota):
-        idx = np.flatnonzero(cloud.beam == b)
-        keep[rng.choice(idx, size=int(q), replace=False)] = True
-    sel = np.flatnonzero(keep)
+    def quotas(counts: np.ndarray) -> np.ndarray:
+        if target < counts.size:
+            raise ValueError(f"target {target} below number of non-empty beams {counts.size}")
+        exact = counts * (target / counts.sum())
+        quota = np.maximum(np.floor(exact).astype(np.int64), 1)  # never empty a populated beam
+        remainder = exact - np.floor(exact)
+        short = target - int(quota.sum())
+        beams = np.arange(counts.size)
+        if short > 0:  # largest remainders gain one, lower beam first; clipped to counts below
+            quota[np.lexsort((beams, -remainder))[:short]] += 1
+        elif short < 0:  # smallest remainders above one lose one, higher beam first
+            order = np.lexsort((-beams, remainder))
+            quota[order[quota[order] > 1][:-short]] -= 1
+        return np.minimum(quota, counts)
+
+    sel = choose_per_beam(cloud.beam, quotas, np.random.default_rng(seed))
     return PointCloud(
         xyz=cloud.xyz[sel],
         reflectance=cloud.reflectance[sel],

@@ -12,7 +12,7 @@ import dataclasses
 import numpy as np
 
 from . import tensor_ad as T
-from .graph import Graph
+from .graph import FEATURE_INIT_SCALE, NUM_FEATURES, Graph
 from .tensor_ad import Tape, Tensor
 
 __all__ = [
@@ -32,22 +32,17 @@ __all__ = [
 ARCHITECTURES = ("superior_gat", "gat_baseline", "simple_gcn")
 GAT_BASELINE_LAYERS = 3
 SIMPLE_GCN_LAYERS = 2
+ATTN_SLOPE = 0.2  # LeakyReLU slope of the attention logits and aggregations
+FFN_SLOPE = 0.01  # LeakyReLU slope of the feed-forward and decoder hidden layers
 
 
 @dataclasses.dataclass(frozen=True)
 class ModelConfig:
     architecture: str = "superior_gat"
-    in_features: int = 4
     heads: int = 4
     head_width: int = 16  # residual width = heads * head_width
     ffn_hidden: int = 128
     dec_hidden: int = 32
-    attn_slope: float = 0.2
-    ffn_slope: float = 0.01
-    # Per-feature scale applied to first-layer weights at init.  Raw (x, y)
-    # coordinates span tens of meters while z̃ and the beam channel are O(1);
-    # without this, attention logits saturate at init and training stalls.
-    input_scale: tuple = (0.05, 0.05, 1.0, 1.0)
 
     @property
     def width(self) -> int:
@@ -56,11 +51,6 @@ class ModelConfig:
     def __post_init__(self):
         if self.architecture not in ARCHITECTURES:
             raise ValueError(f"unknown architecture {self.architecture!r}")
-        if len(self.input_scale) != self.in_features:
-            raise ValueError("input_scale must have one entry per input feature")
-
-    def with_(self, **kw) -> "ModelConfig":
-        return dataclasses.replace(self, **kw)
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
@@ -69,21 +59,21 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.nd
 
 
 def init_params(cfg: ModelConfig, seed: int) -> dict[str, np.ndarray]:
-    """Glorot-uniform weights, zero biases, gate logit 0 (gate starts at 0.5)."""
+    """Glorot-uniform weights, zero biases, gate logit 0 (gate starts at 0.5);
+    layer 0, which reads the node features, is scaled by FEATURE_INIT_SCALE."""
     rng = np.random.default_rng(seed)
     w = cfg.width
-    scale = np.asarray(cfg.input_scale, dtype=np.float64)
     p: dict[str, np.ndarray] = {}
 
-    def first_layer(f_in: int, f_out: int) -> np.ndarray:
-        weights = _glorot(rng, f_in, f_out, (f_in, f_out))
-        if f_in == cfg.in_features:
-            weights *= scale[:, None]
-        return weights
+    def layer_weights(layer: int, f_out: int) -> np.ndarray:
+        if layer > 0:
+            return _glorot(rng, w, f_out, (w, f_out))
+        scale = np.asarray(FEATURE_INIT_SCALE)[:, None]
+        return _glorot(rng, NUM_FEATURES, f_out, (NUM_FEATURES, f_out)) * scale
 
-    def heads(prefix: str, f_in: int):
+    def heads(prefix: str, layer: int):
         for h in range(cfg.heads):
-            p[f"{prefix}.h{h}.W"] = first_layer(f_in, cfg.head_width)
+            p[f"{prefix}.h{h}.W"] = layer_weights(layer, cfg.head_width)
             p[f"{prefix}.h{h}.a"] = _glorot(rng, 2 * cfg.head_width, 1, (2 * cfg.head_width, 1))
 
     def norm(prefix: str, width: int):
@@ -97,8 +87,8 @@ def init_params(cfg: ModelConfig, seed: int) -> dict[str, np.ndarray]:
         p["dec.b2"] = np.zeros(1)
 
     if cfg.architecture == "superior_gat":
-        heads("attn", cfg.in_features)
-        p["proj_in"] = first_layer(cfg.in_features, w)
+        heads("attn", 0)
+        p["proj_in"] = layer_weights(0, w)
         norm("in_norm", w)
         p["gate_logit"] = np.zeros(())
         norm("gate_norm", w)
@@ -110,13 +100,11 @@ def init_params(cfg: ModelConfig, seed: int) -> dict[str, np.ndarray]:
         decoder()
     elif cfg.architecture == "gat_baseline":
         for layer in range(GAT_BASELINE_LAYERS):
-            f_in = cfg.in_features if layer == 0 else w
-            heads(f"l{layer}", f_in)
+            heads(f"l{layer}", layer)
         decoder()
     else:  # simple_gcn
         for layer in range(SIMPLE_GCN_LAYERS):
-            f_in = cfg.in_features if layer == 0 else w
-            p[f"l{layer}.W"] = first_layer(f_in, w)
+            p[f"l{layer}.W"] = layer_weights(layer, w)
         decoder()
     return p
 
@@ -150,10 +138,10 @@ def gat_attention_layer(
         score_dst = T.matmul(hp, T.rows(a, 0, fp))  # [N, 1]
         score_src = T.matmul(hp, T.rows(a, fp, 2 * fp))
         raw = T.add(T.take_rows(score_dst, dst), T.take_rows(score_src, src))
-        logits = T.reshape(T.leaky_relu(raw, cfg.attn_slope), (-1,))
+        logits = T.reshape(T.leaky_relu(raw, ATTN_SLOPE), (-1,))
         alpha = T.segment_softmax(logits, offsets)
         agg = T.spmm(alpha, hp, src, offsets)
-        outs.append(T.leaky_relu(agg, cfg.attn_slope))
+        outs.append(T.leaky_relu(agg, ATTN_SLOPE))
     return outs[0] if len(outs) == 1 else T.concat_cols(outs)
 
 
@@ -168,34 +156,34 @@ def superior_gat_forward(graph: Graph, h: Tensor, params: dict[str, Tensor], cfg
     h_gated = T.layer_norm(mix, params["gate_norm.gain"], params["gate_norm.bias"])
     ffn = T.add(
         T.matmul(
-            T.leaky_relu(T.add(T.matmul(h_gated, params["ffn.W1"]), params["ffn.b1"]), cfg.ffn_slope),
+            T.leaky_relu(T.add(T.matmul(h_gated, params["ffn.W1"]), params["ffn.b1"]), FFN_SLOPE),
             params["ffn.W2"],
         ),
         params["ffn.b2"],
     )
     h_final = T.layer_norm(T.add(ffn, h_gated), params["ffn_norm.gain"], params["ffn_norm.bias"])
-    return _decode(h_final, params, cfg)
+    return _decode(h_final, params)
 
 
-def _decode(h: Tensor, params: dict[str, Tensor], cfg: ModelConfig) -> Tensor:
-    hidden = T.leaky_relu(T.add(T.matmul(h, params["dec.W1"]), params["dec.b1"]), cfg.ffn_slope)
+def _decode(h: Tensor, params: dict[str, Tensor]) -> Tensor:
+    hidden = T.leaky_relu(T.add(T.matmul(h, params["dec.W1"]), params["dec.b1"]), FFN_SLOPE)
     z = T.add(T.matmul(hidden, params["dec.W2"]), params["dec.b2"])
     return T.reshape(z, (-1,))
 
 
-def gcn_layer(graph: Graph, h: Tensor, w: Tensor, cfg: ModelConfig) -> Tensor:
+def gcn_layer(graph: Graph, h: Tensor, w: Tensor) -> Tensor:
     """Mean aggregation with fixed weights: out_i = LeakyReLU(mean_j h_j W)."""
     offsets = graph.row_offsets
     deg = np.diff(offsets)
     inv_deg = np.repeat(1.0 / deg, deg)
     agg = T.spmm(inv_deg, T.matmul(h, w), graph.neighbor_ids, offsets)
-    return T.leaky_relu(agg, cfg.attn_slope)
+    return T.leaky_relu(agg, ATTN_SLOPE)
 
 
 def simple_gcn_forward(graph: Graph, h: Tensor, params: dict[str, Tensor], cfg: ModelConfig) -> Tensor:
     for layer in range(SIMPLE_GCN_LAYERS):
-        h = gcn_layer(graph, h, params[f"l{layer}.W"], cfg)
-    return _decode(h, params, cfg)
+        h = gcn_layer(graph, h, params[f"l{layer}.W"])
+    return _decode(h, params)
 
 
 def gat_baseline_forward(graph: Graph, h: Tensor, params: dict[str, Tensor], cfg: ModelConfig) -> Tensor:
@@ -206,7 +194,7 @@ def gat_baseline_forward(graph: Graph, h: Tensor, params: dict[str, Tensor], cfg
         if out.shape == h.shape:
             out = T.add(out, h)
         h = out
-    return _decode(h, params, cfg)
+    return _decode(h, params)
 
 
 _FORWARDS = {

@@ -14,27 +14,23 @@ import numpy as np
 
 from . import tensor_ad as T
 from .graph import Graph
-from .ingest import SparseFrame
+from .ingest import SparseFrame, choose_per_beam
 from .model import ModelConfig, bind_params, forward, init_params
 from .tensor_ad import Tape, Tensor
 
 __all__ = ["AdamState", "TrainConfig", "TrainResult", "adam_step", "predict_dropped", "train_frame"]
+
+MASK_FRACTION = 0.25  # share of each beam's observed nodes supervised per epoch
 
 
 @dataclasses.dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 200
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    mask_fraction: float = 0.25
     seed: int = 0
     patience: int = 30
 
     def __post_init__(self):
-        if not 0.0 < self.mask_fraction < 1.0:
-            raise ValueError("mask_fraction must be in (0, 1)")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
 
@@ -81,16 +77,14 @@ def adam_step(
         p -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
-def _stratified_subset(
-    beams: np.ndarray, candidates: np.ndarray, fraction: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Pick ~fraction of candidate nodes, spread across beams."""
-    chosen = []
-    for b in np.unique(beams[candidates]):
-        idx = candidates[beams[candidates] == b]
-        q = max(1, int(round(fraction * idx.size)))
-        chosen.append(rng.choice(idx, size=min(q, idx.size), replace=False))
-    return np.sort(np.concatenate(chosen))
+def _stratified_subset(beams: np.ndarray, candidates: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Pick ~MASK_FRACTION of the (ascending) candidate nodes, at least one
+    of each beam's; returned in ascending order."""
+
+    def quota(counts: np.ndarray) -> np.ndarray:
+        return np.minimum(np.maximum(np.round(MASK_FRACTION * counts).astype(np.int64), 1), counts)
+
+    return candidates[choose_per_beam(beams[candidates], quota, rng)]
 
 
 def train_frame(
@@ -118,7 +112,7 @@ def train_frame(
     t0 = time.perf_counter()
     for epoch in range(train_cfg.epochs):
         rng = np.random.default_rng([train_cfg.seed, epoch])
-        sup = _stratified_subset(frame.cloud.beam, observed, train_cfg.mask_fraction, rng)
+        sup = _stratified_subset(frame.cloud.beam, observed, rng)
         assert not dropped_set.intersection(sup.tolist()), "supervision leaked into dropped set"
         feats = base_features.copy()
         feats[sup, 2] = 0.0
@@ -141,8 +135,7 @@ def train_frame(
                 break
         tape.backward(loss)
         grads = {k: bound[k].grad if bound[k].grad is not None else np.zeros_like(params[k]) for k in params}
-        adam_step(params, grads, state, train_cfg.learning_rate,
-                  train_cfg.beta1, train_cfg.beta2, train_cfg.eps)
+        adam_step(params, grads, state, train_cfg.learning_rate)
     elapsed = time.perf_counter() - t0
     return TrainResult(params=best_params, loss_history=history, train_time_s=elapsed)
 

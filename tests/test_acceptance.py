@@ -6,6 +6,7 @@ supplied via the BEAMGAT_KITTI_FRAME environment variable and is skipped
 otherwise.
 """
 
+import dataclasses
 import os
 
 import numpy as np
@@ -377,7 +378,7 @@ def test_criterion_08_receptive_field(capsys):
         params = init_params(cfg, seed=3)
 
         def predict(architecture, features):
-            c = cfg.with_(architecture=architecture)
+            c = dataclasses.replace(cfg, architecture=architecture)
             p = init_params(c, seed=3) if architecture != "superior_gat" else params
             g = path_graph(features)
             return forward(g, Tensor(g.features), bind_params(p, None), c).data

@@ -4,8 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from beamgat import baselines, cli, graph as graph_mod, ingest, metrics, synth
-from beamgat.experiment import ExperimentConfig, run_experiment
+from beamgat import baselines, cli, graph as graph_mod, ingest, metrics, synth, trainer
+from beamgat.experiment import EXPERIMENT_SET, ExperimentConfig, _run_one_frame, run_experiment
 from beamgat.model import ModelConfig
 from beamgat.trainer import TrainConfig
 
@@ -175,11 +175,14 @@ def test_kitti_input_dir_round_trip(tmp_path):
 
 
 def test_unreadable_frame_is_skipped_for_any_worker_count(tmp_path, caplog):
-    cloud = synth.synthesize_scene(synth.SceneSpec(kind="sinusoid", point_count=500, seed=4))
     frame_dir = tmp_path / "frames"
     frame_dir.mkdir()
-    ingest.write_kitti_bin(cloud, str(frame_dir / "000000.bin"))
-    (frame_dir / "000001.bin").write_bytes(bytes(17))  # not a whole record
+    (frame_dir / "000000.bin").write_bytes(bytes(17))  # not a whole record
+    paths = [str(frame_dir / f"00000{i}.bin") for i in range(4)]
+    for i in (1, 2, 3):
+        cloud = synth.synthesize_scene(synth.SceneSpec(kind="sinusoid", point_count=800, seed=i))
+        assert len(cloud) > FAST["sample_target"]  # so the frame id seeds the sampling
+        ingest.write_kitti_bin(cloud, paths[i])
     outs = []
     for workers in (1, 2):
         cfg = ExperimentConfig(
@@ -191,11 +194,14 @@ def test_unreadable_frame_is_skipped_for_any_worker_count(tmp_path, caplog):
             timing=False,
             **FAST,
         )
-        (report,) = run_experiment(cfg)
-        assert report.frame == "000000"
+        # the unreadable frame takes no --frames slot, and each frame id is
+        # the file's position in the sorted listing
+        expected = [r for i in (1, 2) for r in _run_one_frame((cfg, i, paths[i]))]
+        assert run_experiment(cfg) == expected
         outs.append((tmp_path / f"runs{workers}" / "reports.csv").read_bytes())
     assert outs[0] == outs[1]
-    assert "skipping frame" in caplog.text and "000001.bin" in caplog.text
+    assert outs[0].count(b"\n") == 3  # header and two rows
+    assert "skipping frame" in caplog.text and "000000.bin" in caplog.text
 
 
 # ---------------------------------------------------------------------------
@@ -260,37 +266,60 @@ def test_cli_flags_not_passed_leave_config_file_values(tmp_path, capsys):
     assert [r.split(",")[1:3] for r in rows] == [["linear", "4"]]
 
 
-def test_cli_flags_passed_override_config_file(tmp_path):
+def _received_train_configs(monkeypatch, cfg, out_dir):
+    """The TrainConfig of every train_frame call when ``cfg`` runs with one
+    small learned method."""
+    received = []
+    train_frame = trainer.train_frame
+
+    def spy(frame, graph, model_cfg, train_cfg):
+        received.append(train_cfg)
+        return train_frame(frame, graph, model_cfg, train_cfg)
+
+    monkeypatch.setattr(trainer, "train_frame", spy)
+    run_experiment(dataclasses.replace(
+        cfg, methods=("simple_gcn",), model=FAST["model"], out_dir=str(out_dir)))
+    return received
+
+
+def test_cli_flags_passed_override_config_file(tmp_path, monkeypatch):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
         "sample_target": 300, "k_list": [4], "seed": 5, "timing": True,
-        "train": {"epochs": 3, "seed": 8},
+        "train": {"epochs": 3, "learning_rate": 0.02},
     }))
     args = cli.build_parser().parse_args(
         ["--config", str(cfg_path), "--k", "6,7", "--epochs", "9", "--seed", "2", "--no-timing"])
     cfg = cli.config_from_args(args)
     assert cfg.k_list == (6, 7)
     assert cfg.sample_target == 300
-    assert (cfg.train.epochs, cfg.train.seed, cfg.seed) == (9, 2, 2)
+    assert (cfg.train.epochs, cfg.train.learning_rate, cfg.seed) == (9, 0.02, 2)
     assert cfg.timing is False
+    received = _received_train_configs(monkeypatch, cfg, tmp_path / "runs")
+    assert [(t.epochs, t.seed) for t in received] == [(9, 2), (9, 2)]
 
 
-def test_cli_config_train_seed_follows_experiment_seed(tmp_path):
+def test_cli_config_train_seed_follows_experiment_seed(tmp_path, monkeypatch):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"seed": 5}))
+    cfg_path.write_text(json.dumps({"seed": 5, "sample_target": 300, "train": {"epochs": 2}}))
     cfg = cli.config_from_args(cli.build_parser().parse_args(["--config", str(cfg_path)]))
-    assert (cfg.seed, cfg.train.seed) == (5, 5)
+    assert cfg.seed == 5
+    received = _received_train_configs(monkeypatch, cfg, tmp_path / "runs")
+    assert [t.seed for t in received] == [5]
 
 
 def test_cli_unknown_config_field_is_an_error(tmp_path, capsys):
-    # a misspelt field, and the fields removed from the config
+    # a misspelt field, the fields removed from the config, and the fields
+    # each cell sets itself
+    removed = [
+        "train.transductive", "model.layers", "model.activation", "dropout_offset",
+        "train.beta1", "train.beta2", "train.eps", "train.mask_fraction",
+        "model.in_features", "model.input_scale", "model.attn_slope", "model.ffn_slope",
+    ]
+    assert EXPERIMENT_SET == {"model.architecture", "scene.kind", "scene.seed", "train.seed"}
     cfg_path = tmp_path / "cfg.json"
-    for section, field, value in [
-        ("train", "epoch", 3),
-        ("train", "transductive", True),
-        ("model", "layers", 3),
-        ("model", "activation", "elu"),
-    ]:
-        cfg_path.write_text(json.dumps({section: {field: value}}))
-        assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path / "runs")]) == 1
-        assert f"{section}.{field}" in capsys.readouterr().err
+    for path in ["train.epoch"] + removed + sorted(EXPERIMENT_SET):
+        section, _, field = path.rpartition(".")
+        cfg_path.write_text(json.dumps({section: {field: 1}} if section else {field: 1}))
+        assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path / "runs")]) == 1, path
+        assert path in capsys.readouterr().err

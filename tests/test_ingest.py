@@ -115,7 +115,74 @@ class TestEstimateBeams:
             estimate_beams(cloud, elev_min_deg=5.0, elev_max_deg=-5.0)
 
 
+def reference_stratified_sample(cloud, target, seed):
+    """Selected row indices of the per-beam loops that ``stratified_sample``
+    replaced (largest-remainder adjust and one draw per beam)."""
+    n = len(cloud)
+    counts = np.bincount(cloud.beam, minlength=cloud.num_beams)
+    nonempty = np.flatnonzero(counts)
+    exact = counts[nonempty] * (target / n)
+    quota = np.maximum(np.floor(exact).astype(np.int64), 1)
+    remainder = exact - np.floor(exact)
+    short = target - int(quota.sum())
+    if short > 0:
+        order = np.lexsort((nonempty, -remainder))
+        for b in order[:short]:
+            if quota[b] < counts[nonempty[b]]:
+                quota[b] += 1
+    elif short < 0:
+        order = np.lexsort((-nonempty, remainder))
+        i = 0
+        while short < 0 and i < len(order):
+            b = order[i]
+            if quota[b] > 1:
+                quota[b] -= 1
+                short += 1
+            i += 1
+    quota = np.minimum(quota, counts[nonempty])
+    rng = np.random.default_rng(seed)
+    keep = np.zeros(n, dtype=bool)
+    for b, q in zip(nonempty, quota):
+        idx = np.flatnonzero(cloud.beam == b)
+        keep[rng.choice(idx, size=int(q), replace=False)] = True
+    return np.flatnonzero(keep)
+
+
 class TestStratifiedSample:
+    def test_matches_per_beam_loops(self):
+        # random frames: skewed beam populations, many single-point beams,
+        # beams of equal size (so remainders tie), and targets from the beam
+        # count up, so both adjust directions are taken
+        directions = set()
+        for case in range(300):
+            rng = np.random.default_rng(case)
+            num_beams = int(rng.integers(2, 65))
+            if case % 2:
+                counts = rng.choice([0, 1, 1, 2, 7, 30], size=num_beams)
+            else:
+                counts = rng.poisson(rng.exponential(size=num_beams) ** 3 * 40)
+            counts[rng.integers(num_beams)] += 1
+            beam = rng.permutation(np.repeat(np.arange(num_beams), counts))
+            n = beam.size
+            cloud = PointCloud(xyz=rng.normal(size=(n, 3)), reflectance=np.zeros(n),
+                               beam=beam, num_beams=num_beams)
+            nonempty = np.unique(beam).size
+            if n - 1 < nonempty:
+                continue
+            target = int(rng.integers(nonempty, n))
+            exact = np.bincount(beam)[np.unique(beam)] * (target / n)
+            directions.add(np.sign(target - np.maximum(np.floor(exact), 1).sum()))
+            out = stratified_sample(cloud, target, seed=case)
+            sel = reference_stratified_sample(cloud, target, seed=case)
+            np.testing.assert_array_equal(out.xyz, cloud.xyz[sel], err_msg=f"case {case}")
+            np.testing.assert_array_equal(out.beam, beam[sel], err_msg=f"case {case}")
+        assert directions == {-1, 0, 1}
+
+    def test_target_below_populated_beams_rejected(self):
+        cloud = uniform_cloud(n_per_beam=5, num_beams=8)
+        with pytest.raises(ValueError, match="below number of non-empty beams 8"):
+            stratified_sample(cloud, target=7, seed=0)
+
     def test_proportional_quota(self):
         cloud = uniform_cloud(n_per_beam=25, num_beams=4)
         out = stratified_sample(cloud, target=40, seed=0)

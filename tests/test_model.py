@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from beamgat import tensor_ad as T
-from beamgat.graph import Graph
+from beamgat.graph import FEATURE_INIT_SCALE, Graph
 from beamgat.model import (
+    ATTN_SLOPE,
+    FFN_SLOPE,
     ModelConfig,
     bind_params,
     forward,
@@ -71,11 +73,11 @@ def dense_gat_layer(graph: Graph, h: np.ndarray, params: dict, prefix: str, cfg:
         for i in range(n):
             for j in range(n):
                 if adj[i, j]:
-                    logits[i, j] = leaky(a @ np.concatenate([hp[i], hp[j]]), cfg.attn_slope)
+                    logits[i, j] = leaky(a @ np.concatenate([hp[i], hp[j]]), ATTN_SLOPE)
         logits -= logits.max(axis=1, keepdims=True)
         e = np.where(np.isfinite(logits), np.exp(logits), 0.0)
         alpha = e / e.sum(axis=1, keepdims=True)
-        outs.append(leaky(alpha @ hp, cfg.attn_slope))
+        outs.append(leaky(alpha @ hp, ATTN_SLOPE))
     return np.concatenate(outs, axis=1)
 
 
@@ -91,9 +93,9 @@ def dense_superior_forward(graph: Graph, h: np.ndarray, p: dict, cfg: ModelConfi
     gamma = 1.0 / (1.0 + np.exp(-p["gate_logit"]))
     h_gated = dense_layer_norm(gamma * h_attn + (1 - gamma) * h_norm,
                                p["gate_norm.gain"], p["gate_norm.bias"])
-    ffn = leaky(h_gated @ p["ffn.W1"] + p["ffn.b1"], cfg.ffn_slope) @ p["ffn.W2"] + p["ffn.b2"]
+    ffn = leaky(h_gated @ p["ffn.W1"] + p["ffn.b1"], FFN_SLOPE) @ p["ffn.W2"] + p["ffn.b2"]
     h_final = dense_layer_norm(ffn + h_gated, p["ffn_norm.gain"], p["ffn_norm.bias"])
-    hidden = leaky(h_final @ p["dec.W1"] + p["dec.b1"], cfg.ffn_slope)
+    hidden = leaky(h_final @ p["dec.W1"] + p["dec.b1"], FFN_SLOPE)
     return (hidden @ p["dec.W2"] + p["dec.b2"]).ravel()
 
 
@@ -107,7 +109,7 @@ class TestAttentionLayer:
         params = bind_params(init_params(cfg, 0), None)
         out = gat_attention_layer(g, Tensor(feats), params, "attn", cfg)
         hp = feats @ params["attn.h0.W"].data
-        expected = np.where(hp > 0, hp, cfg.attn_slope * hp)
+        expected = np.where(hp > 0, hp, ATTN_SLOPE * hp)
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
     def test_identical_neighbors_get_equal_weight(self):
@@ -120,7 +122,7 @@ class TestAttentionLayer:
         hp = feats @ params["attn.h0.W"].data
         a = params["attn.h0.a"].data.ravel()
         row = [1, 2]
-        logits = [leaky(a @ np.concatenate([hp[0], hp[j]]), cfg.attn_slope) for j in row]
+        logits = [leaky(a @ np.concatenate([hp[0], hp[j]]), ATTN_SLOPE) for j in row]
         assert logits[0] == pytest.approx(logits[1])
 
     @pytest.mark.parametrize("heads", [1, 4])
@@ -159,7 +161,7 @@ class TestAttentionLayer:
             sd = T.matmul(hp, T.rows(a, 0, fp))
             ss = T.matmul(hp, T.rows(a, fp, 2 * fp))
             raw = T.add(T.take_rows(sd, dst), T.take_rows(ss, src))
-            logits = T.reshape(T.leaky_relu(raw, cfg.attn_slope), (-1,))
+            logits = T.reshape(T.leaky_relu(raw, ATTN_SLOPE), (-1,))
             alpha = T.segment_softmax(logits, g.row_offsets).data
             sums = np.add.reduceat(alpha, g.row_offsets[:-1])
             np.testing.assert_allclose(sums, 1.0, atol=1e-12)
@@ -276,31 +278,28 @@ class TestSuperiorGat:
 
 class TestLearnedBaselines:
     def test_gcn_identical_features(self):
-        cfg = ModelConfig(in_features=4, heads=1, head_width=4)
         feats = np.tile([1.0, -2.0, 0.5, 0.3], (5, 1))
         g = make_graph([[j for j in range(5) if j != i] for i in range(5)], feats)
-        out = gcn_layer(g, Tensor(feats), Tensor(np.eye(4)), cfg).data
-        expected = leaky(feats[0], cfg.attn_slope)
+        out = gcn_layer(g, Tensor(feats), Tensor(np.eye(4))).data
+        expected = leaky(feats[0], ATTN_SLOPE)
         for row in out:
             np.testing.assert_allclose(row, expected, atol=1e-12)
 
     def test_gcn_single_node(self):
-        cfg = ModelConfig()
         feats = np.array([[1.0, 2.0, 3.0, 4.0]])
         g = make_graph([[]], feats)
-        out = gcn_layer(g, Tensor(feats), Tensor(np.eye(4)), cfg).data
-        np.testing.assert_allclose(out, leaky(feats, cfg.attn_slope), atol=1e-12)
+        out = gcn_layer(g, Tensor(feats), Tensor(np.eye(4))).data
+        np.testing.assert_allclose(out, leaky(feats, ATTN_SLOPE), atol=1e-12)
 
     def test_gcn_matches_dense_mean_oracle(self):
         rng = np.random.default_rng(8)
-        cfg = ModelConfig()
         g = random_graph(rng, 10, 3)
         w = rng.normal(size=(4, 6))
-        out = gcn_layer(g, Tensor(g.features), Tensor(w), cfg).data
+        out = gcn_layer(g, Tensor(g.features), Tensor(w)).data
         for i in range(10):
             row = g.neighbor_ids[g.row_offsets[i]:g.row_offsets[i + 1]]
             mean = g.features[row].mean(axis=0)
-            np.testing.assert_allclose(out[i], leaky(mean @ w, cfg.attn_slope), atol=1e-12)
+            np.testing.assert_allclose(out[i], leaky(mean @ w, ATTN_SLOPE), atol=1e-12)
 
     def test_gat_baseline_three_hop_receptive_field(self):
         rng = np.random.default_rng(9)
@@ -377,6 +376,30 @@ class TestInit:
         for arch, names_shapes in expected.items():
             params = init_params(ModelConfig(architecture=arch), 0)
             assert [(name, arr.shape) for name, arr in params.items()] == names_shapes, arch
+
+    @pytest.mark.parametrize("arch", ["gat_baseline", "simple_gcn"])
+    def test_only_layer_zero_is_feature_scaled(self, arch):
+        # a width-4 model: deeper layers have as many inputs as the features,
+        # but only layer 0 reads the features, so only it is scaled
+        cfg = ModelConfig(architecture=arch, heads=1, head_width=4)
+        params = init_params(cfg, 0)
+        rng = np.random.default_rng(0)
+
+        def glorot(fan_in, fan_out):
+            bound = np.sqrt(6.0 / (fan_in + fan_out))
+            return rng.uniform(-bound, bound, size=(fan_in, fan_out))
+
+        scale = np.asarray(FEATURE_INIT_SCALE)[:, None]
+        if arch == "simple_gcn":
+            expected = {"l0.W": glorot(4, 4) * scale, "l1.W": glorot(4, 4)}
+        else:
+            expected = {}
+            for layer in range(3):
+                w = glorot(4, 4)
+                expected[f"l{layer}.h0.W"] = w * scale if layer == 0 else w
+                expected[f"l{layer}.h0.a"] = glorot(8, 1)
+        for name, arr in expected.items():
+            np.testing.assert_array_equal(params[name], arr, err_msg=name)
 
     def test_checkpoint_round_trip(self, tmp_path):
         params = init_params(ModelConfig(), 1)

@@ -6,6 +6,7 @@ from beamgat import ingest, synth
 from beamgat.model import ModelConfig, bind_params, forward, init_params
 from beamgat.tensor_ad import Tensor
 from beamgat.trainer import (
+    MASK_FRACTION,
     AdamState,
     TrainConfig,
     _stratified_subset,
@@ -15,6 +16,16 @@ from beamgat.trainer import (
 )
 
 TINY = ModelConfig(heads=2, head_width=4, ffn_hidden=16, dec_hidden=8)
+
+
+def reference_stratified_subset(beams, candidates, fraction, rng):
+    """The per-beam loop that ``_stratified_subset`` replaced."""
+    chosen = []
+    for b in np.unique(beams[candidates]):
+        idx = candidates[beams[candidates] == b]
+        q = max(1, int(round(fraction * idx.size)))
+        chosen.append(rng.choice(idx, size=min(q, idx.size), replace=False))
+    return np.sort(np.concatenate(chosen))
 
 
 # ---------------------------------------------------------------------------
@@ -69,12 +80,6 @@ def test_adam_moment_shapes_mirror_params():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("frac", [0.0, 1.0, -0.1, 1.5])
-def test_mask_fraction_out_of_range_rejected(frac):
-    with pytest.raises(ValueError):
-        TrainConfig(mask_fraction=frac)
-
-
 def test_zero_epochs_rejected():
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
@@ -89,7 +94,7 @@ def test_stratified_subset_is_sorted_unique_subset():
     rng = np.random.default_rng(0)
     beams = rng.integers(0, 6, size=200)
     candidates = np.flatnonzero(beams % 4 != 0)
-    sub = _stratified_subset(beams, candidates, 0.25, rng)
+    sub = _stratified_subset(beams, candidates, rng)
     assert np.array_equal(sub, np.unique(sub))
     assert np.isin(sub, candidates).all()
 
@@ -98,10 +103,24 @@ def test_stratified_subset_touches_every_candidate_beam():
     rng = np.random.default_rng(1)
     beams = np.repeat(np.arange(5), 40)
     candidates = np.arange(beams.size)
-    sub = _stratified_subset(beams, candidates, 0.25, rng)
+    sub = _stratified_subset(beams, candidates, rng)
     assert set(beams[sub]) == set(range(5))
     # ~25% of 200 candidates, one-per-beam minimum keeps it near the quota
     assert 40 <= sub.size <= 60
+
+
+def test_stratified_subset_matches_per_beam_loop():
+    # random frames: beam counts from empty to many, sparse and dense candidates
+    for case in range(300):
+        rng = np.random.default_rng(case)
+        n = int(rng.integers(1, 400))
+        beams = rng.integers(0, int(rng.integers(1, 70)), size=n)
+        candidates = np.flatnonzero(rng.random(n) < rng.uniform(0.05, 1.0))
+        if candidates.size == 0:
+            continue
+        got = _stratified_subset(beams, candidates, np.random.default_rng([case, 1]))
+        want = reference_stratified_subset(beams, candidates, MASK_FRACTION, np.random.default_rng([case, 1]))
+        np.testing.assert_array_equal(got, want, err_msg=f"case {case}")
 
 
 # ---------------------------------------------------------------------------
@@ -157,9 +176,7 @@ def test_returned_params_achieve_best_recorded_loss():
     best_epoch = int(np.argmin(result.loss_history))
     # replay that epoch's supervision mask with the returned parameters
     rng = np.random.default_rng([cfg.seed, best_epoch])
-    sup = _stratified_subset(
-        frame.cloud.beam, np.flatnonzero(frame.observed_mask), cfg.mask_fraction, rng
-    )
+    sup = _stratified_subset(frame.cloud.beam, np.flatnonzero(frame.observed_mask), rng)
     feats = graph.features.copy()
     feats[sup, 2] = 0.0
     z_hat = forward(graph, Tensor(feats), bind_params(result.params, None), TINY)

@@ -46,6 +46,10 @@ class ExperimentConfig:
             raise ValueError("at least one method required")
         if not self.k_list:
             raise ValueError("at least one k required")
+        if self.frame_limit < 1:
+            raise ValueError(f"frame_limit must be >= 1, got {self.frame_limit}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
         for m in self.methods:
             if m not in ALL_METHODS:
                 raise ValueError(f"unknown method {m!r}")
@@ -150,10 +154,12 @@ def _run_one_frame(args) -> list[metrics.EvalReport]:
         log.warning("skipping frame %s: %s", path, exc)
         return []
     learned = any(m in LEARNED_METHODS for m in cfg.methods)
+    # one kNN query per frame at the largest k; a smaller k's rows are its
+    # prefixes, and one graph per (frame, k) is shared by every learned method
+    nearest = graph_mod.knn_indices(frame.cloud.xyz[:, :2], max(cfg.k_list)) if learned else None
     reports = []
     for k in cfg.k_list:
-        # one graph per (frame, k), shared by every learned method
-        graph = graph_mod.build_knn_graph(frame, k) if learned else None
+        graph = graph_mod.build_knn_graph(frame, k, nearest) if learned else None
         for method in cfg.methods:
             report, _ = _evaluate(cfg, tag, frame, k, method, graph)
             reports.append(report)
@@ -181,7 +187,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[metrics.EvalReport]:
     with pool or contextlib.nullcontext():
         run = pool.map if pool else map
         while jobs and len(per_frame) < cfg.frame_limit:
-            batch = min(max(cfg.workers, 1), cfg.frame_limit - len(per_frame))
+            batch = min(cfg.workers, cfg.frame_limit - len(per_frame))
             per_frame += filter(None, run(_run_one_frame, jobs[:batch]))
             jobs = jobs[batch:]
 

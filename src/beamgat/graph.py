@@ -10,7 +10,7 @@ from scipy.spatial import cKDTree
 
 from .ingest import SparseFrame
 
-__all__ = ["Graph", "build_features", "build_knn_graph"]
+__all__ = ["Graph", "build_features", "build_knn_graph", "knn_indices"]
 
 
 @dataclasses.dataclass
@@ -27,11 +27,19 @@ class Graph:
     def num_edges(self) -> int:
         return int(self.row_offsets[-1])
 
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(src, dst) per edge; dst is nondecreasing (CSR order)."""
-        counts = np.diff(self.row_offsets)
-        dst = np.repeat(np.arange(self.num_nodes), counts)
-        return self.neighbor_ids, dst
+    def sub_csr(self, rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """(row_offsets, neighbor_ids) of the incoming edges of ``rows``, in
+        their order: a |R| x N CSR whose neighbor ids stay global node ids.
+        None means every row, i.e. the graph's own arrays."""
+        if rows is None:
+            return self.row_offsets, self.neighbor_ids
+        rows = np.asarray(rows, dtype=np.int64)
+        starts = self.row_offsets[rows]
+        counts = self.row_offsets[rows + 1] - starts
+        offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        edges = np.repeat(starts - offsets[:-1], counts) + np.arange(offsets[-1])
+        return offsets, self.neighbor_ids[edges]
 
 
 NUM_FEATURES = 4  # columns of build_features
@@ -87,14 +95,17 @@ def knn_indices(points: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def build_knn_graph(frame: SparseFrame, k: int) -> Graph:
+def build_knn_graph(frame: SparseFrame, k: int, nearest: np.ndarray | None = None) -> Graph:
     """Directed kNN graph plus self-loops over the frame's points.
 
     Distance is measured in the (x, y) plane: dropped nodes have masked z,
     so 3-D distance on features would systematically mis-neighbor them.
+    ``nearest`` is an optional precomputed ``knn_indices`` result for some
+    k' >= k on the same points; its first k columns are the k-nearest rows,
+    because rows are in exact (distance, index) order.
     """
     feats = build_features(frame)
-    rows = knn_indices(feats[:, :2], k)
+    rows = knn_indices(feats[:, :2], k) if nearest is None else nearest[:, :k]
     n = len(rows)
     with_self = np.sort(np.column_stack([rows, np.arange(n)]), axis=1)
     return Graph(

@@ -113,30 +113,37 @@ def bind_params(params: dict[str, np.ndarray], tape: Tape | None) -> dict[str, T
     return {name: Tensor(arr, tape) for name, arr in params.items()}
 
 
+def _at(x: Tensor, rows: np.ndarray | None) -> Tensor:
+    """The rows ``rows`` of ``x`` (None: all of ``x``)."""
+    return x if rows is None else T.take_rows(x, rows)
+
+
 def gat_attention_layer(
     graph: Graph,
     h: Tensor,
     params: dict[str, Tensor],
     prefix: str,
     cfg: ModelConfig,
+    rows: np.ndarray | None = None,
 ) -> Tensor:
     """Multi-head attention aggregation over the CSR graph.
 
     Per head: project features, score each edge j->i with
     LeakyReLU(a^T [h'_i || h'_j]), softmax over each node's incoming edges,
     aggregate as one CSR product ``A_alpha @ h'``, apply LeakyReLU.
-    Head outputs are concatenated.
+    Head outputs are concatenated. ``h`` holds every node; the output holds
+    the nodes ``rows`` (None: every node), and only their edges are scored.
     """
-    src, dst = graph.edge_arrays()
-    offsets = graph.row_offsets
+    offsets, src = graph.sub_csr(rows)
+    dst = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))  # output row per edge
     outs = []
     for head in range(cfg.heads):
         hp = T.matmul(h, params[f"{prefix}.h{head}.W"])  # [N, F']
         a = params[f"{prefix}.h{head}.a"]  # [2F', 1]
         # a^T [h'_i || h'_j] splits into per-node scores, avoiding [E, 2F']
         fp = cfg.head_width
-        score_dst = T.matmul(hp, T.rows(a, 0, fp))  # [N, 1]
-        score_src = T.matmul(hp, T.rows(a, fp, 2 * fp))
+        score_dst = T.matmul(_at(hp, rows), T.rows(a, 0, fp))  # [|R|, 1]
+        score_src = T.matmul(hp, T.rows(a, fp, 2 * fp))  # [N, 1]
         raw = T.add(T.take_rows(score_dst, dst), T.take_rows(score_src, src))
         logits = T.reshape(T.leaky_relu(raw, ATTN_SLOPE), (-1,))
         alpha = T.segment_softmax(logits, offsets)
@@ -145,11 +152,15 @@ def gat_attention_layer(
     return outs[0] if len(outs) == 1 else T.concat_cols(outs)
 
 
-def superior_gat_forward(graph: Graph, h: Tensor, params: dict[str, Tensor], cfg: ModelConfig) -> Tensor:
+def superior_gat_forward(
+    graph: Graph, h: Tensor, params: dict[str, Tensor], cfg: ModelConfig, rows: np.ndarray | None = None
+) -> Tensor:
     """Full pipeline: input projection + norm, attention, gated residual
-    fusion, feed-forward refinement, decoder. Returns one z per node."""
-    h_norm = T.layer_norm(T.matmul(h, params["proj_in"]), params["in_norm.gain"], params["in_norm.bias"])
-    h_attn = gat_attention_layer(graph, h, params, "attn", cfg)
+    fusion, feed-forward refinement, decoder. Returns one z per node of
+    ``rows`` (None: every node); one attention hop, so every stage after
+    it runs on those rows alone."""
+    h_norm = T.layer_norm(T.matmul(_at(h, rows), params["proj_in"]), params["in_norm.gain"], params["in_norm.bias"])
+    h_attn = gat_attention_layer(graph, h, params, "attn", cfg, rows)
     gate = T.sigmoid(params["gate_logit"])
     anti_gate = T.add_const(T.scale(gate, -1.0), 1.0)
     mix = T.add(T.scale(h_attn, gate), T.scale(h_norm, anti_gate))
@@ -171,28 +182,38 @@ def _decode(h: Tensor, params: dict[str, Tensor]) -> Tensor:
     return T.reshape(z, (-1,))
 
 
-def gcn_layer(graph: Graph, h: Tensor, w: Tensor) -> Tensor:
-    """Mean aggregation with fixed weights: out_i = LeakyReLU(mean_j h_j W)."""
-    offsets = graph.row_offsets
+def gcn_layer(graph: Graph, h: Tensor, w: Tensor, rows: np.ndarray | None = None) -> Tensor:
+    """Mean aggregation with fixed weights: out_i = LeakyReLU(mean_j h_j W),
+    for the nodes ``rows`` (None: every node)."""
+    offsets, src = graph.sub_csr(rows)
     deg = np.diff(offsets)
     inv_deg = np.repeat(1.0 / deg, deg)
-    agg = T.spmm(inv_deg, T.matmul(h, w), graph.neighbor_ids, offsets)
+    agg = T.spmm(inv_deg, T.matmul(h, w), src, offsets)
     return T.leaky_relu(agg, ATTN_SLOPE)
 
 
-def simple_gcn_forward(graph: Graph, h: Tensor, params: dict[str, Tensor], cfg: ModelConfig) -> Tensor:
+def simple_gcn_forward(
+    graph: Graph, h: Tensor, params: dict[str, Tensor], cfg: ModelConfig, rows: np.ndarray | None = None
+) -> Tensor:
+    """Mean-aggregation layers and the decoder; only the last layer and the
+    decoder are restricted to ``rows``."""
     for layer in range(SIMPLE_GCN_LAYERS):
-        h = gcn_layer(graph, h, params[f"l{layer}.W"])
+        last = layer == SIMPLE_GCN_LAYERS - 1
+        h = gcn_layer(graph, h, params[f"l{layer}.W"], rows if last else None)
     return _decode(h, params)
 
 
-def gat_baseline_forward(graph: Graph, h: Tensor, params: dict[str, Tensor], cfg: ModelConfig) -> Tensor:
+def gat_baseline_forward(
+    graph: Graph, h: Tensor, params: dict[str, Tensor], cfg: ModelConfig, rows: np.ndarray | None = None
+) -> Tensor:
     """Stacked plain attention layers with additive residuals where widths
-    match; no gating, no FFN."""
+    match; no gating, no FFN. Only the last layer and the decoder are
+    restricted to ``rows``."""
     for layer in range(GAT_BASELINE_LAYERS):
-        out = gat_attention_layer(graph, h, params, f"l{layer}", cfg)
-        if out.shape == h.shape:
-            out = T.add(out, h)
+        layer_rows = rows if layer == GAT_BASELINE_LAYERS - 1 else None
+        out = gat_attention_layer(graph, h, params, f"l{layer}", cfg, layer_rows)
+        if out.shape[1] == h.shape[1]:
+            out = T.add(out, _at(h, layer_rows))
         h = out
     return _decode(h, params)
 
@@ -204,8 +225,12 @@ _FORWARDS = {
 }
 
 
-def forward(graph: Graph, h: Tensor, params: dict[str, Tensor], cfg: ModelConfig) -> Tensor:
-    return _FORWARDS[cfg.architecture](graph, h, params, cfg)
+def forward(
+    graph: Graph, h: Tensor, params: dict[str, Tensor], cfg: ModelConfig, rows: np.ndarray | None = None
+) -> Tensor:
+    """z at the nodes ``rows``, in their order (None: every node). The graph
+    and ``h`` span every node either way."""
+    return _FORWARDS[cfg.architecture](graph, h, params, cfg, rows)
 
 
 def save_params(params: dict[str, np.ndarray], path: str) -> None:

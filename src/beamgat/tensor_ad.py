@@ -142,8 +142,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data @ b.data
 
     def bwd(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+        # a constant operand (the node features) gets no product
+        if a.tape is not None:
+            _accum(a, g @ b.data.T)
+        if b.tape is not None:
+            _accum(b, a.data.T @ g)
 
     return _make(data, (a, b), bwd)
 

@@ -119,8 +119,8 @@ def train_frame(
 
         tape = Tape()
         bound = bind_params(params, tape)
-        z_hat = forward(graph, Tensor(feats), bound, model_cfg)
-        loss = T.mse_loss(T.take_rows(z_hat, sup), frame.z_truth[sup])
+        z_hat = forward(graph, Tensor(feats), bound, model_cfg, rows=sup)
+        loss = T.mse_loss(z_hat, frame.z_truth[sup])
         loss_val = float(loss.data)
         if not np.isfinite(loss_val):
             raise FloatingPointError(f"non-finite training loss at epoch {epoch}")
@@ -146,12 +146,11 @@ def predict_dropped(
     params: dict[str, np.ndarray],
     model_cfg: ModelConfig,
 ) -> tuple[np.ndarray, float]:
-    """Single forward with the frame's true masking; returns z estimates at
-    the dropped indices and elapsed time."""
+    """Single forward with the frame's true masking, evaluated at the dropped
+    nodes only; returns their z estimates and elapsed time."""
     t0 = time.perf_counter()
     bound = bind_params(params, None)
-    z_hat = forward(graph, Tensor(graph.features), bound, model_cfg)
     dropped = np.flatnonzero(frame.dropped_mask)
-    out = z_hat.data[dropped].copy()
-    return out, time.perf_counter() - t0
+    z_hat = forward(graph, Tensor(graph.features), bound, model_cfg, rows=dropped)
+    return z_hat.data, time.perf_counter() - t0
 

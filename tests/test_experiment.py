@@ -94,38 +94,47 @@ def test_learned_method_smoke_run(tmp_path):
     assert report.n_dropped > 0
 
 
-def count_graph_builds(monkeypatch) -> list[int]:
-    """Record the k of every kNN graph the experiment builds."""
-    built = []
-    original = graph_mod.build_knn_graph
+def count_graph_builds(monkeypatch) -> tuple[list[int], list[int]]:
+    """Record the k of every kNN graph the experiment builds, and the k of
+    every kNN query it makes."""
+    built, queried = [], []
+    build, query = graph_mod.build_knn_graph, graph_mod.knn_indices
 
-    def counting(frame, k, *args, **kwargs):
+    def counting_build(frame, k, *args, **kwargs):
         built.append(k)
-        return original(frame, k, *args, **kwargs)
+        return build(frame, k, *args, **kwargs)
 
-    monkeypatch.setattr(graph_mod, "build_knn_graph", counting)
-    return built
+    def counting_query(points, k):
+        queried.append(k)
+        return query(points, k)
+
+    monkeypatch.setattr(graph_mod, "build_knn_graph", counting_build)
+    monkeypatch.setattr(graph_mod, "knn_indices", counting_query)
+    return built, queried
 
 
 def test_graph_built_once_per_k_for_all_learned_methods(tmp_path, monkeypatch):
-    built = count_graph_builds(monkeypatch)
+    built, queried = count_graph_builds(monkeypatch)
     cfg = ExperimentConfig(
         methods=("linear", "superior_gat", "gat_baseline", "simple_gcn"),
         k_list=(4, 6),
+        frame_limit=2,
         out_dir=str(tmp_path / "runs"),
         **{**FAST, "train": TrainConfig(epochs=1)},
     )
     reports = run_experiment(cfg)
-    assert built == [4, 6]
-    assert len(reports) == 2 * 4
+    # one graph per (frame, k), from one kNN query per frame at the largest k
+    assert built == [4, 6, 4, 6]
+    assert queried == [6, 6]
+    assert len(reports) == 2 * 2 * 4
     assert all(np.isfinite(r.rmse_z) for r in reports)
 
 
 def test_baseline_only_grid_builds_no_graph(tmp_path, monkeypatch):
-    built = count_graph_builds(monkeypatch)
+    built, queried = count_graph_builds(monkeypatch)
     cfg = ExperimentConfig(methods=("linear", "nn"), out_dir=str(tmp_path / "runs"), **FAST)
     run_experiment(cfg)
-    assert built == []
+    assert built == [] and queried == []
 
 
 def test_rerun_with_timing_off_is_byte_identical(tmp_path):
@@ -222,6 +231,14 @@ def test_cli_smoke_run(tmp_path, capsys):
     assert rc == 0
     assert "report rows" in capsys.readouterr().out
     assert (tmp_path / "runs" / "reports.csv").exists()
+
+
+@pytest.mark.parametrize("flag, value, field", [("--frames", "0", "frame_limit"), ("--workers", "-3", "workers")])
+def test_cli_rejects_counts_below_one(tmp_path, capsys, flag, value, field):
+    rc = cli.main([flag, value, "--methods", "linear", "--out", str(tmp_path / "runs")])
+    assert rc == 1
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "runs" / "reports.csv").exists()
 
 
 def test_cli_rejects_bad_method(tmp_path, capsys):

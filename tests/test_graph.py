@@ -165,6 +165,25 @@ class TestKnnMatchesLoopReference:
         assert g.row_offsets.dtype == offsets.dtype and g.neighbor_ids.dtype == neighbor_ids.dtype
 
 
+class TestGraphsFromOneQuery:
+    """A graph built from the first k columns of one query at a larger k is
+    byte-identical to one built by its own query."""
+
+    @pytest.mark.parametrize("scene", ["random", "duplicate_heavy"])
+    def test_prefix_graphs_match_per_k_builds(self, scene):
+        rng = np.random.default_rng(21)
+        xy = rng.uniform(-10, 10, size=(700, 2)) if scene == "random" else duplicate_heavy_xy(rng)
+        frame = frame_from_xy(xy)
+        nearest = knn_indices(frame.cloud.xyz[:, :2], 10)
+        for k in (4, 6, 10):
+            got = build_knn_graph(frame, k, nearest)
+            want = build_knn_graph(frame, k)
+            for name in ("row_offsets", "neighbor_ids", "features"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (k, name)
+            assert got.num_nodes == want.num_nodes
+
+
 class TestBuildFeatures:
     def test_observed_point(self):
         cloud = PointCloud(
@@ -217,7 +236,7 @@ class TestBuildKnnGraph:
         assert g.row_offsets[0] == 0
         assert np.all(counts >= 1)
         assert g.row_offsets[-1] == len(g.neighbor_ids)
-        src, dst = g.edge_arrays()
+        src, dst = g.neighbor_ids, np.repeat(np.arange(g.num_nodes), counts)
         order = np.lexsort((src, dst))
         src, dst = src[order], dst[order]
         assert not np.any((src[1:] == src[:-1]) & (dst[1:] == dst[:-1]))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -117,7 +119,6 @@ class TestAttentionLayer:
         feats = np.array([[0.0, 0.0, 0.0, 0.0], [1.0, 2.0, 3.0, 0.5], [1.0, 2.0, 3.0, 0.5]])
         g = make_graph([[1, 2], [], []], feats)
         params = bind_params(init_params(cfg, 1), None)
-        src, dst = g.edge_arrays()
         # recompute attention for node 0's row directly
         hp = feats @ params["attn.h0.W"].data
         a = params["attn.h0.a"].data.ravel()
@@ -153,7 +154,7 @@ class TestAttentionLayer:
         g = random_graph(rng, 40, 5)
         cfg = ModelConfig()
         params = bind_params(init_params(cfg, 0), None)
-        src, dst = g.edge_arrays()
+        src, dst = g.neighbor_ids, np.repeat(np.arange(g.num_nodes), np.diff(g.row_offsets))
         for head in range(cfg.heads):
             hp = T.matmul(Tensor(g.features), params[f"attn.h{head}.W"])
             a = params[f"attn.h{head}.a"]
@@ -330,6 +331,119 @@ class TestLearnedBaselines:
         bumped3 = feats.copy()
         bumped3[3] += 1.0
         assert abs(simple_gcn_forward(g, Tensor(bumped3), params, cfg).data[0] - base[0]) <= 1e-12
+
+
+# --- restricted output rows ------------------------------------------------------
+
+ARCHS = ("superior_gat", "gat_baseline", "simple_gcn")
+SMALL = ModelConfig(heads=2, head_width=3, ffn_hidden=6, dec_hidden=4)
+FD_PARAM = {"superior_gat": "attn.h1.W", "gat_baseline": "l2.h1.a", "simple_gcn": "l0.W"}
+
+
+def irregular_graph(rng: np.random.Generator, n: int = 12) -> Graph:
+    """CSR graph without a fixed degree: row 0 holds only its self-loop,
+    row 1 lists one source twice, the rest have 1..6 random sources."""
+    rows = [[0], [1, 5, 5, 7]]
+    for i in range(2, n):
+        others = rng.choice(n, size=int(rng.integers(1, 7)), replace=False)
+        rows.append(sorted(set(others.tolist()) | {i}))
+    offsets = np.concatenate([[0], np.cumsum([len(r) for r in rows])]).astype(np.int64)
+    return Graph(num_nodes=n, row_offsets=offsets,
+                 neighbor_ids=np.concatenate(rows).astype(np.int64),
+                 features=rng.normal(size=(n, 4)))
+
+
+def row_sets(rng: np.random.Generator, n: int) -> dict[str, np.ndarray]:
+    return {
+        "empty": np.array([], dtype=np.int64),
+        "singleton": np.array([int(rng.integers(n))]),
+        "subset": np.sort(rng.choice(n, size=n // 2, replace=False)),
+        "all": np.arange(n),
+    }
+
+
+class TestRestrictedRows:
+    """``forward(..., rows=R)`` is the full forward read at R."""
+
+    def test_sub_csr_lists_the_rows_edges(self):
+        g = irregular_graph(np.random.default_rng(0))
+        offsets, ids = g.sub_csr(None)
+        assert offsets is g.row_offsets and ids is g.neighbor_ids
+        rows = np.array([1, 0, 4, 4])  # any order, repeats allowed
+        offsets, ids = g.sub_csr(rows)
+        expected = [g.neighbor_ids[g.row_offsets[i]:g.row_offsets[i + 1]] for i in rows]
+        np.testing.assert_array_equal(np.diff(offsets), [len(e) for e in expected])
+        np.testing.assert_array_equal(ids, np.concatenate(expected))
+        offsets, ids = g.sub_csr(np.array([], dtype=np.int64))
+        assert offsets.tolist() == [0] and ids.size == 0
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_forward_at_rows_matches_full(self, arch, seed):
+        rng = np.random.default_rng(seed)
+        g = irregular_graph(rng)
+        cfg = dataclasses.replace(SMALL, architecture=arch)
+        params = bind_params(init_params(cfg, seed), None)
+        full = forward(g, Tensor(g.features), params, cfg).data
+        for name, rows in row_sets(rng, g.num_nodes).items():
+            out = forward(g, Tensor(g.features), params, cfg, rows=rows).data
+            assert out.shape == rows.shape, name
+            assert np.abs(out - full[rows]).max(initial=0.0) <= 1e-12, name
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_attention_layer_at_rows_matches_dense_oracle(self, heads):
+        # the oracle's boolean adjacency counts a repeated source once, so
+        # this graph keeps the varying degrees but drops the repeat
+        rng = np.random.default_rng(heads)
+        g = irregular_graph(rng)
+        g = make_graph([sorted(set(g.neighbor_ids[lo:hi].tolist()))
+                        for lo, hi in zip(g.row_offsets[:-1], g.row_offsets[1:])], g.features)
+        cfg = ModelConfig(heads=heads, head_width=3)
+        params_np = init_params(cfg, 5)
+        expected = dense_gat_layer(g, g.features, params_np, "attn", cfg)
+        for name, rows in row_sets(rng, g.num_nodes).items():
+            out = gat_attention_layer(g, Tensor(g.features), bind_params(params_np, None), "attn", cfg, rows)
+            assert out.shape == (rows.size, cfg.width), name
+            assert np.abs(out.data - expected[rows]).max(initial=0.0) < 1e-9, name
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_gradients_at_rows_match_full_pass_and_finite_differences(self, arch):
+        rng = np.random.default_rng(11)
+        g = irregular_graph(rng)
+        cfg = dataclasses.replace(SMALL, architecture=arch)
+        params_np = init_params(cfg, 3)
+        sets = row_sets(rng, g.num_nodes)
+        for name in ("singleton", "subset", "all"):
+            rows = sets[name]
+            target = rng.normal(size=rows.size)
+
+            def grads(restricted):
+                tape = Tape()
+                bound = bind_params(params_np, tape)
+                h = Tensor(g.features, tape)
+                if restricted:
+                    z = forward(g, h, bound, cfg, rows=rows)
+                else:
+                    z = T.take_rows(forward(g, h, bound, cfg), rows)
+                tape.backward(T.mse_loss(z, target))
+                return {**{k: t.grad for k, t in bound.items()}, "h": h.grad}
+
+            restricted, full = grads(True), grads(False)
+            for key, want in full.items():
+                assert rel_err(restricted[key], want) <= 1e-12, (name, key)
+
+            def loss_fn(p_np):
+                z = forward(g, Tensor(g.features), bind_params(p_np, None), cfg, rows=rows)
+                return float(np.mean((z.data - target) ** 2))
+
+            for key in ("dec.W1", FD_PARAM[arch]):
+                arr = params_np[key]
+
+                def f(v, key=key):
+                    return loss_fn({**params_np, key: v.reshape(arr.shape)})
+
+                numeric = finite_diff_grad(f, arr.copy())
+                assert rel_err(restricted[key], numeric) < 1e-4, (name, key)
 
 
 # --- init & checkpoint -------------------------------------------------------

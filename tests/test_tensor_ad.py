@@ -51,6 +51,24 @@ def test_matmul_grad(seed):
                rng.normal(size=(3, 3)))
 
 
+def test_matmul_backward_skips_a_constant_operand():
+    # a constant [N, 64] times a learned [64, 1]: the gradient of the constant
+    # would be an [N, 64] product (10 MB) that nothing reads
+    rng = np.random.default_rng(0)
+    a = Tensor(rng.normal(size=(20000, 64)))
+    tape = Tape()
+    b = Tensor(rng.normal(size=(64, 1)), tape)
+    out = T.matmul(a, b)
+    loss = T.mse_loss(T.reshape(out, (-1,)), np.zeros(20000))
+    tracemalloc.start()
+    tape.backward(loss)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak < 2e6
+    assert a.grad is None
+    np.testing.assert_array_equal(b.grad, a.data.T @ (2.0 * out.data / out.data.size))
+
+
 def test_leaky_relu_values():
     out = T.leaky_relu(Tensor([-1.0, 0.0, 2.0]), slope=0.2)
     np.testing.assert_allclose(out.data, [-0.2, 0.0, 2.0])

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from beamgat import graph as graph_mod
 from beamgat import ingest, synth
+from beamgat import tensor_ad as T
 from beamgat.model import ModelConfig, bind_params, forward, init_params
 from beamgat.tensor_ad import Tensor
 from beamgat.trainer import (
@@ -219,10 +222,11 @@ def test_predict_on_frame_without_dropout_is_empty():
         z_masked=frame.z_truth.copy(),
     )
     graph = graph_mod.build_knn_graph(none_dropped, k=4)
-    params = init_params(TINY, seed=0)
-    z_hat, secs = predict_dropped(none_dropped, graph, params, TINY)
-    assert z_hat.shape == (0,)
-    assert secs >= 0.0
+    for arch in ("superior_gat", "gat_baseline", "simple_gcn"):
+        cfg = dataclasses.replace(TINY, architecture=arch)
+        z_hat, secs = predict_dropped(none_dropped, graph, init_params(cfg, seed=0), cfg)
+        assert z_hat.shape == (0,), arch
+        assert secs >= 0.0
 
 
 def test_predict_on_all_dropped_frame_covers_every_node():
@@ -245,3 +249,33 @@ def test_predict_is_pure(small_sine_frame, small_sine_graph):
     a, _ = predict_dropped(small_sine_frame, small_sine_graph, params, TINY)
     b, _ = predict_dropped(small_sine_frame, small_sine_graph, params, TINY)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("arch", ["superior_gat", "gat_baseline", "simple_gcn"])
+def test_predict_matches_full_forward_at_dropped(small_sine_frame, small_sine_graph, arch):
+    cfg = dataclasses.replace(TINY, architecture=arch)
+    params = init_params(cfg, seed=2)
+    z_hat, _ = predict_dropped(small_sine_frame, small_sine_graph, params, cfg)
+    full = forward(small_sine_graph, Tensor(small_sine_graph.features), bind_params(params, None), cfg).data
+    dropped = np.flatnonzero(small_sine_frame.dropped_mask)
+    assert z_hat.shape == dropped.shape
+    assert np.abs(z_hat - full[dropped]).max() <= 1e-12
+
+
+def test_training_epoch_computes_only_supervised_rows(small_sine_frame, small_sine_graph, monkeypatch):
+    # every layer_norm of the gated model sits after its one attention hop,
+    # so a training epoch normalises the supervised rows and no others
+    seen = []
+    original = T.layer_norm
+
+    def spy(x, *args, **kwargs):
+        seen.append(x.shape[0])
+        return original(x, *args, **kwargs)
+
+    monkeypatch.setattr(T, "layer_norm", spy)
+    cfg = TrainConfig(epochs=1, seed=4)
+    train_frame(small_sine_frame, small_sine_graph, TINY, cfg)
+    sup = _stratified_subset(small_sine_frame.cloud.beam, np.flatnonzero(small_sine_frame.observed_mask),
+                             np.random.default_rng([cfg.seed, 0]))
+    assert 0 < sup.size < small_sine_frame.cloud.xyz.shape[0]
+    assert seen == [sup.size] * 3

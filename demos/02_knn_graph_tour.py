@@ -14,12 +14,12 @@ from beamgat import ingest, synth
 
 
 def main():
-    spec = synth.SceneSpec(kind="sinusoid", point_count=1200, seed=0)
-    cloud = synth.synthesize_scene(spec)
+    spec = synth.SceneSpec(kind="sinusoid", point_count=1200)
+    cloud = synth.synthesize_scene(spec, seed=0)
     print(f"scene: {cloud.xyz.shape[0]} points across "
           f"{np.unique(cloud.beam).size} populated beams")
 
-    frame = ingest.apply_beam_dropout(cloud, ingest.EveryNth(4, 0))
+    frame = ingest.apply_beam_dropout(cloud, nth=4)
     n_drop = int(frame.dropped_mask.sum())
     print(f"dropout: {n_drop} points ({frame.dropped_fraction:.1%}) lose their z")
     assert np.all(frame.z_masked[frame.dropped_mask] == 0.0)

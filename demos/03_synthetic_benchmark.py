@@ -19,8 +19,7 @@ from beamgat.trainer import TrainConfig
 def main():
     with tempfile.TemporaryDirectory() as out:
         cfg = ExperimentConfig(
-            synthetic="sinusoid",
-            scene=synth.SceneSpec(point_count=1500, noise_sigma=0.25),
+            scene=synth.SceneSpec(kind="sinusoid", point_count=1500, noise_sigma=0.25),
             sample_target=2000,
             train=TrainConfig(epochs=150, learning_rate=1e-2),
             seed=0,

@@ -4,7 +4,6 @@ graph-network baselines and the matching evaluation metrics."""
 
 from .graph import Graph, build_features, build_knn_graph
 from .ingest import (
-    EveryNth,
     PointCloud,
     SparseFrame,
     apply_beam_dropout,
@@ -13,13 +12,12 @@ from .ingest import (
     stratified_sample,
 )
 from .metrics import EvalReport, aggregate, chamfer, rmse_xyz, rmse_z
-from .model import ModelConfig, init_params, load_params, save_params
+from .model import ModelConfig, init_params
 from .synth import SceneSpec, synthesize_scene
 from .trainer import TrainConfig, predict_dropped, train_frame
 
 __all__ = [
     "EvalReport",
-    "EveryNth",
     "Graph",
     "ModelConfig",
     "PointCloud",
@@ -33,12 +31,10 @@ __all__ = [
     "chamfer",
     "estimate_beams",
     "init_params",
-    "load_params",
     "predict_dropped",
     "read_kitti_bin",
     "rmse_xyz",
     "rmse_z",
-    "save_params",
     "stratified_sample",
     "synthesize_scene",
     "train_frame",

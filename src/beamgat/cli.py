@@ -27,7 +27,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Reconstruct dropped LiDAR beams and benchmark methods.",
     )
     p.add_argument("--input", dest="input_dir", metavar="DIR", help="directory of KITTI velodyne .bin frames")
-    p.add_argument("--synthetic", choices=SCENE_KINDS,
+    p.add_argument("--synthetic", dest="scene.kind", choices=SCENE_KINDS,
                    help="synthetic scene kind when no --input (default: sinusoid)")
     p.add_argument("--k", dest="k_list", metavar="K", type=_ints,
                    help="comma-separated neighbor counts (default: 10)")

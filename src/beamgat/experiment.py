@@ -13,21 +13,19 @@ import time
 import numpy as np
 
 from . import baselines, graph as graph_mod, ingest, metrics, synth, trainer
-from .model import ModelConfig
+from .model import ARCHITECTURES, ModelConfig
 from .trainer import TrainConfig
 
 __all__ = ["ExperimentConfig", "run_experiment"]
 
 log = logging.getLogger(__name__)
 
-LEARNED_METHODS = ("superior_gat", "gat_baseline", "simple_gcn")
-ALL_METHODS = ("linear", "nn") + LEARNED_METHODS
+ALL_METHODS = ("linear", "nn") + ARCHITECTURES
 
 
 @dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
-    input_dir: str | None = None  # directory of KITTI .bin frames
-    synthetic: str | None = "sinusoid"  # scene kind when no input_dir
+    input_dir: str | None = None  # directory of KITTI .bin frames; None synthesizes ``scene``
     frame_limit: int = 1
     sample_target: int = 50000
     dropout_nth: int = 4
@@ -36,7 +34,7 @@ class ExperimentConfig:
     model: ModelConfig = ModelConfig()
     train: TrainConfig = TrainConfig()
     scene: synth.SceneSpec = synth.SceneSpec()
-    seed: int = 0
+    seed: int = 0  # training seed; frame i's scene and sample seed is seed + i
     out_dir: str = "runs"
     workers: int = 1
     timing: bool = True  # False zeroes time columns so CSVs are byte-stable
@@ -57,8 +55,8 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, fields: dict) -> "ExperimentConfig":
         """Build from JSON-style field values. ``model``, ``train`` and
-        ``scene`` are dicts of their own fields, except ``EXPERIMENT_SET``.
-        Fields not given keep their defaults."""
+        ``scene`` are dicts of their own fields. Fields not given keep their
+        defaults."""
         fields = dict(fields)
         for name, kind in (("model", ModelConfig), ("train", TrainConfig), ("scene", synth.SceneSpec)):
             fields[name] = _build(kind, fields.get(name, {}), f"{name}.")
@@ -68,17 +66,10 @@ class ExperimentConfig:
         return _build(cls, fields, "")
 
 
-# Nested fields that each cell overwrites, so a config file may not set them:
-# the architecture is the method, the scene kind is ``synthetic``, the scene
-# seed is ``seed + frame_id`` and the training seed is ``seed``.
-EXPERIMENT_SET = frozenset({"model.architecture", "scene.kind", "scene.seed", "train.seed"})
-
-
 def _build(kind, fields: dict, prefix: str):
-    settable = {prefix + f.name for f in dataclasses.fields(kind)} - EXPERIMENT_SET
-    rejected = sorted({prefix + name for name in fields} - settable)
-    if rejected:
-        raise ValueError(f"config field(s) unknown or set by the experiment: {', '.join(rejected)}")
+    unknown = sorted(set(fields) - {f.name for f in dataclasses.fields(kind)})
+    if unknown:
+        raise ValueError(f"unknown config field(s): {', '.join(prefix + name for name in unknown)}")
     return kind(**fields)
 
 
@@ -88,12 +79,10 @@ def _build_frame(cfg: ExperimentConfig, frame_id: int, path: str | None) -> tupl
         cloud = ingest.estimate_beams(cloud)
         tag = os.path.splitext(os.path.basename(path))[0]
     else:
-        spec = dataclasses.replace(cfg.scene, kind=cfg.synthetic, seed=cfg.seed + frame_id)
-        cloud = synth.synthesize_scene(spec)
-        tag = f"{cfg.synthetic}{frame_id}"
+        cloud = synth.synthesize_scene(cfg.scene, cfg.seed + frame_id)
+        tag = f"{cfg.scene.kind}{frame_id}"
     cloud = ingest.stratified_sample(cloud, cfg.sample_target, seed=cfg.seed + frame_id)
-    pattern = ingest.EveryNth(cfg.dropout_nth)
-    return tag, ingest.apply_beam_dropout(cloud, pattern)
+    return tag, ingest.apply_beam_dropout(cloud, cfg.dropout_nth)
 
 
 def _evaluate(
@@ -122,11 +111,9 @@ def _evaluate(
         infer_s = time.perf_counter() - t0
         z_hat = recon[:, 2]
     else:
-        model_cfg = dataclasses.replace(cfg.model, architecture=method)
-        train_cfg = dataclasses.replace(cfg.train, seed=cfg.seed)
-        result = trainer.train_frame(frame, graph, model_cfg, train_cfg)
+        result = trainer.train_frame(frame, graph, method, cfg.model, cfg.train, cfg.seed)
         train_s = result.train_time_s
-        z_hat, infer_s = trainer.predict_dropped(frame, graph, result.params, model_cfg)
+        z_hat, infer_s = trainer.predict_dropped(frame, graph, result.params, method, cfg.model)
         recon = truth.copy()
         recon[:, 2] = z_hat
 
@@ -153,7 +140,7 @@ def _run_one_frame(args) -> list[metrics.EvalReport]:
     except (OSError, ingest.TruncatedRecordError) as exc:
         log.warning("skipping frame %s: %s", path, exc)
         return []
-    learned = any(m in LEARNED_METHODS for m in cfg.methods)
+    learned = any(m in ARCHITECTURES for m in cfg.methods)
     # one kNN query per frame at the largest k; a smaller k's rows are its
     # prefixes, and one graph per (frame, k) is shared by every learned method
     nearest = graph_mod.knn_indices(frame.cloud.xyz[:, :2], max(cfg.k_list)) if learned else None

@@ -19,7 +19,6 @@ __all__ = [
     "DEFAULT_ELEV_MIN_DEG",
     "DEFAULT_NUM_BEAMS",
     "DropoutConfigError",
-    "EveryNth",
     "PointCloud",
     "SparseFrame",
     "TruncatedRecordError",
@@ -81,18 +80,6 @@ class SparseFrame:
         return float(self.dropped_mask.mean())
 
 
-@dataclasses.dataclass(frozen=True)
-class EveryNth:
-    """Drop every n-th beam: beams with (beam - offset) % n == 0."""
-
-    n: int = 4
-    offset: int = 0
-
-    def dropped_beams(self, num_beams: int) -> np.ndarray:
-        beams = np.arange(num_beams)
-        return beams[(beams - self.offset) % self.n == 0]
-
-
 def read_kitti_bin(path: str | os.PathLike) -> PointCloud:
     """Decode a KITTI velodyne ``.bin`` file.
 
@@ -126,29 +113,21 @@ def write_kitti_bin(cloud: PointCloud, path: str | os.PathLike) -> None:
     rec.tofile(path)
 
 
-def estimate_beams(
-    cloud: PointCloud,
-    num_beams: int = DEFAULT_NUM_BEAMS,
-    elev_min_deg: float = DEFAULT_ELEV_MIN_DEG,
-    elev_max_deg: float = DEFAULT_ELEV_MAX_DEG,
-) -> PointCloud:
-    """Assign beam indices by quantizing elevation angle into uniform bins.
+def estimate_beams(cloud: PointCloud) -> PointCloud:
+    """Assign HDL-64E beam indices by quantizing elevation angle into uniform bins.
 
     The raw format carries no channel id, so the vertical structure is
     reconstructed from geometry: phi = atan2(z, hypot(x, y)), binned over
-    [elev_min, elev_max] and clamped into [0, num_beams). Points at the
-    exact origin get beam 0.
+    [DEFAULT_ELEV_MIN_DEG, DEFAULT_ELEV_MAX_DEG] and clamped into
+    [0, DEFAULT_NUM_BEAMS). Points at the exact origin get beam 0.
     """
-    if num_beams < 2:
-        raise ValueError("num_beams must be >= 2")
-    if not elev_min_deg < elev_max_deg:
-        raise ValueError("elev_min must be < elev_max")
+    num_beams = DEFAULT_NUM_BEAMS
     x, y, z = cloud.xyz[:, 0], cloud.xyz[:, 1], cloud.xyz[:, 2]
     planar = np.hypot(x, y)
     at_origin = (planar == 0.0) & (z == 0.0)
     phi = np.degrees(np.arctan2(z, planar))
-    span = elev_max_deg - elev_min_deg
-    beam = np.floor((phi - elev_min_deg) / span * num_beams).astype(np.int64)
+    span = DEFAULT_ELEV_MAX_DEG - DEFAULT_ELEV_MIN_DEG
+    beam = np.floor((phi - DEFAULT_ELEV_MIN_DEG) / span * num_beams).astype(np.int64)
     beam = np.clip(beam, 0, num_beams - 1)
     beam[at_origin] = 0
     return PointCloud(
@@ -209,12 +188,14 @@ def stratified_sample(cloud: PointCloud, target: int, seed: int) -> PointCloud:
     )
 
 
-def apply_beam_dropout(cloud: PointCloud, pattern: EveryNth = EveryNth()) -> SparseFrame:
-    """Mask z on every beam selected by ``pattern``; (x, y) and membership
-    are retained so reconstruction can be scored against the held-out z."""
+def apply_beam_dropout(cloud: PointCloud, nth: int = 4) -> SparseFrame:
+    """Mask z on every ``nth`` beam, the beams with ``beam % nth == 0``;
+    (x, y) and membership are retained so reconstruction can be scored
+    against the held-out z."""
     if cloud.beam is None:
         raise ValueError("beam indices must be set before dropout")
-    dropped_beams = set(pattern.dropped_beams(cloud.num_beams).tolist())
+    beams = np.arange(cloud.num_beams)
+    dropped_beams = set(beams[beams % nth == 0].tolist())
     present = set(np.unique(cloud.beam).tolist())
     hit = present & dropped_beams
     if not hit:

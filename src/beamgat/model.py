@@ -16,6 +16,7 @@ from .graph import FEATURE_INIT_SCALE, NUM_FEATURES, Graph
 from .tensor_ad import Tape, Tensor
 
 __all__ = [
+    "ARCHITECTURES",
     "ModelConfig",
     "bind_params",
     "forward",
@@ -23,8 +24,6 @@ __all__ = [
     "gat_baseline_forward",
     "gcn_layer",
     "init_params",
-    "load_params",
-    "save_params",
     "simple_gcn_forward",
     "superior_gat_forward",
 ]
@@ -38,7 +37,6 @@ FFN_SLOPE = 0.01  # LeakyReLU slope of the feed-forward and decoder hidden layer
 
 @dataclasses.dataclass(frozen=True)
 class ModelConfig:
-    architecture: str = "superior_gat"
     heads: int = 4
     head_width: int = 16  # residual width = heads * head_width
     ffn_hidden: int = 128
@@ -48,9 +46,10 @@ class ModelConfig:
     def width(self) -> int:
         return self.heads * self.head_width
 
-    def __post_init__(self):
-        if self.architecture not in ARCHITECTURES:
-            raise ValueError(f"unknown architecture {self.architecture!r}")
+
+def _check_architecture(architecture: str) -> None:
+    if architecture not in ARCHITECTURES:
+        raise ValueError(f"unknown architecture {architecture!r}")
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
@@ -58,9 +57,11 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.nd
     return rng.uniform(-bound, bound, size=shape)
 
 
-def init_params(cfg: ModelConfig, seed: int) -> dict[str, np.ndarray]:
-    """Glorot-uniform weights, zero biases, gate logit 0 (gate starts at 0.5);
-    layer 0, which reads the node features, is scaled by FEATURE_INIT_SCALE."""
+def init_params(architecture: str, cfg: ModelConfig, seed: int) -> dict[str, np.ndarray]:
+    """Parameters of ``architecture`` (one of ARCHITECTURES): Glorot-uniform
+    weights, zero biases, gate logit 0 (gate starts at 0.5); layer 0, which
+    reads the node features, is scaled by FEATURE_INIT_SCALE."""
+    _check_architecture(architecture)
     rng = np.random.default_rng(seed)
     w = cfg.width
     p: dict[str, np.ndarray] = {}
@@ -86,7 +87,7 @@ def init_params(cfg: ModelConfig, seed: int) -> dict[str, np.ndarray]:
         p["dec.W2"] = _glorot(rng, cfg.dec_hidden, 1, (cfg.dec_hidden, 1))
         p["dec.b2"] = np.zeros(1)
 
-    if cfg.architecture == "superior_gat":
+    if architecture == "superior_gat":
         heads("attn", 0)
         p["proj_in"] = layer_weights(0, w)
         norm("in_norm", w)
@@ -98,7 +99,7 @@ def init_params(cfg: ModelConfig, seed: int) -> dict[str, np.ndarray]:
         p["ffn.b2"] = np.zeros(w)
         norm("ffn_norm", w)
         decoder()
-    elif cfg.architecture == "gat_baseline":
+    elif architecture == "gat_baseline":
         for layer in range(GAT_BASELINE_LAYERS):
             heads(f"l{layer}", layer)
         decoder()
@@ -226,18 +227,14 @@ _FORWARDS = {
 
 
 def forward(
-    graph: Graph, h: Tensor, params: dict[str, Tensor], cfg: ModelConfig, rows: np.ndarray | None = None
+    graph: Graph,
+    h: Tensor,
+    params: dict[str, Tensor],
+    architecture: str,
+    cfg: ModelConfig,
+    rows: np.ndarray | None = None,
 ) -> Tensor:
-    """z at the nodes ``rows``, in their order (None: every node). The graph
-    and ``h`` span every node either way."""
-    return _FORWARDS[cfg.architecture](graph, h, params, cfg, rows)
-
-
-def save_params(params: dict[str, np.ndarray], path: str) -> None:
-    """Checkpoint as an npz of named arrays; names and shapes are the format."""
-    np.savez(path, **params)
-
-
-def load_params(path: str) -> dict[str, np.ndarray]:
-    with np.load(path) as data:
-        return {name: data[name].copy() for name in data.files}
+    """z of ``architecture`` at the nodes ``rows``, in their order (None:
+    every node). The graph and ``h`` span every node either way."""
+    _check_architecture(architecture)
+    return _FORWARDS[architecture](graph, h, params, cfg, rows)

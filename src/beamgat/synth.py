@@ -7,12 +7,7 @@ import dataclasses
 
 import numpy as np
 
-from .ingest import (
-    DEFAULT_ELEV_MAX_DEG,
-    DEFAULT_ELEV_MIN_DEG,
-    DEFAULT_NUM_BEAMS,
-    PointCloud,
-)
+from .ingest import DEFAULT_ELEV_MAX_DEG, DEFAULT_ELEV_MIN_DEG, DEFAULT_NUM_BEAMS, PointCloud
 
 __all__ = ["SceneSpec", "synthesize_scene"]
 
@@ -25,7 +20,6 @@ class SceneSpec:
     extent: float = 40.0  # max range in meters
     point_count: int = 2048
     noise_sigma: float = 0.0
-    seed: int = 0
     ground_z: float = -1.7
     amplitude: float = 0.5  # sinusoid amplitude
     wavelength: float = 8.0  # sinusoid wavelength
@@ -50,24 +44,22 @@ def _surface_z(spec: SceneSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.full_like(x, spec.ground_z)
 
 
-def synthesize_scene(
-    spec: SceneSpec,
-    num_beams: int = DEFAULT_NUM_BEAMS,
-    elev_min_deg: float = DEFAULT_ELEV_MIN_DEG,
-    elev_max_deg: float = DEFAULT_ELEV_MAX_DEG,
-) -> PointCloud:
-    """Cast one ray per (beam elevation, azimuth) from the origin and
+def synthesize_scene(spec: SceneSpec, seed: int) -> PointCloud:
+    """Cast one ray per (HDL-64E beam elevation, azimuth) from the origin and
     intersect the scene surface; beam indices are exact by construction.
-    Rays that miss (upward beams, out-of-range hits) are skipped.
+    Rays that miss (upward beams, out-of-range hits) are skipped. ``seed``
+    draws the z noise.
 
     All rays are cast at once; points come out beam-major, in azimuth order
     within each beam."""
+    num_beams = DEFAULT_NUM_BEAMS
     azimuth_count = int(np.ceil(spec.point_count / num_beams))
     elev = np.radians(
-        elev_min_deg + (np.arange(num_beams) + 0.5) / num_beams * (elev_max_deg - elev_min_deg)
+        DEFAULT_ELEV_MIN_DEG
+        + (np.arange(num_beams) + 0.5) / num_beams * (DEFAULT_ELEV_MAX_DEG - DEFAULT_ELEV_MIN_DEG)
     )
     azim = (np.arange(azimuth_count) + 0.5) / azimuth_count * 2 * np.pi - np.pi
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
 
     c = np.cos(elev)[:, None]
     dx = (c * np.cos(azim)).ravel()

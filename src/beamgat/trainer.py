@@ -27,7 +27,6 @@ MASK_FRACTION = 0.25  # share of each beam's observed nodes supervised per epoch
 class TrainConfig:
     epochs: int = 200
     learning_rate: float = 1e-3
-    seed: int = 0
     patience: int = 30
 
     def __post_init__(self):
@@ -90,17 +89,21 @@ def _stratified_subset(beams: np.ndarray, candidates: np.ndarray, rng: np.random
 def train_frame(
     frame: SparseFrame,
     graph: Graph,
+    architecture: str,
     model_cfg: ModelConfig,
     train_cfg: TrainConfig,
+    seed: int,
 ) -> TrainResult:
-    """Fit one model to one frame; returns the parameters that achieved the
-    lowest training loss, the loss history, and wall time."""
+    """Fit one ``architecture`` model to one frame; ``seed`` drives the
+    initial weights and each epoch's supervised subset. Returns the
+    parameters that achieved the lowest training loss, the loss history,
+    and wall time."""
     observed = np.flatnonzero(frame.observed_mask)
     dropped = np.flatnonzero(frame.dropped_mask)
     if observed.size == 0:
         raise ValueError("frame has no observed points")
 
-    params = init_params(model_cfg, train_cfg.seed)
+    params = init_params(architecture, model_cfg, seed)
     state = AdamState.zeros_like(params)
     base_features = graph.features
     dropped_set = frozenset(dropped.tolist())
@@ -111,7 +114,7 @@ def train_frame(
     history: list[float] = []
     t0 = time.perf_counter()
     for epoch in range(train_cfg.epochs):
-        rng = np.random.default_rng([train_cfg.seed, epoch])
+        rng = np.random.default_rng([seed, epoch])
         sup = _stratified_subset(frame.cloud.beam, observed, rng)
         assert not dropped_set.intersection(sup.tolist()), "supervision leaked into dropped set"
         feats = base_features.copy()
@@ -119,7 +122,7 @@ def train_frame(
 
         tape = Tape()
         bound = bind_params(params, tape)
-        z_hat = forward(graph, Tensor(feats), bound, model_cfg, rows=sup)
+        z_hat = forward(graph, Tensor(feats), bound, architecture, model_cfg, rows=sup)
         loss = T.mse_loss(z_hat, frame.z_truth[sup])
         loss_val = float(loss.data)
         if not np.isfinite(loss_val):
@@ -144,6 +147,7 @@ def predict_dropped(
     frame: SparseFrame,
     graph: Graph,
     params: dict[str, np.ndarray],
+    architecture: str,
     model_cfg: ModelConfig,
 ) -> tuple[np.ndarray, float]:
     """Single forward with the frame's true masking, evaluated at the dropped
@@ -151,6 +155,6 @@ def predict_dropped(
     t0 = time.perf_counter()
     bound = bind_params(params, None)
     dropped = np.flatnonzero(frame.dropped_mask)
-    z_hat = forward(graph, Tensor(graph.features), bound, model_cfg, rows=dropped)
+    z_hat = forward(graph, Tensor(graph.features), bound, architecture, model_cfg, rows=dropped)
     return z_hat.data, time.perf_counter() - t0
 

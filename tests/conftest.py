@@ -28,8 +28,8 @@ def rel_err(a: np.ndarray, b: np.ndarray) -> float:
 @pytest.fixture(scope="session")
 def small_sine_frame():
     """~400-point sinusoid frame with every-4th-beam dropout."""
-    spec = synth.SceneSpec(kind="sinusoid", point_count=420, seed=7)
-    cloud = synth.synthesize_scene(spec)
+    spec = synth.SceneSpec(kind="sinusoid", point_count=420)
+    cloud = synth.synthesize_scene(spec, seed=7)
     return ingest.apply_beam_dropout(cloud)
 
 
@@ -47,4 +47,4 @@ def random_frame(rng: np.random.Generator, n: int, num_beams: int = 8) -> ingest
         beam=rng.integers(0, num_beams, size=n),
         num_beams=num_beams,
     )
-    return ingest.apply_beam_dropout(cloud, ingest.EveryNth(4, 0))
+    return ingest.apply_beam_dropout(cloud, nth=4)

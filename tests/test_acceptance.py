@@ -6,7 +6,6 @@ supplied via the BEAMGAT_KITTI_FRAME environment variable and is skipped
 otherwise.
 """
 
-import dataclasses
 import os
 
 import numpy as np
@@ -52,18 +51,16 @@ def _verdict(num, name, capsys, body):
 
 
 def _bench_frame(seed):
-    spec = synth.SceneSpec(
-        kind="sinusoid", point_count=BENCH_POINTS, seed=seed, noise_sigma=BENCH_SIGMA
-    )
-    cloud = synth.synthesize_scene(spec)
-    return ingest.apply_beam_dropout(cloud, ingest.EveryNth(4, 0))
+    spec = synth.SceneSpec(kind="sinusoid", point_count=BENCH_POINTS, noise_sigma=BENCH_SIGMA)
+    cloud = synth.synthesize_scene(spec, seed)
+    return ingest.apply_beam_dropout(cloud, nth=4)
 
 
 def _train_and_score(frame, graph, architecture, seed, **overrides):
-    cfg = ModelConfig(architecture=architecture)
-    tc = TrainConfig(seed=seed, **{**BENCH_TRAIN, **overrides})
-    result = train_frame(frame, graph, cfg, tc)
-    z_hat, infer_s = predict_dropped(frame, graph, result.params, cfg)
+    cfg = ModelConfig()
+    tc = TrainConfig(**{**BENCH_TRAIN, **overrides})
+    result = train_frame(frame, graph, architecture, cfg, tc, seed)
+    z_hat, infer_s = predict_dropped(frame, graph, result.params, architecture, cfg)
     truth = frame.z_truth[np.flatnonzero(frame.dropped_mask)]
     return metrics.rmse_z(z_hat, truth), result.train_time_s + infer_s
 
@@ -88,9 +85,9 @@ def test_criterion_01_sqrt3_identity(capsys, small_sine_frame, small_sine_graph)
 
         z_only_identity(baselines.linear_interp(frame), "linear")
         for arch in ("simple_gcn", "gat_baseline", "superior_gat"):
-            cfg = ModelConfig(architecture=arch)
-            params = init_params(cfg, seed=0)
-            z_hat, _ = predict_dropped(frame, small_sine_graph, params, cfg)
+            cfg = ModelConfig()
+            params = init_params(arch, cfg, seed=0)
+            z_hat, _ = predict_dropped(frame, small_sine_graph, params, arch, cfg)
             z_only_identity(z_hat, arch)
 
         # nearest-neighbor substitution moves (x, y) too, so it must break
@@ -160,13 +157,13 @@ def test_criterion_02_gradient_suite(capsys):
         for seed in range(20):
             rng = np.random.default_rng(100 + seed)
             g = random_graph(rng, n=int(rng.integers(8, 16)), k=3)
-            params = init_params(cfg, seed)
+            params = init_params("superior_gat", cfg, seed)
             target = rng.normal(size=g.num_nodes)
 
             def loss_with(p):
                 tape = Tape()
                 bound = bind_params(p, tape)
-                z = forward(g, Tensor(g.features, tape), bound, cfg)
+                z = forward(g, Tensor(g.features, tape), bound, "superior_gat", cfg)
                 return tape, bound, T.mse_loss(z, target)
 
             tape, bound, loss = loss_with(params)
@@ -203,7 +200,7 @@ def test_criterion_03_dense_attention_oracle(capsys):
             cfg = ModelConfig(heads=heads, head_width=5)
             rng = np.random.default_rng(seed)
             g = random_graph(rng, n=n, k=min(6, n - 1))
-            params = init_params(cfg, seed)
+            params = init_params("superior_gat", cfg, seed)
             bound = bind_params(params, None)
             sparse = gat_attention_layer(g, Tensor(g.features), bound, "attn", cfg).data
             dense = dense_gat_layer(g, g.features, params, "attn", cfg)
@@ -263,13 +260,13 @@ def test_criterion_05_k_sensitivity(capsys):
         # real edge-count slope.  Measuring each pair back-to-back cancels
         # the slowly-varying load component.
         cfg = ModelConfig()
-        params = init_params(cfg, seed=1)
+        params = init_params("superior_gat", cfg, seed=1)
         obs = np.flatnonzero(frame.observed_mask)
 
         def train_step(g):
             tape = Tape()
             bound = bind_params(params, tape)
-            z = forward(g, Tensor(g.features, tape), bound, cfg)
+            z = forward(g, Tensor(g.features, tape), bound, "superior_gat", cfg)
             loss = T.mse_loss(T.take_rows(z, obs), frame.z_truth[obs])
             tape.backward(loss)
 
@@ -344,8 +341,8 @@ def test_criterion_07_permutation_equivariance(capsys):
         rng = np.random.default_rng(4)
         cfg = ModelConfig(heads=2, head_width=4, ffn_hidden=8, dec_hidden=4)
         g = random_graph(rng, n=40, k=4)
-        params = init_params(cfg, seed=2)
-        z = forward(g, Tensor(g.features), bind_params(params, None), cfg).data
+        params = init_params("superior_gat", cfg, seed=2)
+        z = forward(g, Tensor(g.features), bind_params(params, None), "superior_gat", cfg).data
 
         perm = rng.permutation(40)
         inv = np.argsort(perm)
@@ -357,7 +354,7 @@ def test_criterion_07_permutation_equivariance(capsys):
             for i in range(40)
         ]
         g2 = make_graph(rows, g.features[perm])
-        z2 = forward(g2, Tensor(g2.features), bind_params(params, None), cfg).data
+        z2 = forward(g2, Tensor(g2.features), bind_params(params, None), "superior_gat", cfg).data
         gap = float(np.abs(z2 - z[perm]).max())
         assert gap < 1e-9, f"equivariance gap {gap:.2e}"
         return f"max |z(pi(G)) - pi(z(G))| = {gap:.2e}"
@@ -375,13 +372,12 @@ def test_criterion_08_receptive_field(capsys):
         rng = np.random.default_rng(5)
         feats = rng.normal(size=(9, 4))
         cfg = ModelConfig(heads=2, head_width=4, ffn_hidden=8, dec_hidden=4)
-        params = init_params(cfg, seed=3)
+        params = init_params("superior_gat", cfg, seed=3)
 
         def predict(architecture, features):
-            c = dataclasses.replace(cfg, architecture=architecture)
-            p = init_params(c, seed=3) if architecture != "superior_gat" else params
+            p = init_params(architecture, cfg, seed=3) if architecture != "superior_gat" else params
             g = path_graph(features)
-            return forward(g, Tensor(g.features), bind_params(p, None), c).data
+            return forward(g, Tensor(g.features), bind_params(p, None), architecture, cfg).data
 
         base = predict("superior_gat", feats)
         two_hop = feats.copy()
@@ -414,7 +410,7 @@ def test_criterion_09_kitti_frame(capsys):
         cloud = ingest.read_kitti_bin(os.environ["BEAMGAT_KITTI_FRAME"])
         cloud = ingest.estimate_beams(cloud)
         cloud = ingest.stratified_sample(cloud, 50000, seed=0)
-        frame = ingest.apply_beam_dropout(cloud, ingest.EveryNth(4, 0))
+        frame = ingest.apply_beam_dropout(cloud, nth=4)
         g = graph_mod.build_knn_graph(frame, k=10)
         truth = frame.z_truth[np.flatnonzero(frame.dropped_mask)]
         rmse_lin = metrics.rmse_z(baselines.linear_interp(frame), truth)
@@ -438,12 +434,11 @@ def test_criterion_10_determinism(capsys, tmp_path):
         blobs = []
         for name in ("a", "b"):
             cfg = ExperimentConfig(
-                synthetic="sinusoid",
-                scene=synth.SceneSpec(point_count=900, noise_sigma=BENCH_SIGMA),
+                scene=synth.SceneSpec(kind="sinusoid", point_count=900, noise_sigma=BENCH_SIGMA),
                 sample_target=1200,
                 methods=("linear", "superior_gat"),
                 model=ModelConfig(heads=2, head_width=4, ffn_hidden=16, dec_hidden=8),
-                train=TrainConfig(epochs=25, learning_rate=1e-2, seed=7),
+                train=TrainConfig(epochs=25, learning_rate=1e-2),
                 seed=7,
                 out_dir=str(tmp_path / name),
                 timing=False,

@@ -5,7 +5,7 @@ from scipy.spatial import cKDTree
 
 from beamgat import ingest, synth
 from beamgat.baselines import _azimuth_bins, linear_interp, nearest_neighbor_sub
-from beamgat.ingest import EveryNth, PointCloud
+from beamgat.ingest import PointCloud
 
 from conftest import random_frame
 
@@ -57,13 +57,23 @@ def loop_linear_interp(frame: ingest.SparseFrame, bin_count: int = 360) -> np.nd
     return z_hat
 
 
-def frame_from(xyz, beams, num_beams=8, pattern=EveryNth(4, 0)):
+def drop_every_4th(cloud: PointCloud, offset: int = 0) -> ingest.SparseFrame:
+    """Dropout of the beams b with (b - offset) % 4 == 0: every beam is
+    renumbered up by (-offset) % 4, then every 4th beam is dropped. Both
+    baselines read beam indices only relative to one another."""
+    shift = -offset % 4
+    shifted = PointCloud(xyz=cloud.xyz, reflectance=cloud.reflectance,
+                         beam=cloud.beam + shift, num_beams=cloud.num_beams + shift)
+    return ingest.apply_beam_dropout(shifted, nth=4)
+
+
+def frame_from(xyz, beams, num_beams=8, offset=0):
     cloud = PointCloud(xyz=np.asarray(xyz, dtype=float), reflectance=np.zeros(len(xyz)),
                        beam=np.asarray(beams), num_beams=num_beams)
-    return ingest.apply_beam_dropout(cloud, pattern)
+    return drop_every_4th(cloud, offset)
 
 
-def beam_plane_frame(n_beams=12, per_beam=6, slope=0.1, seed=0, pattern=EveryNth(4, 0)):
+def beam_plane_frame(n_beams=12, per_beam=6, slope=0.1, seed=0, offset=0):
     """z = slope * beam, points spread in azimuth; linear in beam index."""
     rng = np.random.default_rng(seed)
     pts, beams = [], []
@@ -73,7 +83,7 @@ def beam_plane_frame(n_beams=12, per_beam=6, slope=0.1, seed=0, pattern=EveryNth
             r = 10.0 + rng.uniform(0, 0.1)
             pts.append([r * np.cos(theta), r * np.sin(theta), slope * b])
             beams.append(b)
-    return frame_from(pts, beams, num_beams=n_beams, pattern=pattern)
+    return frame_from(pts, beams, num_beams=n_beams, offset=offset)
 
 
 class TestLinearInterp:
@@ -81,7 +91,7 @@ class TestLinearInterp:
         # dropped beam 4 between beams 3 (z=1) and 5 (z=3), same azimuth bin
         pts = [[10.0, 0.0, 1.0], [10.0, 0.001, 2.0], [10.0, 0.002, 3.0], [0.0, 10.0, 9.0]]
         beams = [3, 4, 5, 6]
-        frame = frame_from(pts, beams, pattern=EveryNth(4, 0))
+        frame = frame_from(pts, beams)
         assert frame.dropped_mask.tolist() == [False, True, False, False]
         z_hat = linear_interp(frame)
         assert z_hat[0] == pytest.approx(2.0)
@@ -89,13 +99,13 @@ class TestLinearInterp:
     def test_one_sided_fallback(self):
         # dropped beam 0 with only higher beams observed: copies nearest higher z
         pts = [[10.0, 0.0, 5.0], [10.0, 0.1, 1.5], [10.0, 0.2, 2.5]]
-        frame = frame_from(pts, [0, 1, 2], pattern=EveryNth(4, 0))
+        frame = frame_from(pts, [0, 1, 2])
         z_hat = linear_interp(frame)
         assert z_hat[0] == pytest.approx(1.5)
 
     def test_exact_on_beam_affine_plane(self):
         # offset 2 keeps every dropped beam bracketed by observed ones
-        frame = beam_plane_frame(pattern=EveryNth(4, 2))
+        frame = beam_plane_frame(offset=2)
         dropped = np.flatnonzero(frame.dropped_mask)
         z_hat = linear_interp(frame)
         np.testing.assert_allclose(z_hat, frame.z_truth[dropped], atol=1e-12)
@@ -123,8 +133,8 @@ class TestLinearInterp:
         ("plane", 1500, 0.0, 3),
     ])
     def test_matches_loop_reference_on_scenes(self, kind, point_count, noise_sigma, offset):
-        spec = synth.SceneSpec(kind=kind, point_count=point_count, noise_sigma=noise_sigma, seed=1)
-        frame = ingest.apply_beam_dropout(synth.synthesize_scene(spec), EveryNth(4, offset))
+        spec = synth.SceneSpec(kind=kind, point_count=point_count, noise_sigma=noise_sigma)
+        frame = drop_every_4th(synth.synthesize_scene(spec, seed=1), offset)
         z_hat = linear_interp(frame)
         assert z_hat.tobytes() == loop_linear_interp(frame).tobytes()
 
@@ -142,7 +152,7 @@ class TestLinearInterp:
         pts = [[10.0, 0.5, 1.0], [10.0, 0.5, 7.0], [10.0, 0.5, 4.0],
                [10.0, 0.5, 3.0], [10.0, 0.5, 9.0], [0.0, 10.0, 0.0]]
         beams = [0, 0, 1, 2, 2, 3]
-        frame = frame_from(pts, beams, pattern=EveryNth(4, 1))
+        frame = frame_from(pts, beams, offset=1)
         assert frame.dropped_mask.tolist() == [False, False, True, False, False, False]
         z_hat = linear_interp(frame)
         assert z_hat[0] == pytest.approx(2.0)

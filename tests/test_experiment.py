@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from beamgat import baselines, cli, graph as graph_mod, ingest, metrics, synth, trainer
-from beamgat.experiment import EXPERIMENT_SET, ExperimentConfig, _run_one_frame, run_experiment
+from beamgat.experiment import ExperimentConfig, _run_one_frame, run_experiment
 from beamgat.model import ModelConfig
 from beamgat.trainer import TrainConfig
 
@@ -23,31 +23,31 @@ FAST = dict(
 
 
 def test_plane_scene_sits_at_ground_height():
-    spec = synth.SceneSpec(kind="plane", point_count=600, seed=0)
-    cloud = synth.synthesize_scene(spec)
+    spec = synth.SceneSpec(kind="plane", point_count=600)
+    cloud = synth.synthesize_scene(spec, seed=0)
     assert cloud.xyz.shape[0] >= 400
     np.testing.assert_allclose(cloud.xyz[:, 2], spec.ground_z, atol=1e-6)
 
 
 def test_sinusoid_scene_height_stays_within_amplitude():
-    spec = synth.SceneSpec(kind="sinusoid", point_count=600, seed=1)
-    cloud = synth.synthesize_scene(spec)
+    spec = synth.SceneSpec(kind="sinusoid", point_count=600)
+    cloud = synth.synthesize_scene(spec, seed=1)
     dev = np.abs(cloud.xyz[:, 2] - spec.ground_z)
     # z = ground + amplitude * (sin + 0.5 cos) stays within 1.5 amplitude
     assert dev.max() <= 1.5 * spec.amplitude + 1e-6
 
 
 def test_scene_generation_is_deterministic():
-    spec = synth.SceneSpec(kind="sinusoid", point_count=500, seed=3, noise_sigma=0.1)
-    a = synth.synthesize_scene(spec)
-    b = synth.synthesize_scene(spec)
+    spec = synth.SceneSpec(kind="sinusoid", point_count=500, noise_sigma=0.1)
+    a = synth.synthesize_scene(spec, seed=3)
+    b = synth.synthesize_scene(spec, seed=3)
     assert np.array_equal(a.xyz, b.xyz)
     assert np.array_equal(a.beam, b.beam)
 
 
 def test_linear_interp_is_near_exact_on_plane():
-    spec = synth.SceneSpec(kind="plane", point_count=800, seed=2)
-    frame = ingest.apply_beam_dropout(synth.synthesize_scene(spec))
+    spec = synth.SceneSpec(kind="plane", point_count=800)
+    frame = ingest.apply_beam_dropout(synth.synthesize_scene(spec, seed=2))
     z_hat = baselines.linear_interp(frame)
     truth = frame.z_truth[np.flatnonzero(frame.dropped_mask)]
     assert metrics.rmse_z(z_hat, truth) < 1e-6
@@ -167,8 +167,8 @@ def test_empty_grid_rejected():
 
 
 def test_kitti_input_dir_round_trip(tmp_path):
-    spec = synth.SceneSpec(kind="sinusoid", point_count=500, seed=4)
-    cloud = synth.synthesize_scene(spec)
+    spec = synth.SceneSpec(kind="sinusoid", point_count=500)
+    cloud = synth.synthesize_scene(spec, seed=4)
     frame_dir = tmp_path / "frames"
     frame_dir.mkdir()
     ingest.write_kitti_bin(cloud, str(frame_dir / "000000.bin"))
@@ -189,7 +189,7 @@ def test_unreadable_frame_is_skipped_for_any_worker_count(tmp_path, caplog):
     (frame_dir / "000000.bin").write_bytes(bytes(17))  # not a whole record
     paths = [str(frame_dir / f"00000{i}.bin") for i in range(4)]
     for i in (1, 2, 3):
-        cloud = synth.synthesize_scene(synth.SceneSpec(kind="sinusoid", point_count=800, seed=i))
+        cloud = synth.synthesize_scene(synth.SceneSpec(kind="sinusoid", point_count=800), seed=i)
         assert len(cloud) > FAST["sample_target"]  # so the frame id seeds the sampling
         ingest.write_kitti_bin(cloud, paths[i])
     outs = []
@@ -250,7 +250,7 @@ def test_cli_rejects_bad_method(tmp_path, capsys):
 def test_cli_config_file_supplies_defaults(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(
-        '{"synthetic": "plane", "scene": {"point_count": 500}, '
+        '{"scene": {"kind": "plane", "point_count": 500}, '
         '"model": {"heads": 2, "head_width": 4, "ffn_hidden": 16, "dec_hidden": 8}}'
     )
     rc = cli.main(
@@ -283,15 +283,15 @@ def test_cli_flags_not_passed_leave_config_file_values(tmp_path, capsys):
     assert [r.split(",")[1:3] for r in rows] == [["linear", "4"]]
 
 
-def _received_train_configs(monkeypatch, cfg, out_dir):
-    """The TrainConfig of every train_frame call when ``cfg`` runs with one
-    small learned method."""
+def _received_train_args(monkeypatch, cfg, out_dir):
+    """The (TrainConfig, seed) of every train_frame call when ``cfg`` runs
+    with one small learned method."""
     received = []
     train_frame = trainer.train_frame
 
-    def spy(frame, graph, model_cfg, train_cfg):
-        received.append(train_cfg)
-        return train_frame(frame, graph, model_cfg, train_cfg)
+    def spy(frame, graph, architecture, model_cfg, train_cfg, seed):
+        received.append((train_cfg, seed))
+        return train_frame(frame, graph, architecture, model_cfg, train_cfg, seed)
 
     monkeypatch.setattr(trainer, "train_frame", spy)
     run_experiment(dataclasses.replace(
@@ -312,8 +312,8 @@ def test_cli_flags_passed_override_config_file(tmp_path, monkeypatch):
     assert cfg.sample_target == 300
     assert (cfg.train.epochs, cfg.train.learning_rate, cfg.seed) == (9, 0.02, 2)
     assert cfg.timing is False
-    received = _received_train_configs(monkeypatch, cfg, tmp_path / "runs")
-    assert [(t.epochs, t.seed) for t in received] == [(9, 2), (9, 2)]
+    received = _received_train_args(monkeypatch, cfg, tmp_path / "runs")
+    assert [(t.epochs, seed) for t, seed in received] == [(9, 2), (9, 2)]
 
 
 def test_cli_config_train_seed_follows_experiment_seed(tmp_path, monkeypatch):
@@ -321,22 +321,46 @@ def test_cli_config_train_seed_follows_experiment_seed(tmp_path, monkeypatch):
     cfg_path.write_text(json.dumps({"seed": 5, "sample_target": 300, "train": {"epochs": 2}}))
     cfg = cli.config_from_args(cli.build_parser().parse_args(["--config", str(cfg_path)]))
     assert cfg.seed == 5
-    received = _received_train_configs(monkeypatch, cfg, tmp_path / "runs")
-    assert [t.seed for t in received] == [5]
+    received = _received_train_args(monkeypatch, cfg, tmp_path / "runs")
+    assert [seed for _, seed in received] == [5]
 
 
 def test_cli_unknown_config_field_is_an_error(tmp_path, capsys):
-    # a misspelt field, the fields removed from the config, and the fields
-    # each cell sets itself
+    # a misspelt field, and the fields removed from the config: the method,
+    # the seeds and the scene kind now live in the call arguments,
+    # ``seed`` and ``scene.kind``
     removed = [
         "train.transductive", "model.layers", "model.activation", "dropout_offset",
         "train.beta1", "train.beta2", "train.eps", "train.mask_fraction",
         "model.in_features", "model.input_scale", "model.attn_slope", "model.ffn_slope",
+        "model.architecture", "scene.seed", "train.seed", "synthetic",
     ]
-    assert EXPERIMENT_SET == {"model.architecture", "scene.kind", "scene.seed", "train.seed"}
     cfg_path = tmp_path / "cfg.json"
-    for path in ["train.epoch"] + removed + sorted(EXPERIMENT_SET):
+    for path in ["train.epoch"] + removed:
         section, _, field = path.rpartition(".")
         cfg_path.write_text(json.dumps({section: {field: 1}} if section else {field: 1}))
         assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path / "runs")]) == 1, path
         assert path in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, field, value", [
+    (ModelConfig, "architecture", "gat_baseline"), (TrainConfig, "seed", 8), (synth.SceneSpec, "seed", 5),
+])
+def test_values_each_cell_sets_are_not_config_fields(kind, field, value):
+    # the method, the training seed and the scene seed are call arguments,
+    # so a config cannot carry a value the run would ignore
+    with pytest.raises(TypeError):
+        kind(**{field: value})
+
+
+def test_cli_synthetic_overrides_config_file_scene_kind(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"scene": {"kind": "two_plane", "point_count": 500}}))
+    argv = ["--config", str(cfg_path), "--methods", "linear", "--sample-target", "400",
+            "--out", str(tmp_path / "runs")]
+    assert cli.config_from_args(cli.build_parser().parse_args(argv)).scene.kind == "two_plane"
+    cfg = cli.config_from_args(cli.build_parser().parse_args(argv + ["--synthetic", "plane"]))
+    assert (cfg.scene.kind, cfg.scene.point_count) == ("plane", 500)
+    assert cli.main(argv + ["--synthetic", "plane"]) == 0
+    lines = (tmp_path / "runs" / "reports.csv").read_text().splitlines()
+    assert lines[1].startswith("plane0,linear,")

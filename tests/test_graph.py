@@ -4,7 +4,7 @@ from scipy.spatial import cKDTree
 
 from beamgat import ingest
 from beamgat.graph import build_features, build_knn_graph, knn_indices
-from beamgat.ingest import EveryNth, PointCloud
+from beamgat.ingest import PointCloud
 from beamgat.synth import SceneSpec, synthesize_scene
 
 from conftest import random_frame
@@ -61,7 +61,7 @@ def frame_from_xy(xy: np.ndarray, beams=None, num_beams=8) -> ingest.SparseFrame
         beams = np.tile(np.arange(num_beams), n)[:n]
     xyz = np.column_stack([xy, np.linspace(0, 1, n)])
     cloud = PointCloud(xyz=xyz, reflectance=np.zeros(n), beam=np.asarray(beams), num_beams=num_beams)
-    return ingest.apply_beam_dropout(cloud, EveryNth(4, 0))
+    return ingest.apply_beam_dropout(cloud, nth=4)
 
 
 class TestKnn:
@@ -110,7 +110,7 @@ class TestKnn:
 
     def test_two_plane_scene_matches_brute_force(self):
         # wall points share exact (x, y) across beams, up to 20 per spot
-        cloud = synthesize_scene(SceneSpec(kind="two_plane", point_count=4000, seed=1))
+        cloud = synthesize_scene(SceneSpec(kind="two_plane", point_count=4000), seed=1)
         pts = cloud.xyz[:, :2]
         fast = knn_indices(pts, 10)
         slow = brute_force_knn(pts, 10)
@@ -277,7 +277,7 @@ class TestBuildKnnGraph:
             xyz=np.array([[0.0, 0.0, 5.0], [0.1, 0.0, 5.0], [1.0, 0.0, 0.0]]),
             reflectance=np.zeros(3), beam=np.array([0, 1, 2]), num_beams=8,
         )
-        frame = ingest.apply_beam_dropout(cloud, EveryNth(4, 0))
+        frame = ingest.apply_beam_dropout(cloud, nth=4)
         assert frame.dropped_mask.tolist() == [True, False, False]
         g = build_knn_graph(frame, k=1)
         assert g.neighbor_ids[g.row_offsets[0]:g.row_offsets[1]].tolist() == [0, 1]

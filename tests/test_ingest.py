@@ -6,7 +6,6 @@ import pytest
 from beamgat import ingest
 from beamgat.ingest import (
     DropoutConfigError,
-    EveryNth,
     PointCloud,
     TruncatedRecordError,
     apply_beam_dropout,
@@ -106,13 +105,6 @@ class TestEstimateBeams:
         perm = rng.permutation(100)
         permuted = estimate_beams(PointCloud(xyz=xyz[perm], reflectance=np.zeros(100)))
         np.testing.assert_array_equal(permuted.beam, beams[perm])
-
-    def test_invalid_args(self):
-        cloud = PointCloud(xyz=np.ones((1, 3)), reflectance=np.zeros(1))
-        with pytest.raises(ValueError):
-            estimate_beams(cloud, num_beams=1)
-        with pytest.raises(ValueError):
-            estimate_beams(cloud, elev_min_deg=5.0, elev_max_deg=-5.0)
 
 
 def reference_stratified_sample(cloud, target, seed):
@@ -222,19 +214,13 @@ class TestStratifiedSample:
 class TestApplyBeamDropout:
     def test_canonical_quarter_drop(self):
         cloud = uniform_cloud(n_per_beam=10, num_beams=64)
-        frame = apply_beam_dropout(cloud, EveryNth(4, 0))
+        frame = apply_beam_dropout(cloud, nth=4)
         assert frame.dropped_fraction == pytest.approx(0.25)
         assert 0.20 <= frame.dropped_fraction <= 0.30
 
-    def test_offset_shifts_dropped_beams(self):
-        cloud = uniform_cloud(n_per_beam=2, num_beams=64)
-        frame = apply_beam_dropout(cloud, EveryNth(4, 1))
-        dropped_beams = set(cloud.beam[frame.dropped_mask].tolist())
-        assert dropped_beams == set(range(1, 64, 4))
-
     def test_mask_semantics(self):
         cloud = uniform_cloud(num_beams=8, seed=6)
-        frame = apply_beam_dropout(cloud, EveryNth(4, 0))
+        frame = apply_beam_dropout(cloud, nth=4)
         assert np.all(frame.z_masked[frame.dropped_mask] == 0.0)
         np.testing.assert_array_equal(
             frame.z_masked[~frame.dropped_mask], frame.z_truth[~frame.dropped_mask]
@@ -247,7 +233,7 @@ class TestApplyBeamDropout:
             beam=cloud.beam[cloud.beam == 0], num_beams=8,
         )
         with pytest.raises(DropoutConfigError):
-            apply_beam_dropout(cloud, EveryNth(4, 0))
+            apply_beam_dropout(cloud, nth=4)
 
     def test_no_beam_dropped_rejected(self):
         cloud = uniform_cloud(num_beams=8)
@@ -257,9 +243,9 @@ class TestApplyBeamDropout:
             beam=cloud.beam[keep], num_beams=8,
         )
         with pytest.raises(DropoutConfigError):
-            apply_beam_dropout(cloud, EveryNth(4, 0))
+            apply_beam_dropout(cloud, nth=4)
 
     def test_idempotent_masks(self):
         frame = random_frame(np.random.default_rng(8), 200)
-        again = apply_beam_dropout(frame.cloud, EveryNth(4, 0))
+        again = apply_beam_dropout(frame.cloud, nth=4)
         np.testing.assert_array_equal(again.dropped_mask, frame.dropped_mask)

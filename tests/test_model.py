@@ -1,4 +1,3 @@
-import dataclasses
 
 import numpy as np
 import pytest
@@ -15,8 +14,6 @@ from beamgat.model import (
     gat_baseline_forward,
     gcn_layer,
     init_params,
-    load_params,
-    save_params,
     simple_gcn_forward,
     superior_gat_forward,
 )
@@ -108,7 +105,7 @@ class TestAttentionLayer:
         cfg = ModelConfig(heads=1, head_width=3)
         feats = np.array([[1.0, -0.5, 0.25, 0.8]])
         g = make_graph([[]], feats)
-        params = bind_params(init_params(cfg, 0), None)
+        params = bind_params(init_params("superior_gat", cfg, 0), None)
         out = gat_attention_layer(g, Tensor(feats), params, "attn", cfg)
         hp = feats @ params["attn.h0.W"].data
         expected = np.where(hp > 0, hp, ATTN_SLOPE * hp)
@@ -118,7 +115,7 @@ class TestAttentionLayer:
         cfg = ModelConfig(heads=1, head_width=2)
         feats = np.array([[0.0, 0.0, 0.0, 0.0], [1.0, 2.0, 3.0, 0.5], [1.0, 2.0, 3.0, 0.5]])
         g = make_graph([[1, 2], [], []], feats)
-        params = bind_params(init_params(cfg, 1), None)
+        params = bind_params(init_params("superior_gat", cfg, 1), None)
         # recompute attention for node 0's row directly
         hp = feats @ params["attn.h0.W"].data
         a = params["attn.h0.a"].data.ravel()
@@ -133,7 +130,7 @@ class TestAttentionLayer:
         cfg = ModelConfig(heads=heads, head_width=2 + seed % 3)
         n = int(rng.integers(5, 100))
         g = random_graph(rng, n, k=min(4, n - 1))
-        params_np = init_params(cfg, seed + 100)
+        params_np = init_params("superior_gat", cfg, seed + 100)
         params = bind_params(params_np, None)
         out = gat_attention_layer(g, Tensor(g.features), params, "attn", cfg)
         expected = dense_gat_layer(g, g.features, params_np, "attn", cfg)
@@ -144,7 +141,7 @@ class TestAttentionLayer:
         cfg = ModelConfig(heads=1, head_width=2)
         feats = rng.normal(size=(4, 4))
         g = path_graph(feats)
-        params_np = init_params(cfg, 3)
+        params_np = init_params("superior_gat", cfg, 3)
         out = gat_attention_layer(g, Tensor(feats), bind_params(params_np, None), "attn", cfg)
         expected = dense_gat_layer(g, feats, params_np, "attn", cfg)
         assert np.abs(out.data - expected).max() < 1e-9
@@ -153,7 +150,7 @@ class TestAttentionLayer:
         rng = np.random.default_rng(9)
         g = random_graph(rng, 40, 5)
         cfg = ModelConfig()
-        params = bind_params(init_params(cfg, 0), None)
+        params = bind_params(init_params("superior_gat", cfg, 0), None)
         src, dst = g.neighbor_ids, np.repeat(np.arange(g.num_nodes), np.diff(g.row_offsets))
         for head in range(cfg.heads):
             hp = T.matmul(Tensor(g.features), params[f"attn.h{head}.W"])
@@ -175,26 +172,26 @@ class TestSuperiorGat:
         rng = np.random.default_rng(0)
         cfg = ModelConfig()
         g = random_graph(rng, 30, 4)
-        params = init_params(cfg, 0)
+        params = init_params("superior_gat", cfg, 0)
         params["gate_logit"] = np.array(30.0)
-        out_full = forward(g, Tensor(g.features), bind_params(params, None), cfg).data
+        out_full = forward(g, Tensor(g.features), bind_params(params, None), "superior_gat", cfg).data
         # gate ~ 1: the normalized-input branch must not matter
         params2 = dict(params)
         params2["proj_in"] = params["proj_in"] * -3.0
-        out_other = forward(g, Tensor(g.features), bind_params(params2, None), cfg).data
+        out_other = forward(g, Tensor(g.features), bind_params(params2, None), "superior_gat", cfg).data
         np.testing.assert_allclose(out_full, out_other, atol=1e-9)
 
     def test_gate_saturation_low_bypasses_attention(self):
         rng = np.random.default_rng(1)
         cfg = ModelConfig()
         g = random_graph(rng, 30, 4)
-        params = init_params(cfg, 0)
+        params = init_params("superior_gat", cfg, 0)
         params["gate_logit"] = np.array(-30.0)
-        out = forward(g, Tensor(g.features), bind_params(params, None), cfg).data
+        out = forward(g, Tensor(g.features), bind_params(params, None), "superior_gat", cfg).data
         params2 = dict(params)
         for h in range(cfg.heads):
             params2[f"attn.h{h}.W"] = params[f"attn.h{h}.W"] * 2.0
-        out2 = forward(g, Tensor(g.features), bind_params(params2, None), cfg).data
+        out2 = forward(g, Tensor(g.features), bind_params(params2, None), "superior_gat", cfg).data
         np.testing.assert_allclose(out, out2, atol=1e-9)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -202,7 +199,7 @@ class TestSuperiorGat:
         rng = np.random.default_rng(seed)
         cfg = ModelConfig()
         g = random_graph(rng, 50, 6)
-        params_np = init_params(cfg, seed)
+        params_np = init_params("superior_gat", cfg, seed)
         out = superior_gat_forward(g, Tensor(g.features), bind_params(params_np, None), cfg)
         expected = dense_superior_forward(g, g.features, params_np, cfg)
         assert np.abs(out.data - expected).max() < 1e-9
@@ -212,8 +209,8 @@ class TestSuperiorGat:
         cfg = ModelConfig()
         n = 40
         g = random_graph(rng, n, 5)
-        params = bind_params(init_params(cfg, 2), None)
-        out = forward(g, Tensor(g.features), params, cfg).data
+        params = bind_params(init_params("superior_gat", cfg, 2), None)
+        out = forward(g, Tensor(g.features), params, "superior_gat", cfg).data
 
         perm = rng.permutation(n)
         inv = np.argsort(perm)
@@ -223,7 +220,7 @@ class TestSuperiorGat:
             row = g.neighbor_ids[g.row_offsets[old_i]:g.row_offsets[old_i + 1]]
             rows_p.append([int(inv[j]) for j in row if j != old_i])
         g_p = make_graph(rows_p, g.features[perm])
-        out_p = forward(g_p, Tensor(g_p.features), params, cfg).data
+        out_p = forward(g_p, Tensor(g_p.features), params, "superior_gat", cfg).data
         assert np.abs(out_p - out[perm]).max() < 1e-9
 
     def test_single_layer_receptive_field(self):
@@ -231,33 +228,33 @@ class TestSuperiorGat:
         cfg = ModelConfig()
         feats = rng.normal(size=(6, 4))
         g = path_graph(feats)
-        params = bind_params(init_params(cfg, 1), None)
-        base = forward(g, Tensor(feats), params, cfg).data
+        params = bind_params(init_params("superior_gat", cfg, 1), None)
+        base = forward(g, Tensor(feats), params, "superior_gat", cfg).data
         # 2 hops away from node 0 -> no effect
         far = feats.copy()
         far[2] += 1.0
-        out_far = forward(g, Tensor(far), params, cfg).data
+        out_far = forward(g, Tensor(far), params, "superior_gat", cfg).data
         assert abs(out_far[0] - base[0]) <= 1e-12
         # 1 hop -> must respond
         near = feats.copy()
         near[1] += 1.0
-        out_near = forward(g, Tensor(near), params, cfg).data
+        out_near = forward(g, Tensor(near), params, "superior_gat", cfg).data
         assert abs(out_near[0] - base[0]) > 1e-8
 
     def test_end_to_end_gradients(self):
         rng = np.random.default_rng(7)
         cfg = ModelConfig(heads=2, head_width=3, ffn_hidden=6, dec_hidden=4)
         g = random_graph(rng, 20, 3)
-        params_np = init_params(cfg, 4)
+        params_np = init_params("superior_gat", cfg, 4)
         target = rng.normal(size=20)
 
         def loss_fn(p_np):
-            out = forward(g, Tensor(g.features), bind_params(p_np, None), cfg)
+            out = forward(g, Tensor(g.features), bind_params(p_np, None), "superior_gat", cfg)
             return float(np.mean((out.data - target) ** 2))
 
         tape = Tape()
         bound = bind_params(params_np, tape)
-        out = forward(g, Tensor(g.features), bound, cfg)
+        out = forward(g, Tensor(g.features), bound, "superior_gat", cfg)
         loss = T.mse_loss(out, target)
         tape.backward(loss)
 
@@ -304,10 +301,10 @@ class TestLearnedBaselines:
 
     def test_gat_baseline_three_hop_receptive_field(self):
         rng = np.random.default_rng(9)
-        cfg = ModelConfig(architecture="gat_baseline")
+        cfg = ModelConfig()
         feats = rng.normal(size=(8, 4))
         g = path_graph(feats)
-        params = bind_params(init_params(cfg, 5), None)
+        params = bind_params(init_params("gat_baseline", cfg, 5), None)
         base = gat_baseline_forward(g, Tensor(feats), params, cfg).data
         bumped = feats.copy()
         bumped[3] += 1.0  # 3 hops from node 0
@@ -320,10 +317,10 @@ class TestLearnedBaselines:
 
     def test_simple_gcn_runs_and_is_two_hop(self):
         rng = np.random.default_rng(10)
-        cfg = ModelConfig(architecture="simple_gcn")
+        cfg = ModelConfig()
         feats = rng.normal(size=(7, 4))
         g = path_graph(feats)
-        params = bind_params(init_params(cfg, 6), None)
+        params = bind_params(init_params("simple_gcn", cfg, 6), None)
         base = simple_gcn_forward(g, Tensor(feats), params, cfg).data
         bumped = feats.copy()
         bumped[2] += 1.0
@@ -382,11 +379,10 @@ class TestRestrictedRows:
     def test_forward_at_rows_matches_full(self, arch, seed):
         rng = np.random.default_rng(seed)
         g = irregular_graph(rng)
-        cfg = dataclasses.replace(SMALL, architecture=arch)
-        params = bind_params(init_params(cfg, seed), None)
-        full = forward(g, Tensor(g.features), params, cfg).data
+        params = bind_params(init_params(arch, SMALL, seed), None)
+        full = forward(g, Tensor(g.features), params, arch, SMALL).data
         for name, rows in row_sets(rng, g.num_nodes).items():
-            out = forward(g, Tensor(g.features), params, cfg, rows=rows).data
+            out = forward(g, Tensor(g.features), params, arch, SMALL, rows=rows).data
             assert out.shape == rows.shape, name
             assert np.abs(out - full[rows]).max(initial=0.0) <= 1e-12, name
 
@@ -399,7 +395,7 @@ class TestRestrictedRows:
         g = make_graph([sorted(set(g.neighbor_ids[lo:hi].tolist()))
                         for lo, hi in zip(g.row_offsets[:-1], g.row_offsets[1:])], g.features)
         cfg = ModelConfig(heads=heads, head_width=3)
-        params_np = init_params(cfg, 5)
+        params_np = init_params("superior_gat", cfg, 5)
         expected = dense_gat_layer(g, g.features, params_np, "attn", cfg)
         for name, rows in row_sets(rng, g.num_nodes).items():
             out = gat_attention_layer(g, Tensor(g.features), bind_params(params_np, None), "attn", cfg, rows)
@@ -410,8 +406,7 @@ class TestRestrictedRows:
     def test_gradients_at_rows_match_full_pass_and_finite_differences(self, arch):
         rng = np.random.default_rng(11)
         g = irregular_graph(rng)
-        cfg = dataclasses.replace(SMALL, architecture=arch)
-        params_np = init_params(cfg, 3)
+        params_np = init_params(arch, SMALL, 3)
         sets = row_sets(rng, g.num_nodes)
         for name in ("singleton", "subset", "all"):
             rows = sets[name]
@@ -422,9 +417,9 @@ class TestRestrictedRows:
                 bound = bind_params(params_np, tape)
                 h = Tensor(g.features, tape)
                 if restricted:
-                    z = forward(g, h, bound, cfg, rows=rows)
+                    z = forward(g, h, bound, arch, SMALL, rows=rows)
                 else:
-                    z = T.take_rows(forward(g, h, bound, cfg), rows)
+                    z = T.take_rows(forward(g, h, bound, arch, SMALL), rows)
                 tape.backward(T.mse_loss(z, target))
                 return {**{k: t.grad for k, t in bound.items()}, "h": h.grad}
 
@@ -433,7 +428,7 @@ class TestRestrictedRows:
                 assert rel_err(restricted[key], want) <= 1e-12, (name, key)
 
             def loss_fn(p_np):
-                z = forward(g, Tensor(g.features), bind_params(p_np, None), cfg, rows=rows)
+                z = forward(g, Tensor(g.features), bind_params(p_np, None), arch, SMALL, rows=rows)
                 return float(np.mean((z.data - target) ** 2))
 
             for key in ("dec.W1", FD_PARAM[arch]):
@@ -446,24 +441,24 @@ class TestRestrictedRows:
                 assert rel_err(restricted[key], numeric) < 1e-4, (name, key)
 
 
-# --- init & checkpoint -------------------------------------------------------
+# --- init -------------------------------------------------------
 
 class TestInit:
     def test_deterministic(self):
         cfg = ModelConfig()
-        a = init_params(cfg, 12)
-        b = init_params(cfg, 12)
+        a = init_params("superior_gat", cfg, 12)
+        b = init_params("superior_gat", cfg, 12)
         for k in a:
             np.testing.assert_array_equal(a[k], b[k])
 
     def test_gate_starts_at_half(self):
-        params = init_params(ModelConfig(), 0)
+        params = init_params("superior_gat", ModelConfig(), 0)
         gamma = 1.0 / (1.0 + np.exp(-params["gate_logit"]))
         assert gamma == pytest.approx(0.5)
 
     def test_glorot_bound(self):
         cfg = ModelConfig()
-        params = init_params(cfg, 3)
+        params = init_params("superior_gat", cfg, 3)
         for name, arr in params.items():
             if arr.ndim == 2:
                 fan_in, fan_out = arr.shape
@@ -471,7 +466,6 @@ class TestInit:
                 assert np.abs(arr).max() <= bound, name
 
     def test_parameter_names_and_shapes(self):
-        # names and shapes are the checkpoint format
         def heads(prefix, f_in):
             return [item for h in range(4) for item in
                     [(f"{prefix}.h{h}.W", (f_in, 16)), (f"{prefix}.h{h}.a", (32, 1))]]
@@ -488,15 +482,15 @@ class TestInit:
             "simple_gcn": [("l0.W", (4, 64)), ("l1.W", (64, 64))] + decoder,
         }
         for arch, names_shapes in expected.items():
-            params = init_params(ModelConfig(architecture=arch), 0)
+            params = init_params(arch, ModelConfig(), 0)
             assert [(name, arr.shape) for name, arr in params.items()] == names_shapes, arch
 
     @pytest.mark.parametrize("arch", ["gat_baseline", "simple_gcn"])
     def test_only_layer_zero_is_feature_scaled(self, arch):
         # a width-4 model: deeper layers have as many inputs as the features,
         # but only layer 0 reads the features, so only it is scaled
-        cfg = ModelConfig(architecture=arch, heads=1, head_width=4)
-        params = init_params(cfg, 0)
+        cfg = ModelConfig(heads=1, head_width=4)
+        params = init_params(arch, cfg, 0)
         rng = np.random.default_rng(0)
 
         def glorot(fan_in, fan_out):
@@ -515,11 +509,10 @@ class TestInit:
         for name, arr in expected.items():
             np.testing.assert_array_equal(params[name], arr, err_msg=name)
 
-    def test_checkpoint_round_trip(self, tmp_path):
-        params = init_params(ModelConfig(), 1)
-        path = str(tmp_path / "ckpt.npz")
-        save_params(params, path)
-        back = load_params(path)
-        assert set(back) == set(params)
-        for k in params:
-            np.testing.assert_array_equal(back[k], params[k])
+    def test_unknown_architecture_rejected(self):
+        g = path_graph(np.ones((3, 4)))
+        params = bind_params(init_params("superior_gat", SMALL, 0), None)
+        with pytest.raises(ValueError, match="unknown architecture"):
+            init_params("gcn", SMALL, 0)
+        with pytest.raises(ValueError, match="unknown architecture"):
+            forward(g, Tensor(g.features), params, "gcn", SMALL)

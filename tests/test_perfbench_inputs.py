@@ -38,3 +38,5 @@ def test_workload_argv_is_accepted(name, tmp_path):
     assert (cfg.train.epochs, cfg.seed) == (w.epochs, 3)
     assert (cfg.scene.point_count, cfg.scene.noise_sigma) == (scene["point_count"], scene["noise_sigma"])
     assert (cfg.train.learning_rate, cfg.train.patience) == (train["learning_rate"], train["patience"])
+    if w.synthetic is not None:
+        assert cfg.input_dir is None and cfg.scene.kind == w.synthetic

@@ -59,7 +59,7 @@ def loop_cast(spec: SceneSpec, dx: float, dy: float, dz: float) -> tuple[float, 
     return t * dx, t * dy, t * dz
 
 
-def loop_synthesize_scene(spec: SceneSpec) -> tuple[np.ndarray, np.ndarray]:
+def loop_synthesize_scene(spec: SceneSpec, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-ray reference for ``synthesize_scene``: (xyz, beam), one ray at a
     time in beam-major order, one noise draw per hit."""
     num_beams = DEFAULT_NUM_BEAMS
@@ -69,7 +69,7 @@ def loop_synthesize_scene(spec: SceneSpec) -> tuple[np.ndarray, np.ndarray]:
         + (np.arange(num_beams) + 0.5) / num_beams * (DEFAULT_ELEV_MAX_DEG - DEFAULT_ELEV_MIN_DEG)
     )
     azim = (np.arange(azimuth_count) + 0.5) / azimuth_count * 2 * np.pi - np.pi
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     pts, beams = [], []
     for b, phi in enumerate(elev):
         dz = np.sin(phi)
@@ -86,9 +86,9 @@ def loop_synthesize_scene(spec: SceneSpec) -> tuple[np.ndarray, np.ndarray]:
     return np.array(pts, dtype=np.float64), np.array(beams, dtype=np.int64)
 
 
-def assert_same_scene(spec: SceneSpec) -> None:
-    cloud = synthesize_scene(spec)
-    xyz, beam = loop_synthesize_scene(spec)
+def assert_same_scene(spec: SceneSpec, seed: int) -> None:
+    cloud = synthesize_scene(spec, seed)
+    xyz, beam = loop_synthesize_scene(spec, seed)
     assert len(cloud) == len(xyz)
     assert cloud.xyz.tobytes() == xyz.tobytes()
     assert cloud.beam.tobytes() == beam.tobytes()
@@ -98,48 +98,48 @@ def assert_same_scene(spec: SceneSpec) -> None:
 @pytest.mark.parametrize("noise_sigma", [0.0, 0.3])
 @pytest.mark.parametrize("seed, point_count", [(0, 420), (5, 1000)])
 def test_scene_bytes_match_per_ray_reference(kind, noise_sigma, seed, point_count):
-    assert_same_scene(SceneSpec(kind=kind, point_count=point_count, noise_sigma=noise_sigma, seed=seed))
+    assert_same_scene(SceneSpec(kind=kind, point_count=point_count, noise_sigma=noise_sigma), seed)
 
 
 def test_noisy_two_plane_4000_rays_matches_reference():
-    assert_same_scene(SceneSpec(kind="two_plane", point_count=4000, noise_sigma=0.45, seed=1))
+    assert_same_scene(SceneSpec(kind="two_plane", point_count=4000, noise_sigma=0.45), 1)
 
 
 def test_sinusoid_shape_parameters_match_reference():
-    assert_same_scene(SceneSpec(kind="sinusoid", point_count=700, seed=3, amplitude=1.3,
-                                wavelength=3.0, extent=25.0, ground_z=-2.1))
+    assert_same_scene(SceneSpec(kind="sinusoid", point_count=700, amplitude=1.3,
+                                wavelength=3.0, extent=25.0, ground_z=-2.1), 3)
 
 
 def test_wall_beyond_extent_is_dropped():
-    spec = SceneSpec(kind="two_plane", point_count=1000, wall_x=50.0, extent=40.0, seed=2)
-    assert_same_scene(spec)
-    cloud = synthesize_scene(spec)
+    spec = SceneSpec(kind="two_plane", point_count=1000, wall_x=50.0, extent=40.0)
+    assert_same_scene(spec, 2)
+    cloud = synthesize_scene(spec, 2)
     # every wall hit lies beyond extent, so only ground points remain
     np.testing.assert_allclose(cloud.xyz[:, 2], spec.ground_z, atol=1e-9)
     assert np.all(np.hypot(cloud.xyz[:, 0], cloud.xyz[:, 1]) <= spec.extent + 1e-9)
 
 
 def test_near_wall_is_hit():
-    spec = SceneSpec(kind="two_plane", point_count=1000, wall_x=5.0, seed=2)
-    assert_same_scene(spec)
-    cloud = synthesize_scene(spec)
+    spec = SceneSpec(kind="two_plane", point_count=1000, wall_x=5.0)
+    assert_same_scene(spec, 2)
+    cloud = synthesize_scene(spec, 2)
     wall = np.isclose(cloud.xyz[:, 0], spec.wall_x) & (cloud.xyz[:, 2] > spec.ground_z + 1e-6)
     assert wall.sum() > 0
 
 
 def test_no_hits_raises():
-    # every beam points upward: no ray reaches the ground
+    # the lowest beam (-24.8 deg) meets the ground 3.7 m out, beyond extent
     with pytest.raises(ValueError, match="no rays hit"):
-        synthesize_scene(SceneSpec(kind="plane", point_count=200), elev_min_deg=1.0, elev_max_deg=5.0)
+        synthesize_scene(SceneSpec(kind="plane", point_count=200, extent=1.0), 0)
 
 
 def test_peak_allocation_stays_linear_in_rays():
     # a [rays, steps] grid for 12000 rays peaks above 100 MB; marching one
     # step at a time holds a few arrays of length rays
-    spec = SceneSpec(kind="two_plane", point_count=12000, noise_sigma=0.45, seed=1)
+    spec = SceneSpec(kind="two_plane", point_count=12000, noise_sigma=0.45)
     tracemalloc.start()
     try:
-        cloud = synthesize_scene(spec)
+        cloud = synthesize_scene(spec, 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -141,23 +139,23 @@ def _flat_frame(n=160, num_beams=8, z=-1.5, seed=0):
         beam=rng.integers(0, num_beams, size=n),
         num_beams=num_beams,
     )
-    return ingest.apply_beam_dropout(cloud, ingest.EveryNth(4, 0))
+    return ingest.apply_beam_dropout(cloud, nth=4)
 
 
 def test_constant_z_frame_reaches_tiny_loss():
     frame = _flat_frame()
     graph = graph_mod.build_knn_graph(frame, k=5)
-    cfg = TrainConfig(epochs=200, learning_rate=3e-2, seed=0)
-    result = train_frame(frame, graph, TINY, cfg)
+    cfg = TrainConfig(epochs=200, learning_rate=3e-2)
+    result = train_frame(frame, graph, "superior_gat", TINY, cfg, seed=0)
     assert min(result.loss_history) <= 1e-4
 
 
 def test_loss_history_bit_identical_across_runs():
     frame = _flat_frame(n=120, seed=3)
     graph = graph_mod.build_knn_graph(frame, k=4)
-    cfg = TrainConfig(epochs=12, seed=5)
-    r1 = train_frame(frame, graph, TINY, cfg)
-    r2 = train_frame(frame, graph, TINY, cfg)
+    cfg = TrainConfig(epochs=12)
+    r1 = train_frame(frame, graph, "superior_gat", TINY, cfg, seed=5)
+    r2 = train_frame(frame, graph, "superior_gat", TINY, cfg, seed=5)
     assert r1.loss_history == r2.loss_history
     for name in r1.params:
         assert np.array_equal(r1.params[name], r2.params[name])
@@ -166,7 +164,7 @@ def test_loss_history_bit_identical_across_runs():
 def test_loss_history_finite_everywhere():
     frame = _flat_frame(n=120, seed=4)
     graph = graph_mod.build_knn_graph(frame, k=4)
-    result = train_frame(frame, graph, TINY, TrainConfig(epochs=15, seed=2))
+    result = train_frame(frame, graph, "superior_gat", TINY, TrainConfig(epochs=15), seed=2)
     assert np.isfinite(result.loss_history).all()
     assert result.train_time_s >= 0.0
 
@@ -174,15 +172,14 @@ def test_loss_history_finite_everywhere():
 def test_returned_params_achieve_best_recorded_loss():
     frame = _flat_frame(n=120, seed=5)
     graph = graph_mod.build_knn_graph(frame, k=4)
-    cfg = TrainConfig(epochs=20, seed=9)
-    result = train_frame(frame, graph, TINY, cfg)
+    result = train_frame(frame, graph, "superior_gat", TINY, TrainConfig(epochs=20), seed=9)
     best_epoch = int(np.argmin(result.loss_history))
     # replay that epoch's supervision mask with the returned parameters
-    rng = np.random.default_rng([cfg.seed, best_epoch])
+    rng = np.random.default_rng([9, best_epoch])
     sup = _stratified_subset(frame.cloud.beam, np.flatnonzero(frame.observed_mask), rng)
     feats = graph.features.copy()
     feats[sup, 2] = 0.0
-    z_hat = forward(graph, Tensor(feats), bind_params(result.params, None), TINY)
+    z_hat = forward(graph, Tensor(feats), bind_params(result.params, None), "superior_gat", TINY)
     replayed = float(np.mean((z_hat.data[sup] - frame.z_truth[sup]) ** 2))
     assert replayed == pytest.approx(min(result.loss_history), rel=1e-12)
 
@@ -197,14 +194,14 @@ def test_no_observed_points_rejected():
     )
     graph = graph_mod.build_knn_graph(all_dropped, k=4)
     with pytest.raises(ValueError):
-        train_frame(all_dropped, graph, TINY, TrainConfig(epochs=2))
+        train_frame(all_dropped, graph, "superior_gat", TINY, TrainConfig(epochs=2), seed=0)
 
 
 def test_early_stopping_cuts_history_short():
     frame = _flat_frame(n=120, seed=7)
     graph = graph_mod.build_knn_graph(frame, k=4)
-    cfg = TrainConfig(epochs=400, learning_rate=1e-2, patience=5, seed=1)
-    result = train_frame(frame, graph, TINY, cfg)
+    cfg = TrainConfig(epochs=400, learning_rate=1e-2, patience=5)
+    result = train_frame(frame, graph, "superior_gat", TINY, cfg, seed=1)
     assert len(result.loss_history) < 400
 
 
@@ -223,8 +220,7 @@ def test_predict_on_frame_without_dropout_is_empty():
     )
     graph = graph_mod.build_knn_graph(none_dropped, k=4)
     for arch in ("superior_gat", "gat_baseline", "simple_gcn"):
-        cfg = dataclasses.replace(TINY, architecture=arch)
-        z_hat, secs = predict_dropped(none_dropped, graph, init_params(cfg, seed=0), cfg)
+        z_hat, secs = predict_dropped(none_dropped, graph, init_params(arch, TINY, seed=0), arch, TINY)
         assert z_hat.shape == (0,), arch
         assert secs >= 0.0
 
@@ -239,24 +235,23 @@ def test_predict_on_all_dropped_frame_covers_every_node():
         z_masked=np.zeros(n),
     )
     graph = graph_mod.build_knn_graph(all_dropped, k=4)
-    params = init_params(TINY, seed=0)
-    z_hat, _ = predict_dropped(all_dropped, graph, params, TINY)
+    params = init_params("superior_gat", TINY, seed=0)
+    z_hat, _ = predict_dropped(all_dropped, graph, params, "superior_gat", TINY)
     assert z_hat.shape == (n,)
 
 
 def test_predict_is_pure(small_sine_frame, small_sine_graph):
-    params = init_params(TINY, seed=1)
-    a, _ = predict_dropped(small_sine_frame, small_sine_graph, params, TINY)
-    b, _ = predict_dropped(small_sine_frame, small_sine_graph, params, TINY)
+    params = init_params("superior_gat", TINY, seed=1)
+    a, _ = predict_dropped(small_sine_frame, small_sine_graph, params, "superior_gat", TINY)
+    b, _ = predict_dropped(small_sine_frame, small_sine_graph, params, "superior_gat", TINY)
     assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("arch", ["superior_gat", "gat_baseline", "simple_gcn"])
 def test_predict_matches_full_forward_at_dropped(small_sine_frame, small_sine_graph, arch):
-    cfg = dataclasses.replace(TINY, architecture=arch)
-    params = init_params(cfg, seed=2)
-    z_hat, _ = predict_dropped(small_sine_frame, small_sine_graph, params, cfg)
-    full = forward(small_sine_graph, Tensor(small_sine_graph.features), bind_params(params, None), cfg).data
+    params = init_params(arch, TINY, seed=2)
+    z_hat, _ = predict_dropped(small_sine_frame, small_sine_graph, params, arch, TINY)
+    full = forward(small_sine_graph, Tensor(small_sine_graph.features), bind_params(params, None), arch, TINY).data
     dropped = np.flatnonzero(small_sine_frame.dropped_mask)
     assert z_hat.shape == dropped.shape
     assert np.abs(z_hat - full[dropped]).max() <= 1e-12
@@ -273,9 +268,8 @@ def test_training_epoch_computes_only_supervised_rows(small_sine_frame, small_si
         return original(x, *args, **kwargs)
 
     monkeypatch.setattr(T, "layer_norm", spy)
-    cfg = TrainConfig(epochs=1, seed=4)
-    train_frame(small_sine_frame, small_sine_graph, TINY, cfg)
+    train_frame(small_sine_frame, small_sine_graph, "superior_gat", TINY, TrainConfig(epochs=1), seed=4)
     sup = _stratified_subset(small_sine_frame.cloud.beam, np.flatnonzero(small_sine_frame.observed_mask),
-                             np.random.default_rng([cfg.seed, 0]))
+                             np.random.default_rng([4, 0]))
     assert 0 < sup.size < small_sine_frame.cloud.xyz.shape[0]
     assert seen == [sup.size] * 3

@@ -48,6 +48,8 @@ class ExperimentConfig:
             raise ValueError(f"frame_limit must be >= 1, got {self.frame_limit}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if self.dropout_nth < 2:  # nth=1 drops every beam; nth<=0 is no beam pattern
+            raise ValueError(f"dropout_nth must be >= 2, got {self.dropout_nth}")
         for m in self.methods:
             if m not in ALL_METHODS:
                 raise ValueError(f"unknown method {m!r}")

@@ -136,7 +136,6 @@ def gat_attention_layer(
     the nodes ``rows`` (None: every node), and only their edges are scored.
     """
     offsets, src = graph.sub_csr(rows)
-    dst = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))  # output row per edge
     outs = []
     for head in range(cfg.heads):
         hp = T.matmul(h, params[f"{prefix}.h{head}.W"])  # [N, F']
@@ -145,8 +144,7 @@ def gat_attention_layer(
         fp = cfg.head_width
         score_dst = T.matmul(_at(hp, rows), T.rows(a, 0, fp))  # [|R|, 1]
         score_src = T.matmul(hp, T.rows(a, fp, 2 * fp))  # [N, 1]
-        raw = T.add(T.take_rows(score_dst, dst), T.take_rows(score_src, src))
-        logits = T.reshape(T.leaky_relu(raw, ATTN_SLOPE), (-1,))
+        logits = T.edge_logits(score_dst, score_src, src, offsets, ATTN_SLOPE)
         alpha = T.segment_softmax(logits, offsets)
         agg = T.spmm(alpha, hp, src, offsets)
         outs.append(T.leaky_relu(agg, ATTN_SLOPE))

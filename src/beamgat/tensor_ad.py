@@ -17,6 +17,7 @@ __all__ = [
     "add",
     "add_const",
     "concat_cols",
+    "edge_logits",
     "elu",
     "layer_norm",
     "leaky_relu",
@@ -192,12 +193,19 @@ def add_const(x: Tensor, c: float) -> Tensor:
     return _make(x.data + c, (x,), bwd)
 
 
+def _check_slope(slope: float) -> None:
+    # max(x, slope * x) is the leaky ReLU only for 0 <= slope <= 1
+    if not 0.0 <= slope <= 1.0:
+        raise ValueError(f"leaky_relu slope must be in [0, 1], got {slope}")
+
+
 def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
-    data = np.where(x.data > 0, x.data, slope * x.data)
+    _check_slope(slope)
+    data = np.maximum(x.data, slope * x.data)
 
     def bwd(g):
         # convention: derivative at exactly 0 is `slope`
-        _accum(x, g * np.where(x.data > 0, 1.0, slope))
+        _accum(x, np.where(x.data > 0, g, slope * g))
 
     return _make(data, (x,), bwd)
 
@@ -305,6 +313,25 @@ def segment_softmax(logits: Tensor, offsets: np.ndarray) -> Tensor:
     return _make(alpha, (logits,), bwd)
 
 
+def _edge_row_dots(g: np.ndarray, values: np.ndarray, neighbor_ids: np.ndarray, row_offsets: np.ndarray) -> np.ndarray:
+    """<g[i], values[neighbor_ids[e]]> for every edge e of CSR row i (SDDMM).
+
+    Rows are grouped by degree, and each group is one ``[rows, d, F]``
+    gather of neighbour rows contracted against ``g[rows]``, so neither a
+    per-edge copy of ``g`` nor a product temporary is built. A kNN graph,
+    and any row subset of it, is one group.
+    """
+    values = values.reshape(len(values), -1)
+    g = g.reshape(len(g), -1)
+    deg = np.diff(row_offsets)
+    dots = np.empty(len(neighbor_ids))
+    for d in np.unique(deg[deg > 0]):
+        group = np.flatnonzero(deg == d)
+        edges = row_offsets[group, None] + np.arange(d)  # [rows, d]
+        dots[edges] = np.einsum("rdf,rf->rd", values[neighbor_ids[edges]], g[group])
+    return dots
+
+
 def spmm(
     weights: "Tensor | np.ndarray",
     values: Tensor,
@@ -331,12 +358,52 @@ def spmm(
         if values.tape is not None:
             _accum(values, adj.T @ g)
         if weight_t is not None and weight_t.tape is not None:
-            edge = values.data[neighbor_ids]
-            edge *= np.repeat(g, np.diff(row_offsets), axis=0)  # g[i] on each edge of row i
-            _accum(weight_t, edge.reshape(len(w), -1).sum(axis=1))
+            _accum(weight_t, _edge_row_dots(g, values.data, neighbor_ids, row_offsets))
 
     inputs = (values,) if weight_t is None else (values, weight_t)
     return _make(adj @ values.data, inputs, bwd)
+
+
+def _per_row(x: Tensor, n: int, name: str) -> np.ndarray:
+    """``x`` ([n] or [n, 1]) as a flat [n] view."""
+    if x.data.shape not in ((n,), (n, 1)):
+        raise ValueError(f"{name} must be [{n}] or [{n}, 1], got {x.shape}")
+    return x.data.reshape(n)
+
+
+def edge_logits(
+    score_dst: Tensor,
+    score_src: Tensor,
+    src: np.ndarray,
+    offsets: np.ndarray,
+    slope: float,
+) -> Tensor:
+    """Attention logits ``LeakyReLU(score_dst[i] + score_src[src[e]])`` for
+    every edge e of CSR row i, as one [E] array.
+
+    ``score_dst`` holds one score per row and ``score_src`` one per source
+    node, each [n] or [n, 1]. Backward scatters into both ends with
+    bincount, as ``take_rows`` does, so the gradients equal those of the
+    take_rows/add/leaky_relu chain bit for bit.
+    """
+    _check_slope(slope)
+    src = np.asarray(src, dtype=np.int64)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    if offsets[-1] != len(src):
+        raise ValueError("src/offsets length mismatch")
+    deg = np.diff(offsets)
+    n_src = score_src.data.shape[0]
+    raw = np.repeat(_per_row(score_dst, len(deg), "score_dst"), deg) + _per_row(score_src, n_src, "score_src")[src]
+
+    def bwd(g):
+        g_raw = np.where(raw > 0, g, slope * g)
+        if score_dst.tape is not None:
+            dst = np.repeat(np.arange(len(deg)), deg)
+            _accum(score_dst, np.bincount(dst, weights=g_raw, minlength=len(deg)).reshape(score_dst.data.shape))
+        if score_src.tape is not None:
+            _accum(score_src, np.bincount(src, weights=g_raw, minlength=n_src).reshape(score_src.data.shape))
+
+    return _make(np.maximum(raw, slope * raw), (score_dst, score_src), bwd)
 
 
 def segment_weighted_sum(values: Tensor, weights: Tensor, offsets: np.ndarray) -> Tensor:

@@ -130,6 +130,7 @@ def test_criterion_02_gradient_suite(capsys):
             offsets = np.array([0, 2, m, n_edges])
             pairs = rng.normal(size=(n_edges, 3))
             bias = Tensor(rng.normal(size=4))
+            logit_src = np.arange(n_edges) % m  # repeats sources once n_edges > m
             ops = [
                 lambda x: T.mse_loss(T.reshape(T.matmul(x, Tensor(b)), (-1,)), np.ones(3 * m)),
                 lambda x: T.mse_loss(T.reshape(T.leaky_relu(x, 0.2), (-1,)), np.zeros(4 * m)),
@@ -138,6 +139,9 @@ def test_criterion_02_gradient_suite(capsys):
                 lambda x: T.mse_loss(T.reshape(T.layer_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4))), (-1,)), np.zeros(4 * m)),
                 lambda x: T.mse_loss(T.reshape(T.add(x, bias), (-1,)), np.zeros(4 * m)),
                 lambda x: T.mse_loss(T.reshape(T.take_rows(x, np.array([0, 0, m - 1])), (-1,)), np.zeros(12)),
+                lambda x: T.mse_loss(T.edge_logits(T.matmul(T.rows(x, 0, 3), Tensor(b[:, :1])),
+                                                   T.matmul(x, Tensor(b[:, 1:2])), logit_src, offsets, 0.2),
+                                     np.zeros(n_edges)),
             ]
             for op in ops:
                 assert _grad_ok(op, a.copy(), 1e-5), f"op gradient check failed at seed {seed}"

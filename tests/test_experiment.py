@@ -233,7 +233,10 @@ def test_cli_smoke_run(tmp_path, capsys):
     assert (tmp_path / "runs" / "reports.csv").exists()
 
 
-@pytest.mark.parametrize("flag, value, field", [("--frames", "0", "frame_limit"), ("--workers", "-3", "workers")])
+@pytest.mark.parametrize("flag, value, field", [
+    ("--frames", "0", "frame_limit"), ("--workers", "-3", "workers"),
+    ("--dropout-nth", "0", "dropout_nth"), ("--dropout-nth", "-4", "dropout_nth"), ("--dropout-nth", "1", "dropout_nth"),
+])
 def test_cli_rejects_counts_below_one(tmp_path, capsys, flag, value, field):
     rc = cli.main([flag, value, "--methods", "linear", "--out", str(tmp_path / "runs")])
     assert rc == 1

@@ -80,6 +80,33 @@ def test_leaky_relu_slope_one_is_identity():
     np.testing.assert_array_equal(out.data, x)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in reduce")  # the finiteness check's sum of ±1e308
+@pytest.mark.parametrize("slope", [0.0, 0.01, 0.2, 0.5, 1.0])
+def test_leaky_relu_forward_bit_identical_to_where_form(slope):
+    tiny = np.finfo(np.float64).smallest_subnormal
+    big = np.finfo(np.float64).max
+    x = np.array([0.0, -0.0, tiny, -tiny, 3 * tiny, -3 * tiny, 1e-310, -1e-310,
+                  1.0, -2.5, 1e308, -1e308, big, -big])
+    out = T.leaky_relu(Tensor(x), slope).data
+    assert out.tobytes() == np.where(x > 0, x, slope * x).tobytes()
+
+
+def test_leaky_relu_derivative_at_zero_is_slope():
+    tape = Tape()
+    x = Tensor([0.0, -0.0, 1.0, -1.0], tape)
+    out = T.leaky_relu(x, 0.2)
+    tape.backward(T.mse_loss(out, out.data - 1.0))  # upstream gradient 2 * 1 / 4 everywhere
+    np.testing.assert_allclose(x.grad, [0.1, 0.1, 0.5, 0.1], rtol=1e-12)
+
+
+@pytest.mark.parametrize("slope", [-0.1, 1.5, np.nan])
+def test_leaky_relu_slope_outside_unit_interval_rejected(slope):
+    with pytest.raises(ValueError, match="slope"):
+        T.leaky_relu(Tensor([1.0, -1.0]), slope)
+    with pytest.raises(ValueError, match="slope"):
+        T.edge_logits(Tensor(np.zeros((4, 1))), Tensor(np.zeros((4, 1))), LOGIT_IDS, LOGIT_OFFSETS, slope)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_leaky_relu_grad(seed):
     rng = np.random.default_rng(seed)
@@ -165,6 +192,11 @@ def test_segment_weighted_sum_grad(seed):
 # repeated within one row (3, 3) and rows of lengths 0, 1, 3, 1 and 4.
 SPMM_OFFSETS = np.array([0, 0, 1, 4, 5, 9])
 SPMM_IDS = np.array([2, 0, 0, 3, 1, 3, 3, 0, 2])
+# Uniform CSR over the same 4 source rows: 4 rows of 3 edges, the shape of a
+# kNN graph (k + 1 = 3 with the self loop), with a source repeated in row 1.
+UNIFORM_OFFSETS = np.arange(0, 13, 3)
+UNIFORM_IDS = np.array([0, 1, 2, 1, 3, 3, 2, 0, 3, 3, 1, 0])
+SPMM_CSRS = ((SPMM_OFFSETS, SPMM_IDS), (UNIFORM_OFFSETS, UNIFORM_IDS))
 
 
 def dense_adjacency(weights, ids, offsets, n_cols):
@@ -178,23 +210,51 @@ def dense_adjacency(weights, ids, offsets, n_cols):
 @pytest.mark.parametrize("seed", range(5))
 def test_spmm_matches_dense_product(seed):
     rng = np.random.default_rng(seed)
-    w = rng.normal(size=len(SPMM_IDS))
-    v = rng.normal(size=(4, 3))
-    out = T.spmm(Tensor(w), Tensor(v), SPMM_IDS, SPMM_OFFSETS).data
-    np.testing.assert_allclose(out, dense_adjacency(w, SPMM_IDS, SPMM_OFFSETS, 4) @ v, atol=1e-14)
+    for offsets, ids in SPMM_CSRS:
+        w = rng.normal(size=len(ids))
+        v = rng.normal(size=(4, 3))
+        out = T.spmm(Tensor(w), Tensor(v), ids, offsets).data
+        np.testing.assert_allclose(out, dense_adjacency(w, ids, offsets, 4) @ v, atol=1e-14)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_spmm_grad(seed):
     rng = np.random.default_rng(seed)
-    w0 = rng.normal(size=len(SPMM_IDS))
-    v0 = rng.normal(size=(4, 3))
-    target = rng.normal(size=5 * 3)
+    for offsets, ids in SPMM_CSRS:
+        w0 = rng.normal(size=len(ids))
+        v0 = rng.normal(size=(4, 3))
+        target = rng.normal(size=(len(offsets) - 1) * 3)
 
-    check_grad(lambda v: T.mse_loss(
-        T.reshape(T.spmm(Tensor(w0), v, SPMM_IDS, SPMM_OFFSETS), (-1,)), target), v0)
-    check_grad(lambda w: T.mse_loss(
-        T.reshape(T.spmm(w, Tensor(v0), SPMM_IDS, SPMM_OFFSETS), (-1,)), target), w0)
+        check_grad(lambda v: T.mse_loss(
+            T.reshape(T.spmm(Tensor(w0), v, ids, offsets), (-1,)), target), v0)
+        check_grad(lambda w: T.mse_loss(
+            T.reshape(T.spmm(w, Tensor(v0), ids, offsets), (-1,)), target), w0)
+
+
+def test_spmm_weight_gradient_peak_stays_near_one_gather():
+    # A kNN-shaped graph, E = 200k edges of in-degree 20 and F = 16. The
+    # weight gradient needs the [E, F] gather of neighbour rows; a per-edge
+    # copy of the output gradient, or a product temporary, is one more [E, F].
+    n, d, f = 10000, 20, 16
+    rng = np.random.default_rng(0)
+    ids = rng.integers(0, n, size=n * d)
+    offsets = np.arange(0, n * d + 1, d)
+    values = Tensor(rng.normal(size=(n, f)))
+    tape = Tape()
+    w = Tensor(rng.normal(size=n * d), tape)
+    out = T.spmm(w, values, ids, offsets)
+    loss = T.mse_loss(T.reshape(out, (-1,)), np.zeros(n * f))
+    gather = n * d * f * 8
+    tracemalloc.start()
+    try:
+        tape.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * gather, f"weight gradient peaked at {peak / gather:.2f} [E, F] gathers"
+    g = 2.0 * out.data / out.data.size
+    expected = (values.data[ids] * np.repeat(g, d, axis=0)).sum(axis=1)
+    np.testing.assert_allclose(w.grad, expected, rtol=1e-12, atol=1e-18)
 
 
 def test_spmm_constant_weights_get_no_gradient():
@@ -214,6 +274,54 @@ def test_spmm_constant_weights_get_no_gradient():
 def test_spmm_length_mismatch_rejected():
     with pytest.raises(ValueError):
         T.spmm(np.ones(3), Tensor(np.ones((4, 2))), SPMM_IDS, SPMM_OFFSETS)
+
+
+# Square CSR over 4 nodes for the attention logits: row 0 holds only its
+# self loop, row 1 repeats source 0, and the degrees are 1, 3, 2 and 3.
+LOGIT_OFFSETS = np.array([0, 1, 4, 6, 9])
+LOGIT_IDS = np.array([0, 1, 0, 0, 2, 3, 3, 1, 2])
+
+
+def unfused_edge_logits(score_dst, score_src, src, offsets, slope):
+    """The take_rows/add/leaky_relu/reshape chain that ``edge_logits`` fuses."""
+    dst = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+    raw = T.add(T.take_rows(score_dst, dst), T.take_rows(score_src, src))
+    return T.reshape(T.leaky_relu(raw, slope), (-1,))
+
+
+@pytest.mark.parametrize("shape", [(4,), (4, 1)])
+@pytest.mark.parametrize("seed", range(5))
+def test_edge_logits_bit_identical_to_unfused_chain(seed, shape):
+    rng = np.random.default_rng(seed)
+    d0, s0 = rng.normal(size=shape), rng.normal(size=shape)
+    d0[0] = -s0[0]  # row 0's self loop sits exactly on the kink
+    target = rng.normal(size=len(LOGIT_IDS))
+    results = []
+    for op in (T.edge_logits, unfused_edge_logits):
+        tape = Tape()
+        score_dst, score_src = Tensor(d0, tape), Tensor(s0, tape)
+        logits = op(score_dst, score_src, LOGIT_IDS, LOGIT_OFFSETS, 0.2)
+        tape.backward(T.mse_loss(logits, target))
+        results.append((logits.data.tobytes(), score_dst.grad.tobytes(), score_src.grad.tobytes()))
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_edge_logits_grad(seed):
+    rng = np.random.default_rng(seed)
+    d0, s0 = rng.normal(size=(4, 1)), rng.normal(size=(4, 1))
+    target = rng.normal(size=len(LOGIT_IDS))
+    check_grad(lambda x: T.mse_loss(
+        T.edge_logits(x, Tensor(s0), LOGIT_IDS, LOGIT_OFFSETS, 0.2), target), d0)
+    check_grad(lambda x: T.mse_loss(
+        T.edge_logits(Tensor(d0), x, LOGIT_IDS, LOGIT_OFFSETS, 0.2), target), s0)
+
+
+def test_edge_logits_shape_mismatch_rejected():
+    with pytest.raises(ValueError):
+        T.edge_logits(Tensor(np.zeros((3, 1))), Tensor(np.zeros((4, 1))), LOGIT_IDS, LOGIT_OFFSETS, 0.2)
+    with pytest.raises(ValueError):
+        T.edge_logits(Tensor(np.zeros((4, 1))), Tensor(np.zeros((4, 2))), LOGIT_IDS, LOGIT_OFFSETS, 0.2)
 
 
 def test_layer_norm_constant_row_zeros():

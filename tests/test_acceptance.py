@@ -130,7 +130,7 @@ def test_criterion_02_gradient_suite(capsys):
             offsets = np.array([0, 2, m, n_edges])
             pairs = rng.normal(size=(n_edges, 3))
             bias = Tensor(rng.normal(size=4))
-            logit_src = np.arange(n_edges) % m  # repeats sources once n_edges > m
+            logit_src = np.arange(n_edges) % m  # n_edges = 2m - 2 > m, so sources repeat
             ops = [
                 lambda x: T.mse_loss(T.reshape(T.matmul(x, Tensor(b)), (-1,)), np.ones(3 * m)),
                 lambda x: T.mse_loss(T.reshape(T.leaky_relu(x, 0.2), (-1,)), np.zeros(4 * m)),

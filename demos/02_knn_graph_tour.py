@@ -25,14 +25,13 @@ def main():
     assert np.all(frame.z_masked[frame.dropped_mask] == 0.0)
 
     g = graph_mod.build_knn_graph(frame, k=8)
-    degrees = np.diff(g.row_offsets)
-    print(f"graph: {g.num_nodes} nodes, {g.neighbor_ids.size} directed edges, "
-          f"uniform in-degree {degrees.min()}..{degrees.max()} (k + self-loop)")
+    print(f"graph: {g.num_nodes} nodes, {g.num_edges} directed edges, "
+          f"a {g.neighbors.shape[0]} x {g.neighbors.shape[1]} neighbour table (k + self-loop)")
 
     print("\nnode features [x, y, z̃, beam/(B-1)] for three dropped nodes:")
     for i in np.flatnonzero(frame.dropped_mask)[:3]:
         x, y, z, b = g.features[i]
-        neigh = g.neighbor_ids[g.row_offsets[i]:g.row_offsets[i + 1]]
+        neigh = g.neighbors[i]
         obs = frame.observed_mask[neigh[neigh != i]]
         print(f"  node {i:4d}: [{x:7.2f} {y:7.2f} {z:4.1f} {b:.3f}]  "
               f"{obs.sum()}/{obs.size} neighbors still observed")

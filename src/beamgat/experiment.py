@@ -134,13 +134,14 @@ def _evaluate(
 
 
 def _run_one_frame(args) -> list[metrics.EvalReport]:
-    """All cells of one frame; a frame file that cannot be read yields no
-    rows (the same for any ``workers``)."""
+    """All cells of one frame; a frame file that cannot be read, or a frame
+    the dropout pattern cannot split into dropped and observed beams,
+    yields no rows (the same for any ``workers``)."""
     cfg, frame_id, path = args
     try:
         tag, frame = _build_frame(cfg, frame_id, path)
-    except (OSError, ingest.TruncatedRecordError) as exc:
-        log.warning("skipping frame %s: %s", path, exc)
+    except (OSError, ingest.TruncatedRecordError, ingest.DropoutConfigError) as exc:
+        log.warning("skipping frame %s: %s", path if path is not None else frame_id, exc)
         return []
     learned = any(m in ARCHITECTURES for m in cfg.methods)
     # one kNN query per frame at the largest k; a smaller k's rows are its
@@ -170,7 +171,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[metrics.EvalReport]:
         jobs = [(cfg, i, None) for i in range(cfg.frame_limit)]
 
     # Frames are read in order, up to ``workers`` at a time, until frame_limit
-    # of them have given rows: a frame file that cannot be read takes no slot.
+    # of them have given rows: a skipped frame takes no slot.
     per_frame: list[list[metrics.EvalReport]] = []
     pool = concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1 else None
     with pool or contextlib.nullcontext():

@@ -1,5 +1,5 @@
-"""kNN graph construction over a sparse frame, CSR-encoded, with beam-aware
-node features."""
+"""kNN graph construction over a sparse frame, as a regular neighbour table,
+with beam-aware node features."""
 
 from __future__ import annotations
 
@@ -15,31 +15,21 @@ __all__ = ["Graph", "build_features", "build_knn_graph", "knn_indices"]
 
 @dataclasses.dataclass
 class Graph:
-    """Directed adjacency in CSR form: row i lists the source nodes of the
-    edges feeding node i (neighbor -> center), self-loop included."""
+    """Directed kNN adjacency as an [N, k+1] table: row i lists, in
+    ascending order, the source nodes of the edges feeding node i
+    (neighbor -> center), its self loop included. The rows of a node
+    subset R are ``neighbors[R]``."""
 
-    num_nodes: int
-    row_offsets: np.ndarray  # [N+1]
-    neighbor_ids: np.ndarray  # [E]
+    neighbors: np.ndarray  # [N, k+1] int64
     features: np.ndarray  # [N, 4]: x, y, masked z, beam/(B-1)
 
     @property
-    def num_edges(self) -> int:
-        return int(self.row_offsets[-1])
+    def num_nodes(self) -> int:
+        return self.neighbors.shape[0]
 
-    def sub_csr(self, rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """(row_offsets, neighbor_ids) of the incoming edges of ``rows``, in
-        their order: a |R| x N CSR whose neighbor ids stay global node ids.
-        None means every row, i.e. the graph's own arrays."""
-        if rows is None:
-            return self.row_offsets, self.neighbor_ids
-        rows = np.asarray(rows, dtype=np.int64)
-        starts = self.row_offsets[rows]
-        counts = self.row_offsets[rows + 1] - starts
-        offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        edges = np.repeat(starts - offsets[:-1], counts) + np.arange(offsets[-1])
-        return offsets, self.neighbor_ids[edges]
+    @property
+    def num_edges(self) -> int:
+        return self.neighbors.size
 
 
 NUM_FEATURES = 4  # columns of build_features
@@ -96,7 +86,8 @@ def knn_indices(points: np.ndarray, k: int) -> np.ndarray:
 
 
 def build_knn_graph(frame: SparseFrame, k: int, nearest: np.ndarray | None = None) -> Graph:
-    """Directed kNN graph plus self-loops over the frame's points.
+    """Directed kNN graph plus self-loops over the frame's points: every
+    node has exactly k+1 incoming edges.
 
     Distance is measured in the (x, y) plane: dropped nodes have masked z,
     so 3-D distance on features would systematically mis-neighbor them.
@@ -106,11 +97,5 @@ def build_knn_graph(frame: SparseFrame, k: int, nearest: np.ndarray | None = Non
     """
     feats = build_features(frame)
     rows = knn_indices(feats[:, :2], k) if nearest is None else nearest[:, :k]
-    n = len(rows)
-    with_self = np.sort(np.column_stack([rows, np.arange(n)]), axis=1)
-    return Graph(
-        num_nodes=n,
-        row_offsets=np.arange(n + 1, dtype=np.int64) * (k + 1),
-        neighbor_ids=with_self.ravel(),
-        features=feats,
-    )
+    with_self = np.column_stack([rows, np.arange(len(rows))])
+    return Graph(neighbors=np.sort(with_self, axis=1), features=feats)

@@ -127,15 +127,16 @@ def gat_attention_layer(
     cfg: ModelConfig,
     rows: np.ndarray | None = None,
 ) -> Tensor:
-    """Multi-head attention aggregation over the CSR graph.
+    """Multi-head attention aggregation over the neighbour table.
 
     Per head: project features, score each edge j->i with
-    LeakyReLU(a^T [h'_i || h'_j]), softmax over each node's incoming edges,
-    aggregate as one CSR product ``A_alpha @ h'``, apply LeakyReLU.
-    Head outputs are concatenated. ``h`` holds every node; the output holds
-    the nodes ``rows`` (None: every node), and only their edges are scored.
+    LeakyReLU(a^T [h'_i || h'_j]) as an [R, k+1] logit table, softmax
+    along each node's row, aggregate as one sparse product ``A_alpha @ h'``,
+    apply LeakyReLU. Head outputs are concatenated. ``h`` holds every node;
+    the output holds the nodes ``rows`` (None: every node), and only their
+    rows of the table are scored.
     """
-    offsets, src = graph.sub_csr(rows)
+    neighbors = graph.neighbors if rows is None else graph.neighbors[rows]
     outs = []
     for head in range(cfg.heads):
         hp = T.matmul(h, params[f"{prefix}.h{head}.W"])  # [N, F']
@@ -144,9 +145,9 @@ def gat_attention_layer(
         fp = cfg.head_width
         score_dst = T.matmul(_at(hp, rows), T.rows(a, 0, fp))  # [|R|, 1]
         score_src = T.matmul(hp, T.rows(a, fp, 2 * fp))  # [N, 1]
-        logits = T.edge_logits(score_dst, score_src, src, offsets, ATTN_SLOPE)
-        alpha = T.segment_softmax(logits, offsets)
-        agg = T.spmm(alpha, hp, src, offsets)
+        logits = T.edge_logits(score_dst, score_src, neighbors, ATTN_SLOPE)
+        alpha = T.segment_softmax(logits)
+        agg = T.spmm(alpha, hp, neighbors)
         outs.append(T.leaky_relu(agg, ATTN_SLOPE))
     return outs[0] if len(outs) == 1 else T.concat_cols(outs)
 
@@ -183,11 +184,11 @@ def _decode(h: Tensor, params: dict[str, Tensor]) -> Tensor:
 
 def gcn_layer(graph: Graph, h: Tensor, w: Tensor, rows: np.ndarray | None = None) -> Tensor:
     """Mean aggregation with fixed weights: out_i = LeakyReLU(mean_j h_j W),
-    for the nodes ``rows`` (None: every node)."""
-    offsets, src = graph.sub_csr(rows)
-    deg = np.diff(offsets)
-    inv_deg = np.repeat(1.0 / deg, deg)
-    agg = T.spmm(inv_deg, T.matmul(h, w), src, offsets)
+    for the nodes ``rows`` (None: every node); each of a row's k+1 entries
+    weighs 1/(k+1)."""
+    neighbors = graph.neighbors if rows is None else graph.neighbors[rows]
+    mean = np.full(neighbors.shape, 1.0 / neighbors.shape[1])
+    agg = T.spmm(mean, T.matmul(h, w), neighbors)
     return T.leaky_relu(agg, ATTN_SLOPE)
 
 

@@ -2,7 +2,9 @@
 
 Only the operations the models actually need are provided. All data is
 float64, row-major. Recording happens on an explicit :class:`Tape`; tensors
-created without a tape are constants and receive no gradient.
+created without a tape are constants and receive no gradient. The graph ops
+(``edge_logits``, ``segment_softmax``, ``spmm``) work on an [R, K]
+neighbour table: row r lists the K source nodes feeding output row r.
 """
 
 from __future__ import annotations
@@ -95,9 +97,13 @@ class Tape:
 
 
 def _check_finite(data: np.ndarray) -> np.ndarray:
-    # a single-pass sum is finite iff the array holds no NaN/Inf
-    if not np.isfinite(data.sum()):
-        if np.all(np.isfinite(data)):  # pathological overflow of the sum itself
+    # a single-pass sum is finite iff the array holds no NaN/Inf; a finite
+    # array whose sum overflows is checked element by element, so that
+    # overflow is expected and not warned about
+    with np.errstate(over="ignore"):
+        total = data.sum()
+    if not np.isfinite(total):
+        if np.all(np.isfinite(data)):
             return data
         raise NonFiniteError("non-finite value in forward computation")
     return data
@@ -282,83 +288,60 @@ def rows(x: Tensor, lo: int, hi: int) -> Tensor:
     return _make(x.data[lo:hi].copy(), (x,), bwd)
 
 
-def _segment_ids(offsets: np.ndarray) -> np.ndarray:
-    counts = np.diff(offsets)
-    if np.any(counts <= 0):
-        raise ValueError("empty segment")
-    return np.repeat(np.arange(len(counts)), counts)
+def _table(neighbors: np.ndarray) -> np.ndarray:
+    """``neighbors`` as an int64 [R, K] neighbour table, K >= 1."""
+    neighbors = np.asarray(neighbors, dtype=np.int64)
+    if neighbors.ndim != 2 or neighbors.shape[1] == 0:
+        raise ValueError(f"neighbors must be an [R, K] table with K >= 1, got shape {neighbors.shape}")
+    return neighbors
 
 
-def segment_softmax(logits: Tensor, offsets: np.ndarray) -> Tensor:
-    """Softmax within contiguous segments given by CSR-style offsets.
+def segment_softmax(logits: Tensor) -> Tensor:
+    """Softmax along each row of [R, K] logits, one row per node's K
+    incoming edges.
 
-    Subtracts the per-segment max before exponentiating; each segment's
-    outputs sum to 1.
+    Subtracts the row max before exponentiating; each row sums to 1.
     """
-    offsets = np.asarray(offsets, dtype=np.int64)
-    seg = _segment_ids(offsets)
     v = logits.data
-    if v.ndim != 1 or v.shape[0] != offsets[-1]:
-        raise ValueError("logits must be 1-D with one entry per edge")
-    seg_max = np.maximum.reduceat(v, offsets[:-1])
-    e = np.exp(v - seg_max[seg])
-    seg_sum = np.add.reduceat(e, offsets[:-1])
-    alpha = e / seg_sum[seg]
+    if v.ndim != 2 or v.shape[1] == 0:
+        raise ValueError(f"logits must be [R, K] with K >= 1, got {logits.shape}")
+    e = np.exp(v - v.max(axis=1, keepdims=True))
+    alpha = e / e.sum(axis=1, keepdims=True)
 
     def bwd(g):
-        # softmax Jacobian per segment: da = alpha * (g - sum_seg(g * alpha))
-        dot = np.add.reduceat(g * alpha, offsets[:-1])
-        _accum(logits, alpha * (g - dot[seg]))
+        # softmax Jacobian per row: da = alpha * (g - sum_row(g * alpha))
+        dot = (g * alpha).sum(axis=1, keepdims=True)
+        _accum(logits, alpha * (g - dot))
 
     return _make(alpha, (logits,), bwd)
 
 
-def _edge_row_dots(g: np.ndarray, values: np.ndarray, neighbor_ids: np.ndarray, row_offsets: np.ndarray) -> np.ndarray:
-    """<g[i], values[neighbor_ids[e]]> for every edge e of CSR row i (SDDMM).
+def spmm(weights: "Tensor | np.ndarray", values: Tensor, neighbors: np.ndarray) -> Tensor:
+    """Sparse-dense product over a neighbour table:
+    out[i] = sum over k of weights[i, k] * values[neighbors[i, k]].
 
-    Rows are grouped by degree, and each group is one ``[rows, d, F]``
-    gather of neighbour rows contracted against ``g[rows]``, so neither a
-    per-edge copy of ``g`` nor a product temporary is built. A kNN graph,
-    and any row subset of it, is one group.
+    ``weights`` and ``neighbors`` are [R, K]. Forward is ``A @ values``
+    and the ``values`` gradient ``A^T @ g``, both scipy CSR products with
+    the table as A's column ids; the ``weights`` gradient is the row dot
+    <g[i], values[neighbors[i, k]]> (SDDMM), one [R, K, F] gather of
+    neighbour rows contracted against g. A plain ndarray for ``weights``
+    is a constant and gets no gradient.
     """
-    values = values.reshape(len(values), -1)
-    g = g.reshape(len(g), -1)
-    deg = np.diff(row_offsets)
-    dots = np.empty(len(neighbor_ids))
-    for d in np.unique(deg[deg > 0]):
-        group = np.flatnonzero(deg == d)
-        edges = row_offsets[group, None] + np.arange(d)  # [rows, d]
-        dots[edges] = np.einsum("rdf,rf->rd", values[neighbor_ids[edges]], g[group])
-    return dots
-
-
-def spmm(
-    weights: "Tensor | np.ndarray",
-    values: Tensor,
-    neighbor_ids: np.ndarray,
-    row_offsets: np.ndarray,
-) -> Tensor:
-    """Sparse-dense product ``A @ values`` with A given in CSR form:
-    out[i] = sum over e in row i of weights[e] * values[neighbor_ids[e]].
-
-    Backward is ``A^T @ g`` for ``values`` and the per-edge row dot
-    <g[i], values[neighbor_ids[e]]> (SDDMM) for ``weights``. A plain
-    ndarray for ``weights`` is a constant and gets no gradient.
-    """
-    neighbor_ids = np.asarray(neighbor_ids, dtype=np.int64)
-    row_offsets = np.asarray(row_offsets, dtype=np.int64)
+    neighbors = _table(neighbors)
     weight_t = weights if isinstance(weights, Tensor) else None
     w = np.asarray(weights.data if weight_t is not None else weights, dtype=np.float64)
-    if w.shape != neighbor_ids.shape or row_offsets[-1] != len(neighbor_ids):
-        raise ValueError("weights/neighbor_ids/row_offsets length mismatch")
-    n_rows = len(row_offsets) - 1
-    adj = scipy.sparse.csr_array((w, neighbor_ids, row_offsets), shape=(n_rows, values.data.shape[0]))
+    if w.shape != neighbors.shape:
+        raise ValueError(f"weights {w.shape} must match the neighbour table {neighbors.shape}")
+    r, k = neighbors.shape
+    adj = scipy.sparse.csr_array(
+        (w.ravel(), neighbors.ravel(), np.arange(0, r * k + 1, k)), shape=(r, values.data.shape[0])
+    )
 
     def bwd(g):
         if values.tape is not None:
             _accum(values, adj.T @ g)
         if weight_t is not None and weight_t.tape is not None:
-            _accum(weight_t, _edge_row_dots(g, values.data, neighbor_ids, row_offsets))
+            _accum(weight_t, np.einsum("rkf,rf->rk", values.data[neighbors], g))
 
     inputs = (values,) if weight_t is None else (values, weight_t)
     return _make(adj @ values.data, inputs, bwd)
@@ -371,44 +354,35 @@ def _per_row(x: Tensor, n: int, name: str) -> np.ndarray:
     return x.data.reshape(n)
 
 
-def edge_logits(
-    score_dst: Tensor,
-    score_src: Tensor,
-    src: np.ndarray,
-    offsets: np.ndarray,
-    slope: float,
-) -> Tensor:
-    """Attention logits ``LeakyReLU(score_dst[i] + score_src[src[e]])`` for
-    every edge e of CSR row i, as one [E] array.
+def edge_logits(score_dst: Tensor, score_src: Tensor, neighbors: np.ndarray, slope: float) -> Tensor:
+    """Attention logits ``LeakyReLU(score_dst[i] + score_src[neighbors[i, k]])``
+    as one [R, K] array.
 
-    ``score_dst`` holds one score per row and ``score_src`` one per source
-    node, each [n] or [n, 1]. Backward scatters into both ends with
-    bincount, as ``take_rows`` does, so the gradients equal those of the
-    take_rows/add/leaky_relu chain bit for bit.
+    ``score_dst`` holds one score per table row and ``score_src`` one per
+    source node, each [n] or [n, 1]. Backward sums each row into
+    ``score_dst`` and scatters into ``score_src`` with bincount, as
+    ``take_rows`` does.
     """
     _check_slope(slope)
-    src = np.asarray(src, dtype=np.int64)
-    offsets = np.asarray(offsets, dtype=np.int64)
-    if offsets[-1] != len(src):
-        raise ValueError("src/offsets length mismatch")
-    deg = np.diff(offsets)
+    neighbors = _table(neighbors)
     n_src = score_src.data.shape[0]
-    raw = np.repeat(_per_row(score_dst, len(deg), "score_dst"), deg) + _per_row(score_src, n_src, "score_src")[src]
+    dst = _per_row(score_dst, neighbors.shape[0], "score_dst")
+    raw = dst[:, None] + _per_row(score_src, n_src, "score_src")[neighbors]
 
     def bwd(g):
         g_raw = np.where(raw > 0, g, slope * g)
         if score_dst.tape is not None:
-            dst = np.repeat(np.arange(len(deg)), deg)
-            _accum(score_dst, np.bincount(dst, weights=g_raw, minlength=len(deg)).reshape(score_dst.data.shape))
+            _accum(score_dst, g_raw.sum(axis=1).reshape(score_dst.data.shape))
         if score_src.tape is not None:
-            _accum(score_src, np.bincount(src, weights=g_raw, minlength=n_src).reshape(score_src.data.shape))
+            scattered = np.bincount(neighbors.ravel(), weights=g_raw.ravel(), minlength=n_src)
+            _accum(score_src, scattered.reshape(score_src.data.shape))
 
     return _make(np.maximum(raw, slope * raw), (score_dst, score_src), bwd)
 
 
-def segment_weighted_sum(values: Tensor, weights: Tensor, offsets: np.ndarray) -> Tensor:
-    """out[n] = sum over segment n of weights[e] * values[e]."""
-    return spmm(weights, values, np.arange(values.data.shape[0]), offsets)
+def segment_weighted_sum(values: Tensor, weights: Tensor) -> Tensor:
+    """out[r] = sum over k of weights[r, k] * values[r * K + k]."""
+    return spmm(weights, values, np.arange(values.data.shape[0]).reshape(weights.data.shape))
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

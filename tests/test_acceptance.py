@@ -21,7 +21,7 @@ from beamgat.trainer import TrainConfig, predict_dropped, train_frame
 from conftest import finite_diff_grad, rel_err
 from test_graph import brute_force_knn
 from test_metrics import brute_chamfer
-from test_model import dense_gat_layer, dense_superior_forward, make_graph, path_graph, random_graph
+from test_model import dense_gat_layer, dense_superior_forward, make_graph, random_graph, ring_graph
 
 # The synthetic benchmark scene for criteria 4/5: a noisy sinusoidal ground
 # surface.  Sensor noise is what separates the methods — interpolation
@@ -126,11 +126,10 @@ def test_criterion_02_gradient_suite(capsys):
             m = int(rng.integers(3, 8))
             a = rng.normal(size=(m, 4))
             b = rng.normal(size=(4, 3))
-            n_edges = 2 * m - 2
-            offsets = np.array([0, 2, m, n_edges])
+            n_edges = 2 * m - 2  # a table of 2 rows of m - 1 edges
             pairs = rng.normal(size=(n_edges, 3))
             bias = Tensor(rng.normal(size=4))
-            logit_src = np.arange(n_edges) % m  # n_edges = 2m - 2 > m, so sources repeat
+            logit_src = (np.arange(n_edges) % m).reshape(2, m - 1)  # n_edges > m, so sources repeat
             ops = [
                 lambda x: T.mse_loss(T.reshape(T.matmul(x, Tensor(b)), (-1,)), np.ones(3 * m)),
                 lambda x: T.mse_loss(T.reshape(T.leaky_relu(x, 0.2), (-1,)), np.zeros(4 * m)),
@@ -139,19 +138,19 @@ def test_criterion_02_gradient_suite(capsys):
                 lambda x: T.mse_loss(T.reshape(T.layer_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4))), (-1,)), np.zeros(4 * m)),
                 lambda x: T.mse_loss(T.reshape(T.add(x, bias), (-1,)), np.zeros(4 * m)),
                 lambda x: T.mse_loss(T.reshape(T.take_rows(x, np.array([0, 0, m - 1])), (-1,)), np.zeros(12)),
-                lambda x: T.mse_loss(T.edge_logits(T.matmul(T.rows(x, 0, 3), Tensor(b[:, :1])),
-                                                   T.matmul(x, Tensor(b[:, 1:2])), logit_src, offsets, 0.2),
-                                     np.zeros(n_edges)),
+                lambda x: T.mse_loss(T.edge_logits(T.matmul(T.rows(x, 0, 2), Tensor(b[:, :1])),
+                                                   T.matmul(x, Tensor(b[:, 1:2])), logit_src, 0.2),
+                                     np.zeros((2, m - 1))),
             ]
             for op in ops:
                 assert _grad_ok(op, a.copy(), 1e-5), f"op gradient check failed at seed {seed}"
                 n_checked += 1
             def seg(x):
-                alpha = T.segment_softmax(x, offsets)
-                out = T.segment_weighted_sum(Tensor(pairs), alpha, offsets)
-                return T.mse_loss(T.reshape(out, (-1,)), np.zeros(9))
+                alpha = T.segment_softmax(x)
+                out = T.segment_weighted_sum(Tensor(pairs), alpha)
+                return T.mse_loss(T.reshape(out, (-1,)), np.zeros(6))
 
-            assert _grad_ok(seg, rng.normal(size=n_edges), 1e-5), (
+            assert _grad_ok(seg, rng.normal(size=(2, m - 1)), 1e-5), (
                 f"segment softmax/weighted-sum gradient failed at seed {seed}"
             )
             n_checked += 1
@@ -212,7 +211,7 @@ def test_criterion_03_dense_attention_oracle(capsys):
         assert worst < 1e-9, f"sparse vs dense attention max gap {worst:.2e}"
         return f"max |sparse - dense| = {worst:.2e} over N up to 100, K in {{1,4}}"
 
-    _verdict(3, "CSR attention equals dense N x N oracle", capsys, body)
+    _verdict(3, "neighbour-table attention equals dense N x N oracle", capsys, body)
 
 
 # ---------------------------------------------------------------------------
@@ -350,13 +349,7 @@ def test_criterion_07_permutation_equivariance(capsys):
 
         perm = rng.permutation(40)
         inv = np.argsort(perm)
-        rows = [
-            sorted(
-                inv[j]
-                for j in g.neighbor_ids[g.row_offsets[perm[i]]:g.row_offsets[perm[i] + 1]]
-            )
-            for i in range(40)
-        ]
+        rows = [sorted(inv[j] for j in g.neighbors[perm[i]]) for i in range(40)]
         g2 = make_graph(rows, g.features[perm])
         z2 = forward(g2, Tensor(g2.features), bind_params(params, None), "superior_gat", cfg).data
         gap = float(np.abs(z2 - z[perm]).max())
@@ -380,7 +373,7 @@ def test_criterion_08_receptive_field(capsys):
 
         def predict(architecture, features):
             p = init_params(architecture, cfg, seed=3) if architecture != "superior_gat" else params
-            g = path_graph(features)
+            g = ring_graph(features)
             return forward(g, Tensor(g.features), bind_params(p, None), architecture, cfg).data
 
         base = predict("superior_gat", feats)

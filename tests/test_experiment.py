@@ -213,6 +213,32 @@ def test_unreadable_frame_is_skipped_for_any_worker_count(tmp_path, caplog):
     assert "skipping frame" in caplog.text and "000000.bin" in caplog.text
 
 
+def test_frame_the_dropout_cannot_split_is_skipped_for_any_worker_count(tmp_path, caplog):
+    # every point of 000000.bin is 45 degrees below the horizon, under the
+    # lowest beam, so all land in beam 0 and the dropout drops every
+    # populated beam; 000001.bin is a good scan
+    frame_dir = tmp_path / "frames"
+    frame_dir.mkdir()
+    theta = np.linspace(0.0, 2 * np.pi, 300, endpoint=False)
+    r = np.linspace(5.0, 20.0, 300)
+    steep = np.column_stack([r * np.cos(theta), r * np.sin(theta), -r])
+    ingest.write_kitti_bin(ingest.PointCloud(xyz=steep, reflectance=np.zeros(300)),
+                           str(frame_dir / "000000.bin"))
+    cloud = synth.synthesize_scene(synth.SceneSpec(kind="sinusoid", point_count=800), seed=1)
+    ingest.write_kitti_bin(cloud, str(frame_dir / "000001.bin"))
+    outs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"runs{workers}"
+        rc = cli.main(["--input", str(frame_dir), "--frames", "2", "--methods", "linear",
+                       "--sample-target", "400", "--no-timing", "--workers", workers, "--out", str(out)])
+        assert rc == 0
+        outs.append((out / "reports.csv").read_bytes())
+    assert outs[0] == outs[1]
+    lines = outs[0].decode().splitlines()
+    assert len(lines) == 2 and lines[1].startswith("000001,linear,")
+    assert "skipping frame" in caplog.text and "drops every populated beam" in caplog.text
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 
 from beamgat import ingest
@@ -43,16 +44,10 @@ def loop_knn_indices(points: np.ndarray, k: int) -> list[np.ndarray]:
     return rows
 
 
-def loop_build_knn_graph(frame: ingest.SparseFrame, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row reference for ``build_knn_graph``: (row_offsets, neighbor_ids)."""
+def loop_build_knn_graph(frame: ingest.SparseFrame, k: int) -> np.ndarray:
+    """Per-row reference for ``build_knn_graph``: its neighbour table."""
     rows = loop_knn_indices(build_features(frame)[:, :2], k)
-    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-    neighbor_ids = []
-    for i, r in enumerate(rows):
-        row = np.sort(np.append(r, i))
-        neighbor_ids.append(row)
-        offsets[i + 1] = offsets[i] + len(row)
-    return offsets, np.concatenate(neighbor_ids)
+    return np.array([np.sort(np.append(r, i)) for i, r in enumerate(rows)])
 
 
 def frame_from_xy(xy: np.ndarray, beams=None, num_beams=8) -> ingest.SparseFrame:
@@ -159,10 +154,9 @@ class TestKnnMatchesLoopReference:
         xy = duplicate_heavy_xy(rng)[:n] if n > k + 1 else rng.uniform(size=(n, 2))
         frame = frame_from_xy(xy)
         g = build_knn_graph(frame, k)
-        offsets, neighbor_ids = loop_build_knn_graph(frame, k)
-        np.testing.assert_array_equal(g.row_offsets, offsets)
-        np.testing.assert_array_equal(g.neighbor_ids, neighbor_ids)
-        assert g.row_offsets.dtype == offsets.dtype and g.neighbor_ids.dtype == neighbor_ids.dtype
+        table = loop_build_knn_graph(frame, k)
+        np.testing.assert_array_equal(g.neighbors, table)
+        assert g.neighbors.dtype == table.dtype == np.int64
 
 
 class TestGraphsFromOneQuery:
@@ -178,7 +172,7 @@ class TestGraphsFromOneQuery:
         for k in (4, 6, 10):
             got = build_knn_graph(frame, k, nearest)
             want = build_knn_graph(frame, k)
-            for name in ("row_offsets", "neighbor_ids", "features"):
+            for name in ("neighbors", "features"):
                 a, b = getattr(got, name), getattr(want, name)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (k, name)
             assert got.num_nodes == want.num_nodes
@@ -229,24 +223,16 @@ class TestBuildKnnGraph:
     def test_row_lengths_k_plus_one(self):
         frame = random_frame(np.random.default_rng(2), 120)
         g = build_knn_graph(frame, k=5)
-        counts = np.diff(g.row_offsets)
-        np.testing.assert_array_equal(counts, 6)
-        # CSR invariants: rows start at 0, none is empty, the last offset
-        # closes the id array, and no row repeats a neighbor
-        assert g.row_offsets[0] == 0
-        assert np.all(counts >= 1)
-        assert g.row_offsets[-1] == len(g.neighbor_ids)
-        src, dst = g.neighbor_ids, np.repeat(np.arange(g.num_nodes), counts)
-        order = np.lexsort((src, dst))
-        src, dst = src[order], dst[order]
-        assert not np.any((src[1:] == src[:-1]) & (dst[1:] == dst[:-1]))
+        assert g.neighbors.shape == (120, 6)
+        assert g.num_nodes == 120 and g.num_edges == 720
+        # rows are strictly ascending, so no row repeats a neighbor
+        assert np.all(np.diff(g.neighbors, axis=1) > 0)
 
     def test_self_loop_present(self):
         frame = random_frame(np.random.default_rng(3), 50)
         g = build_knn_graph(frame, k=3)
         for i in range(g.num_nodes):
-            row = g.neighbor_ids[g.row_offsets[i]:g.row_offsets[i + 1]]
-            assert i in row
+            assert i in g.neighbors[i]
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(4)
@@ -266,9 +252,7 @@ class TestBuildKnnGraph:
         # new node i is old node perm[i]; old id o relabels to inv[o]
         for new_i in range(80):
             old_i = perm[new_i]
-            row_old = g.neighbor_ids[g.row_offsets[old_i]:g.row_offsets[old_i + 1]]
-            row_new = g_p.neighbor_ids[g_p.row_offsets[new_i]:g_p.row_offsets[new_i + 1]]
-            assert set(row_new.tolist()) == {int(inv[o]) for o in row_old}
+            assert set(g_p.neighbors[new_i].tolist()) == {int(inv[o]) for o in g.neighbors[old_i]}
 
     def test_distance_is_planar(self):
         # node 0 is dropped (masked z = 0): in the plane its nearest point is
@@ -280,4 +264,28 @@ class TestBuildKnnGraph:
         frame = ingest.apply_beam_dropout(cloud, nth=4)
         assert frame.dropped_mask.tolist() == [True, False, False]
         g = build_knn_graph(frame, k=1)
-        assert g.neighbor_ids[g.row_offsets[0]:g.row_offsets[1]].tolist() == [0, 1]
+        assert g.neighbors[0].tolist() == [0, 1]
+
+
+@st.composite
+def duplicate_heavy_frames(draw):
+    """(frame, k) over up to 60 points on a 3 x 3 lattice, so most points
+    coincide with others and a row's k-th distance often ties more
+    candidates than the first kd-tree query returns."""
+    n = draw(st.integers(2, 60))
+    cells = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=n, max_size=n))
+    k = draw(st.integers(1, n - 1))
+    return frame_from_xy(np.array(cells, dtype=np.float64)), k
+
+
+@settings(max_examples=200, deadline=None)
+@given(duplicate_heavy_frames())
+def test_knn_graph_rows_are_self_plus_brute_force_neighbours(frame_and_k):
+    frame, k = frame_and_k
+    g = build_knn_graph(frame, k)
+    n = len(frame.cloud)
+    assert g.neighbors.shape == (n, k + 1)
+    assert np.all(np.diff(g.neighbors, axis=1) > 0)
+    for i, (row, nearest) in enumerate(zip(g.neighbors, brute_force_knn(frame.cloud.xyz[:, :2], k))):
+        assert np.count_nonzero(row == i) == 1
+        assert row[row != i].tolist() == sorted(nearest.tolist())

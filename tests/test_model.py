@@ -23,16 +23,10 @@ from conftest import finite_diff_grad, rel_err
 
 
 def make_graph(rows: list[list[int]], features: np.ndarray) -> Graph:
-    """Graph from explicit incoming-neighbor lists (self-loops added)."""
-    n = len(rows)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    flat = []
-    for i, row in enumerate(rows):
-        full = sorted(set(row) | {i})
-        flat.extend(full)
-        offsets[i + 1] = offsets[i] + len(full)
-    return Graph(num_nodes=n, row_offsets=offsets,
-                 neighbor_ids=np.array(flat, dtype=np.int64), features=features)
+    """Graph from explicit incoming-neighbor lists (self-loops added); every
+    row must come to the same length."""
+    table = np.array([sorted(set(row) | {i}) for i, row in enumerate(rows)], dtype=np.int64)
+    return Graph(neighbors=table, features=features)
 
 
 def random_graph(rng: np.random.Generator, n: int, k: int) -> Graph:
@@ -42,10 +36,11 @@ def random_graph(rng: np.random.Generator, n: int, k: int) -> Graph:
     return make_graph(rows, feats)
 
 
-def path_graph(features: np.ndarray) -> Graph:
+def ring_graph(features: np.ndarray) -> Graph:
+    """Node i's neighbours are i - 1 and i + 1 mod n: on n nodes, node j is
+    min(j, n - j) hops from node 0."""
     n = len(features)
-    rows = [[j for j in (i - 1, i + 1) if 0 <= j < n] for i in range(n)]
-    return make_graph(rows, features)
+    return make_graph([[(i - 1) % n, (i + 1) % n] for i in range(n)], features)
 
 
 # --- independent dense oracle -------------------------------------------------
@@ -60,7 +55,7 @@ def dense_gat_layer(graph: Graph, h: np.ndarray, params: dict, prefix: str, cfg:
     n = graph.num_nodes
     adj = np.zeros((n, n), dtype=bool)
     for i in range(n):
-        for j in graph.neighbor_ids[graph.row_offsets[i]:graph.row_offsets[i + 1]]:
+        for j in graph.neighbors[i]:
             adj[i, j] = True
     outs = []
     for head in range(cfg.heads):
@@ -114,7 +109,6 @@ class TestAttentionLayer:
     def test_identical_neighbors_get_equal_weight(self):
         cfg = ModelConfig(heads=1, head_width=2)
         feats = np.array([[0.0, 0.0, 0.0, 0.0], [1.0, 2.0, 3.0, 0.5], [1.0, 2.0, 3.0, 0.5]])
-        g = make_graph([[1, 2], [], []], feats)
         params = bind_params(init_params("superior_gat", cfg, 1), None)
         # recompute attention for node 0's row directly
         hp = feats @ params["attn.h0.W"].data
@@ -140,7 +134,7 @@ class TestAttentionLayer:
         rng = np.random.default_rng(42)
         cfg = ModelConfig(heads=1, head_width=2)
         feats = rng.normal(size=(4, 4))
-        g = path_graph(feats)
+        g = ring_graph(feats)
         params_np = init_params("superior_gat", cfg, 3)
         out = gat_attention_layer(g, Tensor(feats), bind_params(params_np, None), "attn", cfg)
         expected = dense_gat_layer(g, feats, params_np, "attn", cfg)
@@ -151,18 +145,15 @@ class TestAttentionLayer:
         g = random_graph(rng, 40, 5)
         cfg = ModelConfig()
         params = bind_params(init_params("superior_gat", cfg, 0), None)
-        src, dst = g.neighbor_ids, np.repeat(np.arange(g.num_nodes), np.diff(g.row_offsets))
         for head in range(cfg.heads):
             hp = T.matmul(Tensor(g.features), params[f"attn.h{head}.W"])
             a = params[f"attn.h{head}.a"]
             fp = cfg.head_width
             sd = T.matmul(hp, T.rows(a, 0, fp))
             ss = T.matmul(hp, T.rows(a, fp, 2 * fp))
-            raw = T.add(T.take_rows(sd, dst), T.take_rows(ss, src))
-            logits = T.reshape(T.leaky_relu(raw, ATTN_SLOPE), (-1,))
-            alpha = T.segment_softmax(logits, g.row_offsets).data
-            sums = np.add.reduceat(alpha, g.row_offsets[:-1])
-            np.testing.assert_allclose(sums, 1.0, atol=1e-12)
+            alpha = T.segment_softmax(T.edge_logits(sd, ss, g.neighbors, ATTN_SLOPE)).data
+            assert alpha.shape == (40, 6)
+            np.testing.assert_allclose(alpha.sum(axis=1), 1.0, atol=1e-12)
 
 
 # --- full model --------------------------------------------------------------
@@ -217,7 +208,7 @@ class TestSuperiorGat:
         rows_p = []
         for new_i in range(n):
             old_i = perm[new_i]
-            row = g.neighbor_ids[g.row_offsets[old_i]:g.row_offsets[old_i + 1]]
+            row = g.neighbors[old_i]
             rows_p.append([int(inv[j]) for j in row if j != old_i])
         g_p = make_graph(rows_p, g.features[perm])
         out_p = forward(g_p, Tensor(g_p.features), params, "superior_gat", cfg).data
@@ -227,7 +218,7 @@ class TestSuperiorGat:
         rng = np.random.default_rng(6)
         cfg = ModelConfig()
         feats = rng.normal(size=(6, 4))
-        g = path_graph(feats)
+        g = ring_graph(feats)
         params = bind_params(init_params("superior_gat", cfg, 1), None)
         base = forward(g, Tensor(feats), params, "superior_gat", cfg).data
         # 2 hops away from node 0 -> no effect
@@ -295,15 +286,14 @@ class TestLearnedBaselines:
         w = rng.normal(size=(4, 6))
         out = gcn_layer(g, Tensor(g.features), Tensor(w)).data
         for i in range(10):
-            row = g.neighbor_ids[g.row_offsets[i]:g.row_offsets[i + 1]]
-            mean = g.features[row].mean(axis=0)
+            mean = g.features[g.neighbors[i]].mean(axis=0)
             np.testing.assert_allclose(out[i], leaky(mean @ w, ATTN_SLOPE), atol=1e-12)
 
     def test_gat_baseline_three_hop_receptive_field(self):
         rng = np.random.default_rng(9)
         cfg = ModelConfig()
         feats = rng.normal(size=(8, 4))
-        g = path_graph(feats)
+        g = ring_graph(feats)
         params = bind_params(init_params("gat_baseline", cfg, 5), None)
         base = gat_baseline_forward(g, Tensor(feats), params, cfg).data
         bumped = feats.copy()
@@ -319,7 +309,7 @@ class TestLearnedBaselines:
         rng = np.random.default_rng(10)
         cfg = ModelConfig()
         feats = rng.normal(size=(7, 4))
-        g = path_graph(feats)
+        g = ring_graph(feats)
         params = bind_params(init_params("simple_gcn", cfg, 6), None)
         base = simple_gcn_forward(g, Tensor(feats), params, cfg).data
         bumped = feats.copy()
@@ -337,17 +327,12 @@ SMALL = ModelConfig(heads=2, head_width=3, ffn_hidden=6, dec_hidden=4)
 FD_PARAM = {"superior_gat": "attn.h1.W", "gat_baseline": "l2.h1.a", "simple_gcn": "l0.W"}
 
 
-def irregular_graph(rng: np.random.Generator, n: int = 12) -> Graph:
-    """CSR graph without a fixed degree: row 0 holds only its self-loop,
-    row 1 lists one source twice, the rest have 1..6 random sources."""
-    rows = [[0], [1, 5, 5, 7]]
-    for i in range(2, n):
-        others = rng.choice(n, size=int(rng.integers(1, 7)), replace=False)
-        rows.append(sorted(set(others.tolist()) | {i}))
-    offsets = np.concatenate([[0], np.cumsum([len(r) for r in rows])]).astype(np.int64)
-    return Graph(num_nodes=n, row_offsets=offsets,
-                 neighbor_ids=np.concatenate(rows).astype(np.int64),
-                 features=rng.normal(size=(n, 4)))
+def repeat_graph(rng: np.random.Generator, n: int = 12) -> Graph:
+    """Random graph of 3 neighbours plus the self loop per row, except that
+    row 1 lists source 5 twice."""
+    g = random_graph(rng, n, 3)
+    g.neighbors[1] = [1, 5, 5, 7]
+    return g
 
 
 def row_sets(rng: np.random.Generator, n: int) -> dict[str, np.ndarray]:
@@ -362,23 +347,11 @@ def row_sets(rng: np.random.Generator, n: int) -> dict[str, np.ndarray]:
 class TestRestrictedRows:
     """``forward(..., rows=R)`` is the full forward read at R."""
 
-    def test_sub_csr_lists_the_rows_edges(self):
-        g = irregular_graph(np.random.default_rng(0))
-        offsets, ids = g.sub_csr(None)
-        assert offsets is g.row_offsets and ids is g.neighbor_ids
-        rows = np.array([1, 0, 4, 4])  # any order, repeats allowed
-        offsets, ids = g.sub_csr(rows)
-        expected = [g.neighbor_ids[g.row_offsets[i]:g.row_offsets[i + 1]] for i in rows]
-        np.testing.assert_array_equal(np.diff(offsets), [len(e) for e in expected])
-        np.testing.assert_array_equal(ids, np.concatenate(expected))
-        offsets, ids = g.sub_csr(np.array([], dtype=np.int64))
-        assert offsets.tolist() == [0] and ids.size == 0
-
     @pytest.mark.parametrize("arch", ARCHS)
     @pytest.mark.parametrize("seed", range(3))
     def test_forward_at_rows_matches_full(self, arch, seed):
         rng = np.random.default_rng(seed)
-        g = irregular_graph(rng)
+        g = repeat_graph(rng)
         params = bind_params(init_params(arch, SMALL, seed), None)
         full = forward(g, Tensor(g.features), params, arch, SMALL).data
         for name, rows in row_sets(rng, g.num_nodes).items():
@@ -389,11 +362,9 @@ class TestRestrictedRows:
     @pytest.mark.parametrize("heads", [1, 2])
     def test_attention_layer_at_rows_matches_dense_oracle(self, heads):
         # the oracle's boolean adjacency counts a repeated source once, so
-        # this graph keeps the varying degrees but drops the repeat
+        # this graph has no repeat
         rng = np.random.default_rng(heads)
-        g = irregular_graph(rng)
-        g = make_graph([sorted(set(g.neighbor_ids[lo:hi].tolist()))
-                        for lo, hi in zip(g.row_offsets[:-1], g.row_offsets[1:])], g.features)
+        g = random_graph(rng, 12, 3)
         cfg = ModelConfig(heads=heads, head_width=3)
         params_np = init_params("superior_gat", cfg, 5)
         expected = dense_gat_layer(g, g.features, params_np, "attn", cfg)
@@ -405,7 +376,7 @@ class TestRestrictedRows:
     @pytest.mark.parametrize("arch", ARCHS)
     def test_gradients_at_rows_match_full_pass_and_finite_differences(self, arch):
         rng = np.random.default_rng(11)
-        g = irregular_graph(rng)
+        g = repeat_graph(rng)
         params_np = init_params(arch, SMALL, 3)
         sets = row_sets(rng, g.num_nodes)
         for name in ("singleton", "subset", "all"):
@@ -510,7 +481,7 @@ class TestInit:
             np.testing.assert_array_equal(params[name], arr, err_msg=name)
 
     def test_unknown_architecture_rejected(self):
-        g = path_graph(np.ones((3, 4)))
+        g = ring_graph(np.ones((3, 4)))
         params = bind_params(init_params("superior_gat", SMALL, 0), None)
         with pytest.raises(ValueError, match="unknown architecture"):
             init_params("gcn", SMALL, 0)

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -80,14 +81,17 @@ def test_leaky_relu_slope_one_is_identity():
     np.testing.assert_array_equal(out.data, x)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in reduce")  # the finiteness check's sum of ±1e308
 @pytest.mark.parametrize("slope", [0.0, 0.01, 0.2, 0.5, 1.0])
 def test_leaky_relu_forward_bit_identical_to_where_form(slope):
     tiny = np.finfo(np.float64).smallest_subnormal
     big = np.finfo(np.float64).max
     x = np.array([0.0, -0.0, tiny, -tiny, 3 * tiny, -3 * tiny, 1e-310, -1e-310,
                   1.0, -2.5, 1e308, -1e308, big, -big])
-    out = T.leaky_relu(Tensor(x), slope).data
+    # the finiteness check's sum of ±1e308 overflows on finite data, which
+    # must pass without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = T.leaky_relu(Tensor(x), slope).data
     assert out.tobytes() == np.where(x > 0, x, slope * x).tobytes()
 
 
@@ -104,7 +108,7 @@ def test_leaky_relu_slope_outside_unit_interval_rejected(slope):
     with pytest.raises(ValueError, match="slope"):
         T.leaky_relu(Tensor([1.0, -1.0]), slope)
     with pytest.raises(ValueError, match="slope"):
-        T.edge_logits(Tensor(np.zeros((4, 1))), Tensor(np.zeros((4, 1))), LOGIT_IDS, LOGIT_OFFSETS, slope)
+        T.edge_logits(Tensor(np.zeros((4, 1))), Tensor(np.zeros((4, 1))), LOGIT_TABLE, slope)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -117,132 +121,127 @@ def test_leaky_relu_grad(seed):
 
 
 def test_segment_softmax_symmetry():
-    out = T.segment_softmax(Tensor([0.0, 0.0]), np.array([0, 2]))
-    np.testing.assert_allclose(out.data, [0.5, 0.5])
+    out = T.segment_softmax(Tensor([[0.0, 0.0]]))
+    np.testing.assert_allclose(out.data, [[0.5, 0.5]])
 
 
 def test_segment_softmax_singleton():
-    out = T.segment_softmax(Tensor([3.7]), np.array([0, 1]))
-    np.testing.assert_allclose(out.data, [1.0])
+    out = T.segment_softmax(Tensor([[3.7]]))
+    np.testing.assert_allclose(out.data, [[1.0]])
 
 
 def test_segment_softmax_known_values():
     # scalar softmax oracle for [1, 2, 3]
     v = np.array([1.0, 2.0, 3.0])
     expected = np.exp(v) / np.exp(v).sum()
-    out = T.segment_softmax(Tensor(v), np.array([0, 3]))
-    np.testing.assert_allclose(out.data, expected, atol=5e-6)
-    np.testing.assert_allclose(out.data, [0.09003, 0.24473, 0.66524], atol=5e-6)
+    out = T.segment_softmax(Tensor([v])).data[0]
+    np.testing.assert_allclose(out, expected, atol=5e-6)
+    np.testing.assert_allclose(out, [0.09003, 0.24473, 0.66524], atol=5e-6)
 
 
 def test_segment_softmax_shift_invariance_and_sum():
     rng = np.random.default_rng(0)
-    offsets = np.array([0, 3, 7, 12])
-    v = rng.normal(size=12)
-    base = T.segment_softmax(Tensor(v), offsets).data
+    v = rng.normal(size=(3, 4))
+    base = T.segment_softmax(Tensor(v)).data
     shifted = v.copy()
-    shifted[0:3] += 100.0
-    shifted[3:7] -= 55.0
-    out = T.segment_softmax(Tensor(shifted), offsets).data
+    shifted[0] += 100.0
+    shifted[1] -= 55.0
+    out = T.segment_softmax(Tensor(shifted)).data
     np.testing.assert_allclose(out, base, atol=1e-12)
-    sums = np.add.reduceat(out, offsets[:-1])
-    np.testing.assert_allclose(sums, 1.0, atol=1e-12)
+    np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_segment_softmax_empty_segment_rejected():
+    # a zero-width table gives every row an empty segment; 1-D logits are
+    # no table at all
     with pytest.raises(ValueError):
-        T.segment_softmax(Tensor([1.0]), np.array([0, 1, 1]))
+        T.segment_softmax(Tensor(np.zeros((2, 0))))
+    with pytest.raises(ValueError):
+        T.segment_softmax(Tensor([1.0, 2.0]))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_segment_softmax_grad(seed):
     rng = np.random.default_rng(seed)
-    offsets = np.array([0, 2, 5, 9])
-    target = rng.normal(size=9)
-    check_grad(lambda x: T.mse_loss(T.segment_softmax(x, offsets), target),
-               rng.normal(size=9))
+    target = rng.normal(size=(3, 3))
+    check_grad(lambda x: T.mse_loss(T.segment_softmax(x), target),
+               rng.normal(size=(3, 3)))
 
 
 def test_segment_weighted_sum_copies_single_values():
     values = Tensor([[2.0], [4.0]])
-    out = T.segment_weighted_sum(values, Tensor([1.0, 1.0]), np.array([0, 1, 2]))
+    out = T.segment_weighted_sum(values, Tensor([[1.0], [1.0]]))
     np.testing.assert_allclose(out.data, [[2.0], [4.0]])
 
 
 def test_segment_weighted_sum_mean():
-    out = T.segment_weighted_sum(Tensor([[2.0], [4.0]]), Tensor([0.5, 0.5]), np.array([0, 2]))
+    out = T.segment_weighted_sum(Tensor([[2.0], [4.0]]), Tensor([[0.5, 0.5]]))
     np.testing.assert_allclose(out.data, [[3.0]])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_segment_weighted_sum_grad(seed):
     rng = np.random.default_rng(seed)
-    offsets = np.array([0, 2, 6, 8])
-    w0 = rng.normal(size=8)
+    w0 = rng.normal(size=(4, 2))
     v0 = rng.normal(size=(8, 3))
-    target = rng.normal(size=9)
+    target = rng.normal(size=12)
 
     check_grad(lambda v: T.mse_loss(
-        T.reshape(T.segment_weighted_sum(v, Tensor(w0), offsets), (-1,)), target), v0)
+        T.reshape(T.segment_weighted_sum(v, Tensor(w0)), (-1,)), target), v0)
     check_grad(lambda w: T.mse_loss(
-        T.reshape(T.segment_weighted_sum(Tensor(v0), w, offsets), (-1,)), target), w0)
+        T.reshape(T.segment_weighted_sum(Tensor(v0), w), (-1,)), target), w0)
 
 
-# Irregular CSR over 4 source rows: an empty row, singleton rows, a source
-# repeated within one row (3, 3) and rows of lengths 0, 1, 3, 1 and 4.
-SPMM_OFFSETS = np.array([0, 0, 1, 4, 5, 9])
-SPMM_IDS = np.array([2, 0, 0, 3, 1, 3, 3, 0, 2])
-# Uniform CSR over the same 4 source rows: 4 rows of 3 edges, the shape of a
-# kNN graph (k + 1 = 3 with the self loop), with a source repeated in row 1.
-UNIFORM_OFFSETS = np.arange(0, 13, 3)
-UNIFORM_IDS = np.array([0, 1, 2, 1, 3, 3, 2, 0, 3, 3, 1, 0])
-SPMM_CSRS = ((SPMM_OFFSETS, SPMM_IDS), (UNIFORM_OFFSETS, UNIFORM_IDS))
+# Neighbour tables over 4 source rows. SPMM_TABLE has the shape of a kNN
+# graph (k + 1 = 3 with the self loop) and repeats source 3 in row 1; the
+# second table has more rows than sources and repeats a source in two rows.
+SPMM_TABLE = np.array([[0, 1, 2], [1, 3, 3], [2, 0, 3], [3, 1, 0]])
+SPMM_TABLES = (SPMM_TABLE, np.array([[2, 0], [0, 0], [3, 1], [3, 3], [0, 2]]))
 
 
-def dense_adjacency(weights, ids, offsets, n_cols):
-    dense = np.zeros((len(offsets) - 1, n_cols))
-    for row in range(len(offsets) - 1):
-        for e in range(offsets[row], offsets[row + 1]):
-            dense[row, ids[e]] += weights[e]
+def dense_adjacency(weights, table, n_cols):
+    dense = np.zeros((len(table), n_cols))
+    for row in range(len(table)):
+        for k in range(table.shape[1]):
+            dense[row, table[row, k]] += weights[row, k]
     return dense
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_spmm_matches_dense_product(seed):
     rng = np.random.default_rng(seed)
-    for offsets, ids in SPMM_CSRS:
-        w = rng.normal(size=len(ids))
+    for table in SPMM_TABLES:
+        w = rng.normal(size=table.shape)
         v = rng.normal(size=(4, 3))
-        out = T.spmm(Tensor(w), Tensor(v), ids, offsets).data
-        np.testing.assert_allclose(out, dense_adjacency(w, ids, offsets, 4) @ v, atol=1e-14)
+        out = T.spmm(Tensor(w), Tensor(v), table).data
+        np.testing.assert_allclose(out, dense_adjacency(w, table, 4) @ v, atol=1e-14)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_spmm_grad(seed):
     rng = np.random.default_rng(seed)
-    for offsets, ids in SPMM_CSRS:
-        w0 = rng.normal(size=len(ids))
+    for table in SPMM_TABLES:
+        w0 = rng.normal(size=table.shape)
         v0 = rng.normal(size=(4, 3))
-        target = rng.normal(size=(len(offsets) - 1) * 3)
+        target = rng.normal(size=len(table) * 3)
 
         check_grad(lambda v: T.mse_loss(
-            T.reshape(T.spmm(Tensor(w0), v, ids, offsets), (-1,)), target), v0)
+            T.reshape(T.spmm(Tensor(w0), v, table), (-1,)), target), v0)
         check_grad(lambda w: T.mse_loss(
-            T.reshape(T.spmm(w, Tensor(v0), ids, offsets), (-1,)), target), w0)
+            T.reshape(T.spmm(w, Tensor(v0), table), (-1,)), target), w0)
 
 
 def test_spmm_weight_gradient_peak_stays_near_one_gather():
-    # A kNN-shaped graph, E = 200k edges of in-degree 20 and F = 16. The
+    # A kNN-shaped table, E = 200k edges of in-degree 20 and F = 16. The
     # weight gradient needs the [E, F] gather of neighbour rows; a per-edge
     # copy of the output gradient, or a product temporary, is one more [E, F].
     n, d, f = 10000, 20, 16
     rng = np.random.default_rng(0)
-    ids = rng.integers(0, n, size=n * d)
-    offsets = np.arange(0, n * d + 1, d)
+    table = rng.integers(0, n, size=(n, d))
     values = Tensor(rng.normal(size=(n, f)))
     tape = Tape()
-    w = Tensor(rng.normal(size=n * d), tape)
-    out = T.spmm(w, values, ids, offsets)
+    w = Tensor(rng.normal(size=(n, d)), tape)
+    out = T.spmm(w, values, table)
     loss = T.mse_loss(T.reshape(out, (-1,)), np.zeros(n * f))
     gather = n * d * f * 8
     tracemalloc.start()
@@ -253,54 +252,57 @@ def test_spmm_weight_gradient_peak_stays_near_one_gather():
         tracemalloc.stop()
     assert peak < 1.5 * gather, f"weight gradient peaked at {peak / gather:.2f} [E, F] gathers"
     g = 2.0 * out.data / out.data.size
-    expected = (values.data[ids] * np.repeat(g, d, axis=0)).sum(axis=1)
+    expected = (values.data[table] * g[:, None, :]).sum(axis=2)
     np.testing.assert_allclose(w.grad, expected, rtol=1e-12, atol=1e-18)
 
 
 def test_spmm_constant_weights_get_no_gradient():
     rng = np.random.default_rng(0)
     tape = Tape()
-    weights = rng.normal(size=len(SPMM_IDS))
+    weights = rng.normal(size=SPMM_TABLE.shape)
     before = weights.copy()
     v = Tensor(rng.normal(size=(4, 2)), tape)
-    out = T.spmm(weights, v, SPMM_IDS, SPMM_OFFSETS)
-    tape.backward(T.mse_loss(T.reshape(out, (-1,)), np.zeros(10)))
+    out = T.spmm(weights, v, SPMM_TABLE)
+    tape.backward(T.mse_loss(T.reshape(out, (-1,)), np.zeros(8)))
     assert v.grad is not None
     np.testing.assert_array_equal(weights, before)
-    dense = dense_adjacency(weights, SPMM_IDS, SPMM_OFFSETS, 4)
+    dense = dense_adjacency(weights, SPMM_TABLE, 4)
     np.testing.assert_allclose(v.grad, dense.T @ (2.0 * out.data / out.data.size), atol=1e-14)
 
 
 def test_spmm_length_mismatch_rejected():
     with pytest.raises(ValueError):
-        T.spmm(np.ones(3), Tensor(np.ones((4, 2))), SPMM_IDS, SPMM_OFFSETS)
+        T.spmm(np.ones(3), Tensor(np.ones((4, 2))), SPMM_TABLE)
+    with pytest.raises(ValueError):
+        T.spmm(np.ones(12), Tensor(np.ones((4, 2))), SPMM_TABLE.ravel())
 
 
-# Square CSR over 4 nodes for the attention logits: row 0 holds only its
-# self loop, row 1 repeats source 0, and the degrees are 1, 3, 2 and 3.
-LOGIT_OFFSETS = np.array([0, 1, 4, 6, 9])
-LOGIT_IDS = np.array([0, 1, 0, 0, 2, 3, 3, 1, 2])
+# Neighbour table of 4 nodes for the attention logits: every row holds its
+# self loop, and rows 1 and 3 each repeat a source.
+LOGIT_TABLE = np.array([[0, 2, 3], [0, 0, 1], [1, 2, 3], [1, 3, 3]])
 
 
-def unfused_edge_logits(score_dst, score_src, src, offsets, slope):
+def unfused_edge_logits(score_dst, score_src, neighbors, slope):
     """The take_rows/add/leaky_relu/reshape chain that ``edge_logits`` fuses."""
-    dst = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
-    raw = T.add(T.take_rows(score_dst, dst), T.take_rows(score_src, src))
-    return T.reshape(T.leaky_relu(raw, slope), (-1,))
+    dst = np.repeat(np.arange(len(neighbors)), neighbors.shape[1])
+    raw = T.add(T.take_rows(score_dst, dst), T.take_rows(score_src, neighbors.ravel()))
+    return T.reshape(T.leaky_relu(raw, slope), neighbors.shape)
 
 
 @pytest.mark.parametrize("shape", [(4,), (4, 1)])
 @pytest.mark.parametrize("seed", range(5))
 def test_edge_logits_bit_identical_to_unfused_chain(seed, shape):
+    # numpy sums a row of fewer than 8 entries in order, so on this table the
+    # fused row sum is bit-identical to take_rows' bincount
     rng = np.random.default_rng(seed)
     d0, s0 = rng.normal(size=shape), rng.normal(size=shape)
     d0[0] = -s0[0]  # row 0's self loop sits exactly on the kink
-    target = rng.normal(size=len(LOGIT_IDS))
+    target = rng.normal(size=LOGIT_TABLE.shape)
     results = []
     for op in (T.edge_logits, unfused_edge_logits):
         tape = Tape()
         score_dst, score_src = Tensor(d0, tape), Tensor(s0, tape)
-        logits = op(score_dst, score_src, LOGIT_IDS, LOGIT_OFFSETS, 0.2)
+        logits = op(score_dst, score_src, LOGIT_TABLE, 0.2)
         tape.backward(T.mse_loss(logits, target))
         results.append((logits.data.tobytes(), score_dst.grad.tobytes(), score_src.grad.tobytes()))
     assert results[0] == results[1]
@@ -310,18 +312,20 @@ def test_edge_logits_bit_identical_to_unfused_chain(seed, shape):
 def test_edge_logits_grad(seed):
     rng = np.random.default_rng(seed)
     d0, s0 = rng.normal(size=(4, 1)), rng.normal(size=(4, 1))
-    target = rng.normal(size=len(LOGIT_IDS))
+    target = rng.normal(size=LOGIT_TABLE.shape)
     check_grad(lambda x: T.mse_loss(
-        T.edge_logits(x, Tensor(s0), LOGIT_IDS, LOGIT_OFFSETS, 0.2), target), d0)
+        T.edge_logits(x, Tensor(s0), LOGIT_TABLE, 0.2), target), d0)
     check_grad(lambda x: T.mse_loss(
-        T.edge_logits(Tensor(d0), x, LOGIT_IDS, LOGIT_OFFSETS, 0.2), target), s0)
+        T.edge_logits(Tensor(d0), x, LOGIT_TABLE, 0.2), target), s0)
 
 
 def test_edge_logits_shape_mismatch_rejected():
     with pytest.raises(ValueError):
-        T.edge_logits(Tensor(np.zeros((3, 1))), Tensor(np.zeros((4, 1))), LOGIT_IDS, LOGIT_OFFSETS, 0.2)
+        T.edge_logits(Tensor(np.zeros((3, 1))), Tensor(np.zeros((4, 1))), LOGIT_TABLE, 0.2)
     with pytest.raises(ValueError):
-        T.edge_logits(Tensor(np.zeros((4, 1))), Tensor(np.zeros((4, 2))), LOGIT_IDS, LOGIT_OFFSETS, 0.2)
+        T.edge_logits(Tensor(np.zeros((4, 1))), Tensor(np.zeros((4, 2))), LOGIT_TABLE, 0.2)
+    with pytest.raises(ValueError):
+        T.edge_logits(Tensor(np.zeros((12, 1))), Tensor(np.zeros((4, 1))), LOGIT_TABLE.ravel(), 0.2)
 
 
 def test_layer_norm_constant_row_zeros():

@@ -68,6 +68,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if not reports:
+        print("error: every frame was skipped, so no report rows were written", file=sys.stderr)
+        return 1
     print(f"wrote {len(reports)} report rows to {cfg.out_dir}/reports.csv")
     return 0
 

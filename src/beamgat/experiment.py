@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from . import baselines, graph as graph_mod, ingest, metrics, synth, trainer
+from . import baselines, blas, graph as graph_mod, ingest, metrics, synth, trainer
 from .model import ARCHITECTURES, ModelConfig
 from .trainer import TrainConfig
 
@@ -133,10 +133,12 @@ def _evaluate(
     return report, z_hat
 
 
+@blas.one_thread()
 def _run_one_frame(args) -> list[metrics.EvalReport]:
-    """All cells of one frame; a frame file that cannot be read, or a frame
-    the dropout pattern cannot split into dropped and observed beams,
-    yields no rows (the same for any ``workers``)."""
+    """All cells of one frame, run with one BLAS thread (``--workers`` runs
+    frames in parallel); a frame file that cannot be read, or a frame the
+    dropout pattern cannot split into dropped and observed beams, yields no
+    rows (the same for any ``workers``)."""
     cfg, frame_id, path = args
     try:
         tag, frame = _build_frame(cfg, frame_id, path)

@@ -54,11 +54,12 @@ def knn_indices(points: np.ndarray, k: int) -> np.ndarray:
     """[N, k] array: row i holds the k nearest other nodes of node i, ties
     broken by lower point index.
 
-    ``points`` is [N, 2] (or [N, 3]); kd-tree backed. The query window is
-    widened past k so that equal-distance candidates are re-ordered
-    deterministically; a row whose farthest returned candidate still ties
-    its k-th neighbour may have missed an equal-distance point, so such rows
-    alone are queried again with twice the window until none ties.
+    ``points`` is [N, 2] (or [N, 3]); kd-tree backed. The first query window
+    holds the node, its k neighbours and one more candidate, which shows
+    whether the k-th distance is tied; a row whose farthest returned
+    candidate still ties its k-th neighbour may have missed an
+    equal-distance point, so such rows alone are queried again with twice
+    the window until none ties.
     """
     n = points.shape[0]
     if k < 1:
@@ -68,7 +69,7 @@ def knn_indices(points: np.ndarray, k: int) -> np.ndarray:
     tree = cKDTree(points)
     out = np.empty((n, k), dtype=np.int64)
     rows = np.arange(n)
-    m = min(n, k + 9)  # slack absorbs most ties at the cutoff
+    m = min(n, k + 2)
     while rows.size:
         dist, idx = tree.query(points[rows], k=m)
         farthest = dist[:, -1].copy()

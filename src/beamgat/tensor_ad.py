@@ -175,21 +175,19 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def scale(x: Tensor, s: "Tensor | float") -> Tensor:
     """Multiply by a python float or a scalar tensor (learnable gate)."""
-    if isinstance(s, Tensor):
-        if s.data.size != 1:
-            raise ValueError("scale factor must be scalar")
-        data = x.data * s.data.reshape(())
-
-        def bwd(g):
-            _accum(x, g * s.data.reshape(()))
-            _accum(s, np.full(s.data.shape, np.sum(g * x.data)))
-
-        return _make(data, (x, s), bwd)
+    learned = isinstance(s, Tensor)
+    if learned and s.data.size != 1:
+        raise ValueError("scale factor must be scalar")
+    factor = s.data.reshape(()) if learned else s
+    with np.errstate(over="ignore"):  # _make raises NonFiniteError on overflow
+        data = x.data * factor
 
     def bwd(g):
-        _accum(x, g * s)
+        _accum(x, g * factor)
+        if learned:
+            _accum(s, np.full(s.data.shape, np.sum(g * x.data)))
 
-    return _make(x.data * s, (x,), bwd)
+    return _make(data, (x, s) if learned else (x,), bwd)
 
 
 def add_const(x: Tensor, c: float) -> Tensor:

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from beamgat import baselines, cli, graph as graph_mod, ingest, metrics, synth, trainer
+from beamgat import baselines, blas, cli, graph as graph_mod, ingest, metrics, synth, trainer
 from beamgat.experiment import ExperimentConfig, _run_one_frame, run_experiment
 from beamgat.model import ModelConfig
 from beamgat.trainer import TrainConfig
@@ -137,6 +137,34 @@ def test_baseline_only_grid_builds_no_graph(tmp_path, monkeypatch):
     assert built == [] and queried == []
 
 
+def test_frames_run_with_one_blas_thread_and_restore_the_callers_count(tmp_path, monkeypatch):
+    api = blas.openblas_threads()
+    blas_name = np.__config__.CONFIG["Build Dependencies"]["blas"]["name"]
+    if "openblas" in blas_name.lower():  # a failed lookup fails rather than skips
+        assert api is not None, f"numpy's {blas_name} was not found"
+    if api is None:
+        pytest.skip(f"numpy's BLAS is {blas_name}, not OpenBLAS")
+    get, set_ = api
+    seen = []
+    train_frame = trainer.train_frame
+
+    def spy(*args):
+        seen.append(get())
+        return train_frame(*args)
+
+    monkeypatch.setattr(trainer, "train_frame", spy)
+    saved = get()
+    set_(2)
+    try:
+        run_experiment(ExperimentConfig(methods=("simple_gcn", "linear"), out_dir=str(tmp_path / "runs"),
+                                        **{**FAST, "train": TrainConfig(epochs=1)}))
+        after = get()
+    finally:
+        set_(saved)
+    assert seen == [1]
+    assert after == 2
+
+
 def test_rerun_with_timing_off_is_byte_identical(tmp_path):
     outs = []
     for name in ("a", "b"):
@@ -213,16 +241,20 @@ def test_unreadable_frame_is_skipped_for_any_worker_count(tmp_path, caplog):
     assert "skipping frame" in caplog.text and "000000.bin" in caplog.text
 
 
-def test_frame_the_dropout_cannot_split_is_skipped_for_any_worker_count(tmp_path, caplog):
-    # every point of 000000.bin is 45 degrees below the horizon, under the
-    # lowest beam, so all land in beam 0 and the dropout drops every
-    # populated beam; 000001.bin is a good scan
-    frame_dir = tmp_path / "frames"
-    frame_dir.mkdir()
+def steep_scan() -> np.ndarray:
+    """300 points 45 degrees below the horizon, under the lowest beam: all
+    land in beam 0, so the dropout drops every populated beam."""
     theta = np.linspace(0.0, 2 * np.pi, 300, endpoint=False)
     r = np.linspace(5.0, 20.0, 300)
-    steep = np.column_stack([r * np.cos(theta), r * np.sin(theta), -r])
-    ingest.write_kitti_bin(ingest.PointCloud(xyz=steep, reflectance=np.zeros(300)),
+    return np.column_stack([r * np.cos(theta), r * np.sin(theta), -r])
+
+
+def test_frame_the_dropout_cannot_split_is_skipped_for_any_worker_count(tmp_path, caplog):
+    # 000000.bin is a steep scan the dropout cannot split; 000001.bin is a
+    # good scan
+    frame_dir = tmp_path / "frames"
+    frame_dir.mkdir()
+    ingest.write_kitti_bin(ingest.PointCloud(xyz=steep_scan(), reflectance=np.zeros(300)),
                            str(frame_dir / "000000.bin"))
     cloud = synth.synthesize_scene(synth.SceneSpec(kind="sinusoid", point_count=800), seed=1)
     ingest.write_kitti_bin(cloud, str(frame_dir / "000001.bin"))
@@ -237,6 +269,19 @@ def test_frame_the_dropout_cannot_split_is_skipped_for_any_worker_count(tmp_path
     lines = outs[0].decode().splitlines()
     assert len(lines) == 2 and lines[1].startswith("000001,linear,")
     assert "skipping frame" in caplog.text and "drops every populated beam" in caplog.text
+
+
+def test_cli_run_where_every_frame_is_skipped_exits_1(tmp_path, capsys):
+    frame_dir = tmp_path / "frames"
+    frame_dir.mkdir()
+    ingest.write_kitti_bin(ingest.PointCloud(xyz=steep_scan(), reflectance=np.zeros(300)),
+                           str(frame_dir / "000000.bin"))
+    rc = cli.main(["--input", str(frame_dir), "--methods", "linear", "--sample-target", "400",
+                   "--out", str(tmp_path / "runs")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "error: every frame was skipped" in captured.err
+    assert "wrote" not in captured.out
 
 
 # ---------------------------------------------------------------------------

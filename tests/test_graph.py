@@ -103,6 +103,17 @@ class TestKnn:
         for f, s in zip(fast, slow):
             assert f.tolist() == s.tolist()
 
+    def test_grid_ties_past_the_first_window_match_brute_force(self):
+        # on an integer grid the 5th neighbour is one of 4 diagonals tied at
+        # sqrt(2), more than a window of the node, k neighbours and one
+        # extra candidate can hold; shuffled so index order is not row order
+        xy = np.stack(np.meshgrid(np.arange(12.0), np.arange(12.0)), axis=-1).reshape(-1, 2)
+        pts = xy[np.random.default_rng(5).permutation(len(xy))]
+        fast = knn_indices(pts, 5)
+        slow = brute_force_knn(pts, 5)
+        for f, s in zip(fast, slow):
+            assert f.tolist() == s.tolist()
+
     def test_two_plane_scene_matches_brute_force(self):
         # wall points share exact (x, y) across beams, up to 20 per spot
         cloud = synthesize_scene(SceneSpec(kind="two_plane", point_count=4000), seed=1)

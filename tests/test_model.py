@@ -109,13 +109,18 @@ class TestAttentionLayer:
     def test_identical_neighbors_get_equal_weight(self):
         cfg = ModelConfig(heads=1, head_width=2)
         feats = np.array([[0.0, 0.0, 0.0, 0.0], [1.0, 2.0, 3.0, 0.5], [1.0, 2.0, 3.0, 0.5]])
+        g = make_graph([[1, 2], [0, 2], [0, 1]], feats)
         params = bind_params(init_params("superior_gat", cfg, 1), None)
-        # recompute attention for node 0's row directly
-        hp = feats @ params["attn.h0.W"].data
-        a = params["attn.h0.a"].data.ravel()
-        row = [1, 2]
-        logits = [leaky(a @ np.concatenate([hp[0], hp[j]]), ATTN_SLOPE) for j in row]
-        assert logits[0] == pytest.approx(logits[1])
+        hp = T.matmul(Tensor(feats), params["attn.h0.W"])
+        a = params["attn.h0.a"]
+        sd = T.matmul(hp, T.rows(a, 0, 2))
+        ss = T.matmul(hp, T.rows(a, 2, 4))
+        alpha = T.segment_softmax(T.edge_logits(sd, ss, g.neighbors, ATTN_SLOPE)).data
+        # node 0's row is [0, 1, 2]: sources 1 and 2 carry the same features,
+        # its own (zero) features score differently
+        assert g.neighbors[0].tolist() == [0, 1, 2]
+        assert alpha[0, 1] == pytest.approx(alpha[0, 2], rel=1e-12)
+        assert abs(alpha[0, 0] - alpha[0, 1]) > 1e-3
 
     @pytest.mark.parametrize("heads", [1, 4])
     @pytest.mark.parametrize("seed", range(5))

@@ -463,8 +463,13 @@ def test_double_backward_rejected():
 
 
 def test_nonfinite_forward_detected():
-    with pytest.raises(NonFiniteError):
-        T.scale(Tensor([1e308]), 1e10)
+    # NonFiniteError is the only signal: numpy's overflow warning would be
+    # raised here as an error instead
+    for factor in (1e10, Tensor([1e10])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError):
+                T.scale(Tensor([1e308]), factor)
 
 
 def test_gradient_accumulation_at_shared_input():

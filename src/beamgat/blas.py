@@ -1,7 +1,7 @@
 """One BLAS thread for a block of numeric work when numpy runs on OpenBLAS.
 
 beamgat's matrix products are a few MFLOP each; a second OpenBLAS thread
-buys them no wall time and spin-waits between calls, and worker processes
+buys them little wall time and spin-waits between calls, and worker processes
 that each run several BLAS threads oversubscribe the cores. Parallelism
 comes from ``--workers`` (one process per frame) instead.
 """

@@ -54,10 +54,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     if config:
         with open(config) as fh:
             fields = json.load(fh)
-    for dest, value in passed.items():
-        section, _, name = dest.rpartition(".")
-        (fields.setdefault(section, {}) if section else fields)[name] = value
-    return ExperimentConfig.from_dict(fields)
+    return ExperimentConfig.from_dict(fields, passed)
 
 
 def main(argv: list[str] | None = None) -> int:

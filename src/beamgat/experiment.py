@@ -31,7 +31,6 @@ class ExperimentConfig:
     dropout_nth: int = 4
     k_list: tuple[int, ...] = (10,)
     methods: tuple[str, ...] = ALL_METHODS
-    model: ModelConfig = ModelConfig()
     train: TrainConfig = TrainConfig()
     scene: synth.SceneSpec = synth.SceneSpec()
     seed: int = 0  # training seed; frame i's scene and sample seed is seed + i
@@ -44,6 +43,8 @@ class ExperimentConfig:
             raise ValueError("at least one method required")
         if not self.k_list:
             raise ValueError("at least one k required")
+        if min(self.k_list) < 1:
+            raise ValueError(f"k_list entries must be >= 1, got {list(self.k_list)}")
         if self.frame_limit < 1:
             raise ValueError(f"frame_limit must be >= 1, got {self.frame_limit}")
         if self.workers < 1:
@@ -55,17 +56,29 @@ class ExperimentConfig:
                 raise ValueError(f"unknown method {m!r}")
 
     @classmethod
-    def from_dict(cls, fields: dict) -> "ExperimentConfig":
-        """Build from JSON-style field values. ``model``, ``train`` and
-        ``scene`` are dicts of their own fields. Fields not given keep their
-        defaults."""
-        fields = dict(fields)
-        for name, kind in (("model", ModelConfig), ("train", TrainConfig), ("scene", synth.SceneSpec)):
-            fields[name] = _build(kind, fields.get(name, {}), f"{name}.")
+    def from_dict(cls, fields: dict, overrides: dict | None = None) -> "ExperimentConfig":
+        """Build from JSON-style field values: ``train`` and ``scene`` are
+        objects of their own fields, ``overrides`` maps config paths such as
+        ``train.epochs`` to replacing values, and fields not given keep their defaults."""
+        fields = dict(_object(fields, "the config"))
+        sections = {"train": TrainConfig, "scene": synth.SceneSpec}
+        for name in sections:
+            fields[name] = dict(_object(fields.get(name, {}), f"config section {name!r}"))
+        for path, value in (overrides or {}).items():
+            section, _, name = path.rpartition(".")
+            (fields[section] if section else fields)[name] = value
+        for name, kind in sections.items():
+            fields[name] = _build(kind, fields[name], f"{name}.")
         for name in ("k_list", "methods"):
             if name in fields:
                 fields[name] = tuple(fields[name])
         return _build(cls, fields, "")
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
 
 
 def _build(kind, fields: dict, prefix: str):
@@ -94,7 +107,7 @@ def _evaluate(
     k: int,
     method: str,
     graph: graph_mod.Graph | None,
-) -> tuple[metrics.EvalReport, np.ndarray]:
+) -> metrics.EvalReport:
     """One (frame, k, method) cell. ``graph`` is the frame's kNN graph for
     ``k``, which learned methods need; baselines take None."""
     dropped = np.flatnonzero(frame.dropped_mask)
@@ -113,13 +126,13 @@ def _evaluate(
         infer_s = time.perf_counter() - t0
         z_hat = recon[:, 2]
     else:
-        result = trainer.train_frame(frame, graph, method, cfg.model, cfg.train, cfg.seed)
+        result = trainer.train_frame(frame, graph, method, ModelConfig(), cfg.train, cfg.seed)
         train_s = result.train_time_s
-        z_hat, infer_s = trainer.predict_dropped(frame, graph, result.params, method, cfg.model)
+        z_hat, infer_s = trainer.predict_dropped(frame, graph, result.params, method)
         recon = truth.copy()
         recon[:, 2] = z_hat
 
-    report = metrics.EvalReport(
+    return metrics.EvalReport(
         frame=tag,
         method=method,
         k=k,
@@ -130,7 +143,6 @@ def _evaluate(
         infer_time_s=infer_s if cfg.timing else 0.0,
         n_dropped=int(dropped.size),
     )
-    return report, z_hat
 
 
 @blas.one_thread()
@@ -138,23 +150,27 @@ def _run_one_frame(args) -> list[metrics.EvalReport]:
     """All cells of one frame, run with one BLAS thread (``--workers`` runs
     frames in parallel); a frame file that cannot be read, or a frame the
     dropout pattern cannot split into dropped and observed beams, yields no
-    rows (the same for any ``workers``)."""
+    rows, and so does a learned cell whose k is not below the frame's point
+    count (the same for any ``workers``)."""
     cfg, frame_id, path = args
     try:
         tag, frame = _build_frame(cfg, frame_id, path)
     except (OSError, ingest.TruncatedRecordError, ingest.DropoutConfigError) as exc:
         log.warning("skipping frame %s: %s", path if path is not None else frame_id, exc)
         return []
+    n = len(frame.cloud)
     learned = any(m in ARCHITECTURES for m in cfg.methods)
-    # one kNN query per frame at the largest k; a smaller k's rows are its
-    # prefixes, and one graph per (frame, k) is shared by every learned method
-    nearest = graph_mod.knn_indices(frame.cloud.xyz[:, :2], max(cfg.k_list)) if learned else None
+    # one kNN query per frame at the largest k it holds; a smaller k's rows are
+    # its prefixes, and one graph per (frame, k) is shared by every learned method
+    nearest = graph_mod.knn_indices(frame.cloud.xyz[:, :2], min(max(cfg.k_list), n - 1)) if learned else None
     reports = []
     for k in cfg.k_list:
-        graph = graph_mod.build_knn_graph(frame, k, nearest) if learned else None
+        graph = graph_mod.build_knn_graph(frame, k, nearest) if learned and k < n else None
         for method in cfg.methods:
-            report, _ = _evaluate(cfg, tag, frame, k, method, graph)
-            reports.append(report)
+            if method in ARCHITECTURES and graph is None:
+                log.warning("skipping %s at k=%d on frame %s: it has only %d points", method, k, tag, n)
+                continue
+            reports.append(_evaluate(cfg, tag, frame, k, method, graph))
     return reports
 
 

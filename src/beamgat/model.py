@@ -1,8 +1,8 @@
 """Gated single-layer graph-attention model for z reconstruction, plus the
 learned baselines (two-layer mean-aggregation GCN, three-layer plain GAT).
 
-Parameters live in a flat dict of named numpy arrays; ``bind_params``
-wraps them as tape tensors for a training step.
+Parameters, and so the model's shape, live in a flat dict of named numpy
+arrays; ``bind_params`` wraps them as tape tensors for a training step.
 """
 
 from __future__ import annotations
@@ -42,10 +42,6 @@ class ModelConfig:
     ffn_hidden: int = 128
     dec_hidden: int = 32
 
-    @property
-    def width(self) -> int:
-        return self.heads * self.head_width
-
 
 def _check_architecture(architecture: str) -> None:
     if architecture not in ARCHITECTURES:
@@ -63,7 +59,7 @@ def init_params(architecture: str, cfg: ModelConfig, seed: int) -> dict[str, np.
     reads the node features, is scaled by FEATURE_INIT_SCALE."""
     _check_architecture(architecture)
     rng = np.random.default_rng(seed)
-    w = cfg.width
+    w = cfg.heads * cfg.head_width
     p: dict[str, np.ndarray] = {}
 
     def layer_weights(layer: int, f_out: int) -> np.ndarray:
@@ -75,7 +71,8 @@ def init_params(architecture: str, cfg: ModelConfig, seed: int) -> dict[str, np.
     def heads(prefix: str, layer: int):
         for h in range(cfg.heads):
             p[f"{prefix}.h{h}.W"] = layer_weights(layer, cfg.head_width)
-            p[f"{prefix}.h{h}.a"] = _glorot(rng, 2 * cfg.head_width, 1, (2 * cfg.head_width, 1))
+            a = _glorot(rng, 2 * cfg.head_width, 1, (2 * cfg.head_width, 1))  # one draw for both halves
+            p[f"{prefix}.h{h}.a_dst"], p[f"{prefix}.h{h}.a_src"] = np.split(a, 2)
 
     def norm(prefix: str, width: int):
         p[f"{prefix}.gain"] = np.ones(width)
@@ -124,27 +121,25 @@ def gat_attention_layer(
     h: Tensor,
     params: dict[str, Tensor],
     prefix: str,
-    cfg: ModelConfig,
     rows: np.ndarray | None = None,
 ) -> Tensor:
     """Multi-head attention aggregation over the neighbour table.
 
-    Per head: project features, score each edge j->i with
-    LeakyReLU(a^T [h'_i || h'_j]) as an [R, k+1] logit table, softmax
-    along each node's row, aggregate as one sparse product ``A_alpha @ h'``,
-    apply LeakyReLU. Head outputs are concatenated. ``h`` holds every node;
-    the output holds the nodes ``rows`` (None: every node), and only their
-    rows of the table are scored.
+    Per head (the ``{prefix}.h*.W`` parameters, in the dict's order):
+    project features, score each edge j->i with LeakyReLU(a_dst^T h'_i +
+    a_src^T h'_j) as an [R, k+1] logit table, softmax along each node's row,
+    aggregate as one sparse product ``A_alpha @ h'``, apply LeakyReLU. Head
+    outputs are concatenated. ``h`` holds every node; the output holds the
+    nodes ``rows`` (None: every node), and only their rows are scored.
     """
     neighbors = graph.neighbors if rows is None else graph.neighbors[rows]
+    heads = [name[:-2] for name in params if name.startswith(f"{prefix}.h") and name.endswith(".W")]
     outs = []
-    for head in range(cfg.heads):
-        hp = T.matmul(h, params[f"{prefix}.h{head}.W"])  # [N, F']
-        a = params[f"{prefix}.h{head}.a"]  # [2F', 1]
-        # a^T [h'_i || h'_j] splits into per-node scores, avoiding [E, 2F']
-        fp = cfg.head_width
-        score_dst = T.matmul(_at(hp, rows), T.rows(a, 0, fp))  # [|R|, 1]
-        score_src = T.matmul(hp, T.rows(a, fp, 2 * fp))  # [N, 1]
+    for head in heads:
+        hp = T.matmul(h, params[f"{head}.W"])  # [N, F']
+        # the score splits into per-node terms, avoiding [E, 2F']
+        score_dst = T.matmul(_at(hp, rows), params[f"{head}.a_dst"])  # [|R|, 1]
+        score_src = T.matmul(hp, params[f"{head}.a_src"])  # [N, 1]
         logits = T.edge_logits(score_dst, score_src, neighbors, ATTN_SLOPE)
         alpha = T.segment_softmax(logits)
         agg = T.spmm(alpha, hp, neighbors)
@@ -152,15 +147,13 @@ def gat_attention_layer(
     return outs[0] if len(outs) == 1 else T.concat_cols(outs)
 
 
-def superior_gat_forward(
-    graph: Graph, h: Tensor, params: dict[str, Tensor], cfg: ModelConfig, rows: np.ndarray | None = None
-) -> Tensor:
+def superior_gat_forward(graph: Graph, h: Tensor, params: dict[str, Tensor], rows: np.ndarray | None = None) -> Tensor:
     """Full pipeline: input projection + norm, attention, gated residual
     fusion, feed-forward refinement, decoder. Returns one z per node of
     ``rows`` (None: every node); one attention hop, so every stage after
     it runs on those rows alone."""
     h_norm = T.layer_norm(T.matmul(_at(h, rows), params["proj_in"]), params["in_norm.gain"], params["in_norm.bias"])
-    h_attn = gat_attention_layer(graph, h, params, "attn", cfg, rows)
+    h_attn = gat_attention_layer(graph, h, params, "attn", rows)
     gate = T.sigmoid(params["gate_logit"])
     anti_gate = T.add_const(T.scale(gate, -1.0), 1.0)
     mix = T.add(T.scale(h_attn, gate), T.scale(h_norm, anti_gate))
@@ -192,9 +185,7 @@ def gcn_layer(graph: Graph, h: Tensor, w: Tensor, rows: np.ndarray | None = None
     return T.leaky_relu(agg, ATTN_SLOPE)
 
 
-def simple_gcn_forward(
-    graph: Graph, h: Tensor, params: dict[str, Tensor], cfg: ModelConfig, rows: np.ndarray | None = None
-) -> Tensor:
+def simple_gcn_forward(graph: Graph, h: Tensor, params: dict[str, Tensor], rows: np.ndarray | None = None) -> Tensor:
     """Mean-aggregation layers and the decoder; only the last layer and the
     decoder are restricted to ``rows``."""
     for layer in range(SIMPLE_GCN_LAYERS):
@@ -203,15 +194,13 @@ def simple_gcn_forward(
     return _decode(h, params)
 
 
-def gat_baseline_forward(
-    graph: Graph, h: Tensor, params: dict[str, Tensor], cfg: ModelConfig, rows: np.ndarray | None = None
-) -> Tensor:
+def gat_baseline_forward(graph: Graph, h: Tensor, params: dict[str, Tensor], rows: np.ndarray | None = None) -> Tensor:
     """Stacked plain attention layers with additive residuals where widths
     match; no gating, no FFN. Only the last layer and the decoder are
     restricted to ``rows``."""
     for layer in range(GAT_BASELINE_LAYERS):
         layer_rows = rows if layer == GAT_BASELINE_LAYERS - 1 else None
-        out = gat_attention_layer(graph, h, params, f"l{layer}", cfg, layer_rows)
+        out = gat_attention_layer(graph, h, params, f"l{layer}", layer_rows)
         if out.shape[1] == h.shape[1]:
             out = T.add(out, _at(h, layer_rows))
         h = out
@@ -230,10 +219,9 @@ def forward(
     h: Tensor,
     params: dict[str, Tensor],
     architecture: str,
-    cfg: ModelConfig,
     rows: np.ndarray | None = None,
 ) -> Tensor:
     """z of ``architecture`` at the nodes ``rows``, in their order (None:
     every node). The graph and ``h`` span every node either way."""
     _check_architecture(architecture)
-    return _FORWARDS[architecture](graph, h, params, cfg, rows)
+    return _FORWARDS[architecture](graph, h, params, rows)

@@ -12,18 +12,18 @@ from .ingest import DEFAULT_ELEV_MAX_DEG, DEFAULT_ELEV_MIN_DEG, DEFAULT_NUM_BEAM
 __all__ = ["SceneSpec", "synthesize_scene"]
 
 SCENE_KINDS = ("plane", "sinusoid", "two_plane")
+EXTENT = 40.0  # max range in meters
+GROUND_Z = -1.7
+AMPLITUDE = 0.5  # sinusoid amplitude
+WAVELENGTH = 8.0  # sinusoid wavelength
+WALL_X = 15.0  # two_plane: vertical wall position
 
 
 @dataclasses.dataclass(frozen=True)
 class SceneSpec:
     kind: str = "sinusoid"
-    extent: float = 40.0  # max range in meters
     point_count: int = 2048
     noise_sigma: float = 0.0
-    ground_z: float = -1.7
-    amplitude: float = 0.5  # sinusoid amplitude
-    wavelength: float = 8.0  # sinusoid wavelength
-    wall_x: float = 15.0  # two_plane: vertical wall position
 
     def __post_init__(self):
         if self.kind not in SCENE_KINDS:
@@ -35,13 +35,11 @@ class SceneSpec:
 
 
 def _surface_z(spec: SceneSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    if spec.kind == "plane":
-        return np.full_like(x, spec.ground_z)
     if spec.kind == "sinusoid":
-        w = 2 * np.pi / spec.wavelength
-        return spec.ground_z + spec.amplitude * (np.sin(w * x) + 0.5 * np.cos(w * y))
-    # two_plane: ground, plus a vertical wall at x = wall_x handled in the caster
-    return np.full_like(x, spec.ground_z)
+        w = 2 * np.pi / WAVELENGTH
+        return GROUND_Z + AMPLITUDE * (np.sin(w * x) + 0.5 * np.cos(w * y))
+    # plane, and two_plane's ground: its wall at x = WALL_X is handled in the caster
+    return np.full_like(x, GROUND_Z)
 
 
 def synthesize_scene(spec: SceneSpec, seed: int) -> PointCloud:
@@ -70,15 +68,13 @@ def synthesize_scene(spec: SceneSpec, seed: int) -> PointCloud:
     t = _ground_t(spec, dx, dy, dz)  # NaN where the ray misses the ground
     hit = ~np.isnan(t)
     if spec.kind == "two_plane":
-        # the wall at x = wall_x, any z above ground, unless the ground comes first
+        # the wall at x = WALL_X, any z above ground, unless the ground comes first
         ray = np.flatnonzero(dx > 1e-9)
-        t_wall = spec.wall_x / dx[ray]
-        ray_wall = (t_wall * dz[ray] >= spec.ground_z) & ~(t[ray] < t_wall)
+        t_wall = WALL_X / dx[ray]
+        ray_wall = (t_wall * dz[ray] >= GROUND_Z) & ~(t[ray] < t_wall)
         ray, t_wall = ray[ray_wall], t_wall[ray_wall]
         t[ray] = t_wall
-        hit[ray] = np.hypot(t_wall * dx[ray], t_wall * dy[ray]) <= spec.extent
-    if not hit.any():
-        raise ValueError("no rays hit the scene")
+        hit[ray] = np.hypot(t_wall * dx[ray], t_wall * dy[ray]) <= EXTENT
     t, dx, dy, dz = t[hit], dx[hit], dy[hit], dz[hit]
     z = t * dz
     if spec.noise_sigma > 0:
@@ -108,7 +104,7 @@ def _ground_t(spec: SceneSpec, dx: np.ndarray, dy: np.ndarray, dz: np.ndarray) -
     ray = ray[g(ray, np.zeros(ray.size)) > 0]
     planar = np.hypot(dx[ray], dy[ray])
     with np.errstate(divide="ignore"):
-        t_max = np.where(planar > 1e-12, spec.extent / planar, -spec.ground_z / -dz[ray] * 2)
+        t_max = np.where(planar > 1e-12, EXTENT / planar, -GROUND_Z / -dz[ray] * 2)
     step = t_max / 256
     lo, t = np.zeros(ray.size), step
     crossed = [(ray[:0], lo[:0], t[:0])]  # (ray, lo, hi) brackets

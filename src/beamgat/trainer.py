@@ -32,6 +32,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if not 0 < self.learning_rate < float("inf"):  # NaN fails too
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
 
 
 @dataclasses.dataclass
@@ -122,7 +124,7 @@ def train_frame(
 
         tape = Tape()
         bound = bind_params(params, tape)
-        z_hat = forward(graph, Tensor(feats), bound, architecture, model_cfg, rows=sup)
+        z_hat = forward(graph, Tensor(feats), bound, architecture, rows=sup)
         loss = T.mse_loss(z_hat, frame.z_truth[sup])
         loss_val = float(loss.data)
         if not np.isfinite(loss_val):
@@ -148,13 +150,12 @@ def predict_dropped(
     graph: Graph,
     params: dict[str, np.ndarray],
     architecture: str,
-    model_cfg: ModelConfig,
 ) -> tuple[np.ndarray, float]:
     """Single forward with the frame's true masking, evaluated at the dropped
     nodes only; returns their z estimates and elapsed time."""
     t0 = time.perf_counter()
     bound = bind_params(params, None)
     dropped = np.flatnonzero(frame.dropped_mask)
-    z_hat = forward(graph, Tensor(graph.features), bound, architecture, model_cfg, rows=dropped)
+    z_hat = forward(graph, Tensor(graph.features), bound, architecture, rows=dropped)
     return z_hat.data, time.perf_counter() - t0
 

@@ -60,7 +60,7 @@ def _train_and_score(frame, graph, architecture, seed, **overrides):
     cfg = ModelConfig()
     tc = TrainConfig(**{**BENCH_TRAIN, **overrides})
     result = train_frame(frame, graph, architecture, cfg, tc, seed)
-    z_hat, infer_s = predict_dropped(frame, graph, result.params, architecture, cfg)
+    z_hat, infer_s = predict_dropped(frame, graph, result.params, architecture)
     truth = frame.z_truth[np.flatnonzero(frame.dropped_mask)]
     return metrics.rmse_z(z_hat, truth), result.train_time_s + infer_s
 
@@ -87,7 +87,7 @@ def test_criterion_01_sqrt3_identity(capsys, small_sine_frame, small_sine_graph)
         for arch in ("simple_gcn", "gat_baseline", "superior_gat"):
             cfg = ModelConfig()
             params = init_params(arch, cfg, seed=0)
-            z_hat, _ = predict_dropped(frame, small_sine_graph, params, arch, cfg)
+            z_hat, _ = predict_dropped(frame, small_sine_graph, params, arch)
             z_only_identity(z_hat, arch)
 
         # nearest-neighbor substitution moves (x, y) too, so it must break
@@ -166,7 +166,7 @@ def test_criterion_02_gradient_suite(capsys):
             def loss_with(p):
                 tape = Tape()
                 bound = bind_params(p, tape)
-                z = forward(g, Tensor(g.features, tape), bound, "superior_gat", cfg)
+                z = forward(g, Tensor(g.features, tape), bound, "superior_gat")
                 return tape, bound, T.mse_loss(z, target)
 
             tape, bound, loss = loss_with(params)
@@ -205,7 +205,7 @@ def test_criterion_03_dense_attention_oracle(capsys):
             g = random_graph(rng, n=n, k=min(6, n - 1))
             params = init_params("superior_gat", cfg, seed)
             bound = bind_params(params, None)
-            sparse = gat_attention_layer(g, Tensor(g.features), bound, "attn", cfg).data
+            sparse = gat_attention_layer(g, Tensor(g.features), bound, "attn").data
             dense = dense_gat_layer(g, g.features, params, "attn", cfg)
             worst = max(worst, float(np.abs(sparse - dense).max()))
         assert worst < 1e-9, f"sparse vs dense attention max gap {worst:.2e}"
@@ -269,7 +269,7 @@ def test_criterion_05_k_sensitivity(capsys):
         def train_step(g):
             tape = Tape()
             bound = bind_params(params, tape)
-            z = forward(g, Tensor(g.features, tape), bound, "superior_gat", cfg)
+            z = forward(g, Tensor(g.features, tape), bound, "superior_gat")
             loss = T.mse_loss(T.take_rows(z, obs), frame.z_truth[obs])
             tape.backward(loss)
 
@@ -345,13 +345,13 @@ def test_criterion_07_permutation_equivariance(capsys):
         cfg = ModelConfig(heads=2, head_width=4, ffn_hidden=8, dec_hidden=4)
         g = random_graph(rng, n=40, k=4)
         params = init_params("superior_gat", cfg, seed=2)
-        z = forward(g, Tensor(g.features), bind_params(params, None), "superior_gat", cfg).data
+        z = forward(g, Tensor(g.features), bind_params(params, None), "superior_gat").data
 
         perm = rng.permutation(40)
         inv = np.argsort(perm)
         rows = [sorted(inv[j] for j in g.neighbors[perm[i]]) for i in range(40)]
         g2 = make_graph(rows, g.features[perm])
-        z2 = forward(g2, Tensor(g2.features), bind_params(params, None), "superior_gat", cfg).data
+        z2 = forward(g2, Tensor(g2.features), bind_params(params, None), "superior_gat").data
         gap = float(np.abs(z2 - z[perm]).max())
         assert gap < 1e-9, f"equivariance gap {gap:.2e}"
         return f"max |z(pi(G)) - pi(z(G))| = {gap:.2e}"
@@ -374,7 +374,7 @@ def test_criterion_08_receptive_field(capsys):
         def predict(architecture, features):
             p = init_params(architecture, cfg, seed=3) if architecture != "superior_gat" else params
             g = ring_graph(features)
-            return forward(g, Tensor(g.features), bind_params(p, None), architecture, cfg).data
+            return forward(g, Tensor(g.features), bind_params(p, None), architecture).data
 
         base = predict("superior_gat", feats)
         two_hop = feats.copy()
@@ -434,7 +434,6 @@ def test_criterion_10_determinism(capsys, tmp_path):
                 scene=synth.SceneSpec(kind="sinusoid", point_count=900, noise_sigma=BENCH_SIGMA),
                 sample_target=1200,
                 methods=("linear", "superior_gat"),
-                model=ModelConfig(heads=2, head_width=4, ffn_hidden=16, dec_hidden=8),
                 train=TrainConfig(epochs=25, learning_rate=1e-2),
                 seed=7,
                 out_dir=str(tmp_path / name),

@@ -12,7 +12,6 @@ from beamgat.trainer import TrainConfig
 FAST = dict(
     sample_target=400,
     scene=synth.SceneSpec(point_count=500),
-    model=ModelConfig(heads=2, head_width=4, ffn_hidden=16, dec_hidden=8),
     train=TrainConfig(epochs=3),
 )
 
@@ -26,15 +25,15 @@ def test_plane_scene_sits_at_ground_height():
     spec = synth.SceneSpec(kind="plane", point_count=600)
     cloud = synth.synthesize_scene(spec, seed=0)
     assert cloud.xyz.shape[0] >= 400
-    np.testing.assert_allclose(cloud.xyz[:, 2], spec.ground_z, atol=1e-6)
+    np.testing.assert_allclose(cloud.xyz[:, 2], synth.GROUND_Z, atol=1e-6)
 
 
 def test_sinusoid_scene_height_stays_within_amplitude():
     spec = synth.SceneSpec(kind="sinusoid", point_count=600)
     cloud = synth.synthesize_scene(spec, seed=1)
-    dev = np.abs(cloud.xyz[:, 2] - spec.ground_z)
+    dev = np.abs(cloud.xyz[:, 2] - synth.GROUND_Z)
     # z = ground + amplitude * (sin + 0.5 cos) stays within 1.5 amplitude
-    assert dev.max() <= 1.5 * spec.amplitude + 1e-6
+    assert dev.max() <= 1.5 * synth.AMPLITUDE + 1e-6
 
 
 def test_scene_generation_is_deterministic():
@@ -307,12 +306,37 @@ def test_cli_smoke_run(tmp_path, capsys):
 @pytest.mark.parametrize("flag, value, field", [
     ("--frames", "0", "frame_limit"), ("--workers", "-3", "workers"),
     ("--dropout-nth", "0", "dropout_nth"), ("--dropout-nth", "-4", "dropout_nth"), ("--dropout-nth", "1", "dropout_nth"),
+    ("--k", "0,-3", "k_list"), ("--k", "4,0", "k_list"),
 ])
 def test_cli_rejects_counts_below_one(tmp_path, capsys, flag, value, field):
     rc = cli.main([flag, value, "--methods", "linear", "--out", str(tmp_path / "runs")])
     assert rc == 1
     assert field in capsys.readouterr().err
     assert not (tmp_path / "runs" / "reports.csv").exists()
+
+
+@pytest.mark.parametrize("text", ["[1]", "3", '"scene"', '{"scene": 3}', '{"train": [1]}', '{"scene": null}'])
+def test_cli_config_that_is_not_an_object_is_an_error(tmp_path, capsys, text):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    argv = ["--config", str(cfg_path), "--methods", "linear", "--out", str(tmp_path / "runs")]
+    assert cli.main(argv + ["--synthetic", "plane"]) == 1
+    assert "must be a JSON object" in capsys.readouterr().err
+    assert not (tmp_path / "runs" / "reports.csv").exists()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_k_the_frame_cannot_hold_skips_only_its_learned_cells(tmp_path, caplog, workers):
+    # 60 points hold a kNN graph at k=4 but not at k=60; the k=60 learned
+    # cell is skipped, while the baseline and the smaller k still report
+    out = tmp_path / "runs"
+    rc = cli.main(["--synthetic", "plane", "--sample-target", "60", "--k", "4,60", "--epochs", "2",
+                   "--methods", "linear,superior_gat", "--no-timing", "--workers", workers, "--out", str(out)])
+    assert rc == 0
+    rows = (out / "reports.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[1:3] for r in rows] == [["linear", "4"], ["superior_gat", "4"], ["linear", "60"]]
+    if workers == "1":  # a worker process logs where caplog does not see it
+        assert "skipping superior_gat at k=60" in caplog.text
 
 
 def test_cli_rejects_bad_method(tmp_path, capsys):
@@ -323,10 +347,7 @@ def test_cli_rejects_bad_method(tmp_path, capsys):
 
 def test_cli_config_file_supplies_defaults(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(
-        '{"scene": {"kind": "plane", "point_count": 500}, '
-        '"model": {"heads": 2, "head_width": 4, "ffn_hidden": 16, "dec_hidden": 8}}'
-    )
+    cfg_path.write_text('{"scene": {"kind": "plane", "point_count": 500}}')
     rc = cli.main(
         [
             "--config", str(cfg_path),
@@ -369,7 +390,7 @@ def _received_train_args(monkeypatch, cfg, out_dir):
 
     monkeypatch.setattr(trainer, "train_frame", spy)
     run_experiment(dataclasses.replace(
-        cfg, methods=("simple_gcn",), model=FAST["model"], out_dir=str(out_dir)))
+        cfg, methods=("simple_gcn",), out_dir=str(out_dir)))
     return received
 
 
@@ -402,19 +423,22 @@ def test_cli_config_train_seed_follows_experiment_seed(tmp_path, monkeypatch):
 def test_cli_unknown_config_field_is_an_error(tmp_path, capsys):
     # a misspelt field, and the fields removed from the config: the method,
     # the seeds and the scene kind now live in the call arguments,
-    # ``seed`` and ``scene.kind``
+    # ``seed`` and ``scene.kind``; the scene geometry is fixed, and the whole
+    # ``model`` section is gone, so an error names ``model`` itself
     removed = [
         "train.transductive", "model.layers", "model.activation", "dropout_offset",
         "train.beta1", "train.beta2", "train.eps", "train.mask_fraction",
         "model.in_features", "model.input_scale", "model.attn_slope", "model.ffn_slope",
-        "model.architecture", "scene.seed", "train.seed", "synthetic",
+        "model.architecture", "scene.seed", "train.seed", "synthetic", "model.heads",
+        "scene.extent", "scene.ground_z", "scene.amplitude", "scene.wavelength", "scene.wall_x",
     ]
     cfg_path = tmp_path / "cfg.json"
     for path in ["train.epoch"] + removed:
         section, _, field = path.rpartition(".")
         cfg_path.write_text(json.dumps({section: {field: 1}} if section else {field: 1}))
         assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path / "runs")]) == 1, path
-        assert path in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error: unknown config field(s): " + ("model" if section == "model" else path) in err, path
 
 
 @pytest.mark.parametrize("kind, field, value", [

@@ -51,7 +51,8 @@ def leaky(x, slope):
 
 def dense_gat_layer(graph: Graph, h: np.ndarray, params: dict, prefix: str, cfg: ModelConfig):
     """Dense N x N attention with -inf masking; no sparse machinery shared
-    with the implementation under test."""
+    with the implementation under test. Each edge scores
+    a^T [h'_i || h'_j] with a = [a_dst; a_src]."""
     n = graph.num_nodes
     adj = np.zeros((n, n), dtype=bool)
     for i in range(n):
@@ -60,9 +61,8 @@ def dense_gat_layer(graph: Graph, h: np.ndarray, params: dict, prefix: str, cfg:
     outs = []
     for head in range(cfg.heads):
         w = params[f"{prefix}.h{head}.W"]
-        a = params[f"{prefix}.h{head}.a"].ravel()
+        a = np.concatenate([params[f"{prefix}.h{head}.a_dst"], params[f"{prefix}.h{head}.a_src"]]).ravel()
         hp = h @ w
-        fp = cfg.head_width
         logits = np.full((n, n), -np.inf)
         for i in range(n):
             for j in range(n):
@@ -101,7 +101,7 @@ class TestAttentionLayer:
         feats = np.array([[1.0, -0.5, 0.25, 0.8]])
         g = make_graph([[]], feats)
         params = bind_params(init_params("superior_gat", cfg, 0), None)
-        out = gat_attention_layer(g, Tensor(feats), params, "attn", cfg)
+        out = gat_attention_layer(g, Tensor(feats), params, "attn")
         hp = feats @ params["attn.h0.W"].data
         expected = np.where(hp > 0, hp, ATTN_SLOPE * hp)
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
@@ -112,9 +112,8 @@ class TestAttentionLayer:
         g = make_graph([[1, 2], [0, 2], [0, 1]], feats)
         params = bind_params(init_params("superior_gat", cfg, 1), None)
         hp = T.matmul(Tensor(feats), params["attn.h0.W"])
-        a = params["attn.h0.a"]
-        sd = T.matmul(hp, T.rows(a, 0, 2))
-        ss = T.matmul(hp, T.rows(a, 2, 4))
+        sd = T.matmul(hp, params["attn.h0.a_dst"])
+        ss = T.matmul(hp, params["attn.h0.a_src"])
         alpha = T.segment_softmax(T.edge_logits(sd, ss, g.neighbors, ATTN_SLOPE)).data
         # node 0's row is [0, 1, 2]: sources 1 and 2 carry the same features,
         # its own (zero) features score differently
@@ -131,7 +130,7 @@ class TestAttentionLayer:
         g = random_graph(rng, n, k=min(4, n - 1))
         params_np = init_params("superior_gat", cfg, seed + 100)
         params = bind_params(params_np, None)
-        out = gat_attention_layer(g, Tensor(g.features), params, "attn", cfg)
+        out = gat_attention_layer(g, Tensor(g.features), params, "attn")
         expected = dense_gat_layer(g, g.features, params_np, "attn", cfg)
         assert np.abs(out.data - expected).max() < 1e-9
 
@@ -141,7 +140,7 @@ class TestAttentionLayer:
         feats = rng.normal(size=(4, 4))
         g = ring_graph(feats)
         params_np = init_params("superior_gat", cfg, 3)
-        out = gat_attention_layer(g, Tensor(feats), bind_params(params_np, None), "attn", cfg)
+        out = gat_attention_layer(g, Tensor(feats), bind_params(params_np, None), "attn")
         expected = dense_gat_layer(g, feats, params_np, "attn", cfg)
         assert np.abs(out.data - expected).max() < 1e-9
 
@@ -152,10 +151,8 @@ class TestAttentionLayer:
         params = bind_params(init_params("superior_gat", cfg, 0), None)
         for head in range(cfg.heads):
             hp = T.matmul(Tensor(g.features), params[f"attn.h{head}.W"])
-            a = params[f"attn.h{head}.a"]
-            fp = cfg.head_width
-            sd = T.matmul(hp, T.rows(a, 0, fp))
-            ss = T.matmul(hp, T.rows(a, fp, 2 * fp))
+            sd = T.matmul(hp, params[f"attn.h{head}.a_dst"])
+            ss = T.matmul(hp, params[f"attn.h{head}.a_src"])
             alpha = T.segment_softmax(T.edge_logits(sd, ss, g.neighbors, ATTN_SLOPE)).data
             assert alpha.shape == (40, 6)
             np.testing.assert_allclose(alpha.sum(axis=1), 1.0, atol=1e-12)
@@ -170,11 +167,11 @@ class TestSuperiorGat:
         g = random_graph(rng, 30, 4)
         params = init_params("superior_gat", cfg, 0)
         params["gate_logit"] = np.array(30.0)
-        out_full = forward(g, Tensor(g.features), bind_params(params, None), "superior_gat", cfg).data
+        out_full = forward(g, Tensor(g.features), bind_params(params, None), "superior_gat").data
         # gate ~ 1: the normalized-input branch must not matter
         params2 = dict(params)
         params2["proj_in"] = params["proj_in"] * -3.0
-        out_other = forward(g, Tensor(g.features), bind_params(params2, None), "superior_gat", cfg).data
+        out_other = forward(g, Tensor(g.features), bind_params(params2, None), "superior_gat").data
         np.testing.assert_allclose(out_full, out_other, atol=1e-9)
 
     def test_gate_saturation_low_bypasses_attention(self):
@@ -183,11 +180,11 @@ class TestSuperiorGat:
         g = random_graph(rng, 30, 4)
         params = init_params("superior_gat", cfg, 0)
         params["gate_logit"] = np.array(-30.0)
-        out = forward(g, Tensor(g.features), bind_params(params, None), "superior_gat", cfg).data
+        out = forward(g, Tensor(g.features), bind_params(params, None), "superior_gat").data
         params2 = dict(params)
         for h in range(cfg.heads):
             params2[f"attn.h{h}.W"] = params[f"attn.h{h}.W"] * 2.0
-        out2 = forward(g, Tensor(g.features), bind_params(params2, None), "superior_gat", cfg).data
+        out2 = forward(g, Tensor(g.features), bind_params(params2, None), "superior_gat").data
         np.testing.assert_allclose(out, out2, atol=1e-9)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -196,7 +193,7 @@ class TestSuperiorGat:
         cfg = ModelConfig()
         g = random_graph(rng, 50, 6)
         params_np = init_params("superior_gat", cfg, seed)
-        out = superior_gat_forward(g, Tensor(g.features), bind_params(params_np, None), cfg)
+        out = superior_gat_forward(g, Tensor(g.features), bind_params(params_np, None))
         expected = dense_superior_forward(g, g.features, params_np, cfg)
         assert np.abs(out.data - expected).max() < 1e-9
 
@@ -206,7 +203,7 @@ class TestSuperiorGat:
         n = 40
         g = random_graph(rng, n, 5)
         params = bind_params(init_params("superior_gat", cfg, 2), None)
-        out = forward(g, Tensor(g.features), params, "superior_gat", cfg).data
+        out = forward(g, Tensor(g.features), params, "superior_gat").data
 
         perm = rng.permutation(n)
         inv = np.argsort(perm)
@@ -216,7 +213,7 @@ class TestSuperiorGat:
             row = g.neighbors[old_i]
             rows_p.append([int(inv[j]) for j in row if j != old_i])
         g_p = make_graph(rows_p, g.features[perm])
-        out_p = forward(g_p, Tensor(g_p.features), params, "superior_gat", cfg).data
+        out_p = forward(g_p, Tensor(g_p.features), params, "superior_gat").data
         assert np.abs(out_p - out[perm]).max() < 1e-9
 
     def test_single_layer_receptive_field(self):
@@ -225,16 +222,16 @@ class TestSuperiorGat:
         feats = rng.normal(size=(6, 4))
         g = ring_graph(feats)
         params = bind_params(init_params("superior_gat", cfg, 1), None)
-        base = forward(g, Tensor(feats), params, "superior_gat", cfg).data
+        base = forward(g, Tensor(feats), params, "superior_gat").data
         # 2 hops away from node 0 -> no effect
         far = feats.copy()
         far[2] += 1.0
-        out_far = forward(g, Tensor(far), params, "superior_gat", cfg).data
+        out_far = forward(g, Tensor(far), params, "superior_gat").data
         assert abs(out_far[0] - base[0]) <= 1e-12
         # 1 hop -> must respond
         near = feats.copy()
         near[1] += 1.0
-        out_near = forward(g, Tensor(near), params, "superior_gat", cfg).data
+        out_near = forward(g, Tensor(near), params, "superior_gat").data
         assert abs(out_near[0] - base[0]) > 1e-8
 
     def test_end_to_end_gradients(self):
@@ -245,12 +242,12 @@ class TestSuperiorGat:
         target = rng.normal(size=20)
 
         def loss_fn(p_np):
-            out = forward(g, Tensor(g.features), bind_params(p_np, None), "superior_gat", cfg)
+            out = forward(g, Tensor(g.features), bind_params(p_np, None), "superior_gat")
             return float(np.mean((out.data - target) ** 2))
 
         tape = Tape()
         bound = bind_params(params_np, tape)
-        out = forward(g, Tensor(g.features), bound, "superior_gat", cfg)
+        out = forward(g, Tensor(g.features), bound, "superior_gat")
         loss = T.mse_loss(out, target)
         tape.backward(loss)
 
@@ -300,14 +297,14 @@ class TestLearnedBaselines:
         feats = rng.normal(size=(8, 4))
         g = ring_graph(feats)
         params = bind_params(init_params("gat_baseline", cfg, 5), None)
-        base = gat_baseline_forward(g, Tensor(feats), params, cfg).data
+        base = gat_baseline_forward(g, Tensor(feats), params).data
         bumped = feats.copy()
         bumped[3] += 1.0  # 3 hops from node 0
-        out = gat_baseline_forward(g, Tensor(bumped), params, cfg).data
+        out = gat_baseline_forward(g, Tensor(bumped), params).data
         assert abs(out[0] - base[0]) > 1e-10
         bumped4 = feats.copy()
         bumped4[4] += 1.0  # 4 hops: out of reach
-        out4 = gat_baseline_forward(g, Tensor(bumped4), params, cfg).data
+        out4 = gat_baseline_forward(g, Tensor(bumped4), params).data
         assert abs(out4[0] - base[0]) <= 1e-12
 
     def test_simple_gcn_runs_and_is_two_hop(self):
@@ -316,20 +313,20 @@ class TestLearnedBaselines:
         feats = rng.normal(size=(7, 4))
         g = ring_graph(feats)
         params = bind_params(init_params("simple_gcn", cfg, 6), None)
-        base = simple_gcn_forward(g, Tensor(feats), params, cfg).data
+        base = simple_gcn_forward(g, Tensor(feats), params).data
         bumped = feats.copy()
         bumped[2] += 1.0
-        assert abs(simple_gcn_forward(g, Tensor(bumped), params, cfg).data[0] - base[0]) > 1e-10
+        assert abs(simple_gcn_forward(g, Tensor(bumped), params).data[0] - base[0]) > 1e-10
         bumped3 = feats.copy()
         bumped3[3] += 1.0
-        assert abs(simple_gcn_forward(g, Tensor(bumped3), params, cfg).data[0] - base[0]) <= 1e-12
+        assert abs(simple_gcn_forward(g, Tensor(bumped3), params).data[0] - base[0]) <= 1e-12
 
 
 # --- restricted output rows ------------------------------------------------------
 
 ARCHS = ("superior_gat", "gat_baseline", "simple_gcn")
 SMALL = ModelConfig(heads=2, head_width=3, ffn_hidden=6, dec_hidden=4)
-FD_PARAM = {"superior_gat": "attn.h1.W", "gat_baseline": "l2.h1.a", "simple_gcn": "l0.W"}
+FD_PARAM = {"superior_gat": "attn.h1.W", "gat_baseline": "l2.h1.a_src", "simple_gcn": "l0.W"}
 
 
 def repeat_graph(rng: np.random.Generator, n: int = 12) -> Graph:
@@ -358,9 +355,9 @@ class TestRestrictedRows:
         rng = np.random.default_rng(seed)
         g = repeat_graph(rng)
         params = bind_params(init_params(arch, SMALL, seed), None)
-        full = forward(g, Tensor(g.features), params, arch, SMALL).data
+        full = forward(g, Tensor(g.features), params, arch).data
         for name, rows in row_sets(rng, g.num_nodes).items():
-            out = forward(g, Tensor(g.features), params, arch, SMALL, rows=rows).data
+            out = forward(g, Tensor(g.features), params, arch, rows=rows).data
             assert out.shape == rows.shape, name
             assert np.abs(out - full[rows]).max(initial=0.0) <= 1e-12, name
 
@@ -374,8 +371,8 @@ class TestRestrictedRows:
         params_np = init_params("superior_gat", cfg, 5)
         expected = dense_gat_layer(g, g.features, params_np, "attn", cfg)
         for name, rows in row_sets(rng, g.num_nodes).items():
-            out = gat_attention_layer(g, Tensor(g.features), bind_params(params_np, None), "attn", cfg, rows)
-            assert out.shape == (rows.size, cfg.width), name
+            out = gat_attention_layer(g, Tensor(g.features), bind_params(params_np, None), "attn", rows)
+            assert out.shape == (rows.size, heads * 3), name
             assert np.abs(out.data - expected[rows]).max(initial=0.0) < 1e-9, name
 
     @pytest.mark.parametrize("arch", ARCHS)
@@ -393,18 +390,26 @@ class TestRestrictedRows:
                 bound = bind_params(params_np, tape)
                 h = Tensor(g.features, tape)
                 if restricted:
-                    z = forward(g, h, bound, arch, SMALL, rows=rows)
+                    z = forward(g, h, bound, arch, rows=rows)
                 else:
-                    z = T.take_rows(forward(g, h, bound, arch, SMALL), rows)
+                    z = T.take_rows(forward(g, h, bound, arch), rows)
                 tape.backward(T.mse_loss(z, target))
                 return {**{k: t.grad for k, t in bound.items()}, "h": h.grad}
 
             restricted, full = grads(True), grads(False)
             for key, want in full.items():
-                assert rel_err(restricted[key], want) <= 1e-12, (name, key)
+                got = restricted[key]
+                if key.endswith(".a_dst"):
+                    # where a row's logits all lie on one side of the LeakyReLU
+                    # kink, its softmax ignores the shift a_dst adds to the row,
+                    # so a_dst's gradient can be round-off alone: compare it as
+                    # part of the score vector [a_dst; a_src]
+                    src = key.replace(".a_dst", ".a_src")
+                    got, want = np.vstack([got, restricted[src]]), np.vstack([want, full[src]])
+                assert rel_err(got, want) <= 1e-12, (name, key)
 
             def loss_fn(p_np):
-                z = forward(g, Tensor(g.features), bind_params(p_np, None), arch, SMALL, rows=rows)
+                z = forward(g, Tensor(g.features), bind_params(p_np, None), arch, rows=rows)
                 return float(np.mean((z.data - target) ** 2))
 
             for key in ("dec.W1", FD_PARAM[arch]):
@@ -444,7 +449,8 @@ class TestInit:
     def test_parameter_names_and_shapes(self):
         def heads(prefix, f_in):
             return [item for h in range(4) for item in
-                    [(f"{prefix}.h{h}.W", (f_in, 16)), (f"{prefix}.h{h}.a", (32, 1))]]
+                    [(f"{prefix}.h{h}.W", (f_in, 16)), (f"{prefix}.h{h}.a_dst", (16, 1)),
+                     (f"{prefix}.h{h}.a_src", (16, 1))]]
 
         decoder = [("dec.W1", (64, 32)), ("dec.b1", (32,)), ("dec.W2", (32, 1)), ("dec.b2", (1,))]
         expected = {
@@ -460,6 +466,24 @@ class TestInit:
         for arch, names_shapes in expected.items():
             params = init_params(arch, ModelConfig(), 0)
             assert [(name, arr.shape) for name, arr in params.items()] == names_shapes, arch
+
+    @pytest.mark.parametrize("arch, prefix", [("superior_gat", "attn"), ("gat_baseline", "l0")])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_attention_vectors_split_one_glorot_draw(self, arch, prefix, seed):
+        # each head draws W, then one [2F', 1] vector a = [a_dst; a_src], so
+        # the rng stream is that of a single a per head
+        cfg = ModelConfig()
+        params = init_params(arch, cfg, seed)
+        rng = np.random.default_rng(seed)
+        fp = cfg.head_width
+        for h in range(cfg.heads):
+            bound_w = np.sqrt(6.0 / (4 + fp))
+            w = rng.uniform(-bound_w, bound_w, size=(4, fp)) * np.asarray(FEATURE_INIT_SCALE)[:, None]
+            bound_a = np.sqrt(6.0 / (2 * fp + 1))
+            a = rng.uniform(-bound_a, bound_a, size=(2 * fp, 1))
+            np.testing.assert_array_equal(params[f"{prefix}.h{h}.W"], w)
+            np.testing.assert_array_equal(
+                np.vstack([params[f"{prefix}.h{h}.a_dst"], params[f"{prefix}.h{h}.a_src"]]), a)
 
     @pytest.mark.parametrize("arch", ["gat_baseline", "simple_gcn"])
     def test_only_layer_zero_is_feature_scaled(self, arch):
@@ -481,7 +505,7 @@ class TestInit:
             for layer in range(3):
                 w = glorot(4, 4)
                 expected[f"l{layer}.h0.W"] = w * scale if layer == 0 else w
-                expected[f"l{layer}.h0.a"] = glorot(8, 1)
+                expected[f"l{layer}.h0.a_dst"], expected[f"l{layer}.h0.a_src"] = np.split(glorot(8, 1), 2)
         for name, arr in expected.items():
             np.testing.assert_array_equal(params[name], arr, err_msg=name)
 
@@ -491,4 +515,4 @@ class TestInit:
         with pytest.raises(ValueError, match="unknown architecture"):
             init_params("gcn", SMALL, 0)
         with pytest.raises(ValueError, match="unknown architecture"):
-            forward(g, Tensor(g.features), params, "gcn", SMALL)
+            forward(g, Tensor(g.features), params, "gcn")

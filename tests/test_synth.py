@@ -18,7 +18,7 @@ def loop_ground_t(spec: SceneSpec, dx: float, dy: float, dz: float) -> float | N
         return t * dz - synth._surface_z(spec, np.array(t * dx), np.array(t * dy)).item()
 
     planar = np.hypot(dx, dy)
-    t_max = spec.extent / planar if planar > 1e-12 else -spec.ground_z / -dz * 2
+    t_max = synth.EXTENT / planar if planar > 1e-12 else -synth.GROUND_Z / -dz * 2
     step = t_max / 256
     lo, g_lo = 0.0, g(0.0)
     if g_lo <= 0:
@@ -43,14 +43,14 @@ def loop_ground_t(spec: SceneSpec, dx: float, dy: float, dz: float) -> float | N
 def loop_cast(spec: SceneSpec, dx: float, dy: float, dz: float) -> tuple[float, float, float] | None:
     """Per-ray reference for the caster: wall first for two_plane, then ground."""
     if spec.kind == "two_plane" and dx > 1e-9:
-        t_wall = spec.wall_x / dx
+        t_wall = synth.WALL_X / dx
         zw = t_wall * dz
-        if zw >= spec.ground_z:
+        if zw >= synth.GROUND_Z:
             t_ground = loop_ground_t(spec, dx, dy, dz)
             if t_ground is not None and t_ground < t_wall:
                 return t_ground * dx, t_ground * dy, t_ground * dz
             x, y, z = t_wall * dx, t_wall * dy, zw
-            if np.hypot(x, y) <= spec.extent:
+            if np.hypot(x, y) <= synth.EXTENT:
                 return x, y, z
             return None
     t = loop_ground_t(spec, dx, dy, dz)
@@ -105,32 +105,31 @@ def test_noisy_two_plane_4000_rays_matches_reference():
     assert_same_scene(SceneSpec(kind="two_plane", point_count=4000, noise_sigma=0.45), 1)
 
 
-def test_sinusoid_shape_parameters_match_reference():
-    assert_same_scene(SceneSpec(kind="sinusoid", point_count=700, amplitude=1.3,
-                                wavelength=3.0, extent=25.0, ground_z=-2.1), 3)
-
-
 def test_wall_beyond_extent_is_dropped():
-    spec = SceneSpec(kind="two_plane", point_count=1000, wall_x=50.0, extent=40.0)
+    # an upward beam meets only the wall, WALL_X / cos(azimuth) out in the
+    # plane; at wide azimuths that lies beyond EXTENT and the ray is dropped
+    spec = SceneSpec(kind="two_plane", point_count=1000)
     assert_same_scene(spec, 2)
     cloud = synthesize_scene(spec, 2)
-    # every wall hit lies beyond extent, so only ground points remain
-    np.testing.assert_allclose(cloud.xyz[:, 2], spec.ground_z, atol=1e-9)
-    assert np.all(np.hypot(cloud.xyz[:, 0], cloud.xyz[:, 1]) <= spec.extent + 1e-9)
+    assert np.hypot(cloud.xyz[:, 0], cloud.xyz[:, 1]).max() <= synth.EXTENT + 1e-9
+    azimuth_count = int(np.ceil(spec.point_count / DEFAULT_NUM_BEAMS))
+    azim = (np.arange(azimuth_count) + 0.5) / azimuth_count * 2 * np.pi - np.pi
+    facing = azim[np.cos(azim) > 1e-9]
+    within = synth.WALL_X / np.cos(facing) <= synth.EXTENT
+    assert within.any() and not within.all()
+    up = cloud.xyz[:, 2] > 0
+    up_beams, hits = np.unique(cloud.beam[up], return_counts=True)
+    assert up_beams.size > 0
+    np.testing.assert_allclose(cloud.xyz[up, 0], synth.WALL_X)
+    assert np.all(hits == within.sum())
 
 
 def test_near_wall_is_hit():
-    spec = SceneSpec(kind="two_plane", point_count=1000, wall_x=5.0)
+    spec = SceneSpec(kind="two_plane", point_count=1000)
     assert_same_scene(spec, 2)
     cloud = synthesize_scene(spec, 2)
-    wall = np.isclose(cloud.xyz[:, 0], spec.wall_x) & (cloud.xyz[:, 2] > spec.ground_z + 1e-6)
+    wall = np.isclose(cloud.xyz[:, 0], synth.WALL_X) & (cloud.xyz[:, 2] > synth.GROUND_Z + 1e-6)
     assert wall.sum() > 0
-
-
-def test_no_hits_raises():
-    # the lowest beam (-24.8 deg) meets the ground 3.7 m out, beyond extent
-    with pytest.raises(ValueError, match="no rays hit"):
-        synthesize_scene(SceneSpec(kind="plane", point_count=200, extent=1.0), 0)
 
 
 def test_peak_allocation_stays_linear_in_rays():

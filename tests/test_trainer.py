@@ -86,6 +86,12 @@ def test_zero_epochs_rejected():
         TrainConfig(epochs=0)
 
 
+@pytest.mark.parametrize("lr", [0.0, -5.0, float("nan"), float("inf")])
+def test_learning_rate_must_be_finite_and_positive(lr):
+    with pytest.raises(ValueError, match="learning_rate"):
+        TrainConfig(learning_rate=lr)
+
+
 # ---------------------------------------------------------------------------
 # supervision mask sampling
 # ---------------------------------------------------------------------------
@@ -179,7 +185,7 @@ def test_returned_params_achieve_best_recorded_loss():
     sup = _stratified_subset(frame.cloud.beam, np.flatnonzero(frame.observed_mask), rng)
     feats = graph.features.copy()
     feats[sup, 2] = 0.0
-    z_hat = forward(graph, Tensor(feats), bind_params(result.params, None), "superior_gat", TINY)
+    z_hat = forward(graph, Tensor(feats), bind_params(result.params, None), "superior_gat")
     replayed = float(np.mean((z_hat.data[sup] - frame.z_truth[sup]) ** 2))
     assert replayed == pytest.approx(min(result.loss_history), rel=1e-12)
 
@@ -220,7 +226,7 @@ def test_predict_on_frame_without_dropout_is_empty():
     )
     graph = graph_mod.build_knn_graph(none_dropped, k=4)
     for arch in ("superior_gat", "gat_baseline", "simple_gcn"):
-        z_hat, secs = predict_dropped(none_dropped, graph, init_params(arch, TINY, seed=0), arch, TINY)
+        z_hat, secs = predict_dropped(none_dropped, graph, init_params(arch, TINY, seed=0), arch)
         assert z_hat.shape == (0,), arch
         assert secs >= 0.0
 
@@ -236,22 +242,22 @@ def test_predict_on_all_dropped_frame_covers_every_node():
     )
     graph = graph_mod.build_knn_graph(all_dropped, k=4)
     params = init_params("superior_gat", TINY, seed=0)
-    z_hat, _ = predict_dropped(all_dropped, graph, params, "superior_gat", TINY)
+    z_hat, _ = predict_dropped(all_dropped, graph, params, "superior_gat")
     assert z_hat.shape == (n,)
 
 
 def test_predict_is_pure(small_sine_frame, small_sine_graph):
     params = init_params("superior_gat", TINY, seed=1)
-    a, _ = predict_dropped(small_sine_frame, small_sine_graph, params, "superior_gat", TINY)
-    b, _ = predict_dropped(small_sine_frame, small_sine_graph, params, "superior_gat", TINY)
+    a, _ = predict_dropped(small_sine_frame, small_sine_graph, params, "superior_gat")
+    b, _ = predict_dropped(small_sine_frame, small_sine_graph, params, "superior_gat")
     assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("arch", ["superior_gat", "gat_baseline", "simple_gcn"])
 def test_predict_matches_full_forward_at_dropped(small_sine_frame, small_sine_graph, arch):
     params = init_params(arch, TINY, seed=2)
-    z_hat, _ = predict_dropped(small_sine_frame, small_sine_graph, params, arch, TINY)
-    full = forward(small_sine_graph, Tensor(small_sine_graph.features), bind_params(params, None), arch, TINY).data
+    z_hat, _ = predict_dropped(small_sine_frame, small_sine_graph, params, arch)
+    full = forward(small_sine_graph, Tensor(small_sine_graph.features), bind_params(params, None), arch).data
     dropped = np.flatnonzero(small_sine_frame.dropped_mask)
     assert z_hat.shape == dropped.shape
     assert np.abs(z_hat - full[dropped]).max() <= 1e-12

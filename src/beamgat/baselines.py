@@ -23,7 +23,8 @@ def linear_interp(frame: SparseFrame, bin_count: int = 360) -> np.ndarray:
     Within each azimuth bin, every observed beam is represented by its point
     closest to the bin center. A dropped point takes the linear interpolation
     (in beam index) between the nearest observed beams below and above it;
-    one-sided cases copy the nearest observed beam's z. A point whose bin
+    one-sided cases, every case of a frame with one observed beam among them,
+    copy the nearest observed beam's z. A point whose bin
     holds no other observed beam (in particular, a bin with no observed
     points) falls back to the planar-nearest observed point.
     """
@@ -33,8 +34,6 @@ def linear_interp(frame: SparseFrame, bin_count: int = 360) -> np.ndarray:
     obs = np.flatnonzero(frame.observed_mask)
     if obs.size == 0:
         raise ValueError("frame has no observed points")
-    if np.unique(cloud.beam[obs]).size < 2:
-        raise ValueError("need at least 2 observed beams")
 
     bins = _azimuth_bins(cloud.xyz, bin_count)
     centers = (np.arange(bin_count) + 0.5) / bin_count * 2 * np.pi - np.pi

@@ -69,9 +69,6 @@ class ExperimentConfig:
             (fields[section] if section else fields)[name] = value
         for name, kind in sections.items():
             fields[name] = _build(kind, fields[name], f"{name}.")
-        for name in ("k_list", "methods"):
-            if name in fields:
-                fields[name] = tuple(fields[name])
         return _build(cls, fields, "")
 
 
@@ -81,10 +78,36 @@ def _object(value, what: str) -> dict:
     return value
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# what a JSON value must be, by the annotation of the field it sets; the
+# train and scene sections are built before their parent and are not listed
+JSON_TYPES = {
+    "int": (_is_int, "an integer"),
+    "float": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "str | None": (lambda v: v is None or isinstance(v, str), "a string or null"),
+    "tuple[int, ...]": (lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers"),
+    "tuple[str, ...]": (lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+                        "a list of strings"),
+}
+
+
 def _build(kind, fields: dict, prefix: str):
-    unknown = sorted(set(fields) - {f.name for f in dataclasses.fields(kind)})
+    types = {f.name: f.type for f in dataclasses.fields(kind)}
+    unknown = sorted(set(fields) - set(types))
     if unknown:
         raise ValueError(f"unknown config field(s): {', '.join(prefix + name for name in unknown)}")
+    for name, value in fields.items():
+        if types[name] in JSON_TYPES:
+            accepts, what = JSON_TYPES[types[name]]
+            if not accepts(value):
+                raise ValueError(f"config field {prefix}{name} must be {what}, got {value!r}")
+            if isinstance(value, list):
+                fields[name] = tuple(value)
     return kind(**fields)
 
 
@@ -109,38 +132,39 @@ def _evaluate(
     graph: graph_mod.Graph | None,
 ) -> metrics.EvalReport:
     """One (frame, k, method) cell. ``graph`` is the frame's kNN graph for
-    ``k``, which learned methods need; baselines take None."""
+    ``k``, which learned methods need; baselines take None. ``train_s`` is
+    the whole fit of a learned method (0 for a baseline), and ``infer_s``
+    the prediction step that builds the reconstruction: for a baseline, its
+    whole run."""
     dropped = np.flatnonzero(frame.dropped_mask)
     truth = frame.cloud.xyz[dropped].copy()
     truth[:, 2] = frame.z_truth[dropped]
 
     train_s = 0.0
+    if method in ARCHITECTURES:
+        t0 = time.perf_counter()
+        params = trainer.train_frame(frame, graph, method, ModelConfig(), cfg.train, cfg.seed).params
+        train_s = time.perf_counter() - t0
     t0 = time.perf_counter()
-    if method == "linear":
-        z_hat = baselines.linear_interp(frame)
-        infer_s = time.perf_counter() - t0
-        recon = truth.copy()
-        recon[:, 2] = z_hat
-    elif method == "nn":
+    if method == "nn":
         recon = baselines.nearest_neighbor_sub(frame)
-        infer_s = time.perf_counter() - t0
-        z_hat = recon[:, 2]
     else:
-        result = trainer.train_frame(frame, graph, method, ModelConfig(), cfg.train, cfg.seed)
-        train_s = result.train_time_s
-        z_hat, infer_s = trainer.predict_dropped(frame, graph, result.params, method)
         recon = truth.copy()
-        recon[:, 2] = z_hat
+        recon[:, 2] = (baselines.linear_interp(frame) if method == "linear"
+                       else trainer.predict_dropped(frame, graph, params, method))
+    infer_s = time.perf_counter() - t0
+    if not cfg.timing:
+        train_s = infer_s = 0.0
 
     return metrics.EvalReport(
         frame=tag,
         method=method,
         k=k,
-        rmse_z=metrics.rmse_z(z_hat, frame.z_truth[dropped]),
+        rmse_z=metrics.rmse_z(recon[:, 2], truth[:, 2]),
         rmse_xyz=metrics.rmse_xyz(recon, truth),
         chamfer=metrics.chamfer(recon, truth),
-        train_time_s=train_s if cfg.timing else 0.0,
-        infer_time_s=infer_s if cfg.timing else 0.0,
+        train_time_s=train_s,
+        infer_time_s=infer_s,
         n_dropped=int(dropped.size),
     )
 

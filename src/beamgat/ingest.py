@@ -130,13 +130,7 @@ def estimate_beams(cloud: PointCloud) -> PointCloud:
     beam = np.floor((phi - DEFAULT_ELEV_MIN_DEG) / span * num_beams).astype(np.int64)
     beam = np.clip(beam, 0, num_beams - 1)
     beam[at_origin] = 0
-    return PointCloud(
-        xyz=cloud.xyz,
-        reflectance=cloud.reflectance,
-        beam=beam,
-        num_beams=num_beams,
-        skipped_nonfinite=cloud.skipped_nonfinite,
-    )
+    return dataclasses.replace(cloud, beam=beam, num_beams=num_beams)
 
 
 def choose_per_beam(
@@ -179,13 +173,8 @@ def stratified_sample(cloud: PointCloud, target: int, seed: int) -> PointCloud:
         return np.minimum(quota, counts)
 
     sel = choose_per_beam(cloud.beam, quotas, np.random.default_rng(seed))
-    return PointCloud(
-        xyz=cloud.xyz[sel],
-        reflectance=cloud.reflectance[sel],
-        beam=cloud.beam[sel],
-        num_beams=cloud.num_beams,
-        skipped_nonfinite=cloud.skipped_nonfinite,
-    )
+    return dataclasses.replace(cloud, xyz=cloud.xyz[sel], reflectance=cloud.reflectance[sel],
+                               beam=cloud.beam[sel])
 
 
 def apply_beam_dropout(cloud: PointCloud, nth: int = 4) -> SparseFrame:

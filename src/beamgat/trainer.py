@@ -8,7 +8,6 @@ feature is zeroed for that epoch, mirroring the test condition.
 from __future__ import annotations
 
 import dataclasses
-import time
 
 import numpy as np
 
@@ -21,6 +20,9 @@ from .tensor_ad import Tape, Tensor
 __all__ = ["AdamState", "TrainConfig", "TrainResult", "adam_step", "predict_dropped", "train_frame"]
 
 MASK_FRACTION = 0.25  # share of each beam's observed nodes supervised per epoch
+BETA1 = 0.9  # Adam's first-moment decay
+BETA2 = 0.999  # Adam's second-moment decay
+EPS = 1e-8  # Adam's denominator floor
 
 
 @dataclasses.dataclass(frozen=True)
@@ -54,7 +56,6 @@ class AdamState:
 class TrainResult:
     params: dict[str, np.ndarray]
     loss_history: list[float]
-    train_time_s: float
 
 
 def adam_step(
@@ -62,20 +63,17 @@ def adam_step(
     grads: dict[str, np.ndarray],
     state: AdamState,
     lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ) -> None:
     """Bias-corrected Adam update, in place."""
     state.step += 1
     t = state.step
     for name, p in params.items():
         g = grads[name]
-        state.m[name] = beta1 * state.m[name] + (1 - beta1) * g
-        state.v[name] = beta2 * state.v[name] + (1 - beta2) * g * g
-        m_hat = state.m[name] / (1 - beta1**t)
-        v_hat = state.v[name] / (1 - beta2**t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        state.m[name] = BETA1 * state.m[name] + (1 - BETA1) * g
+        state.v[name] = BETA2 * state.v[name] + (1 - BETA2) * g * g
+        m_hat = state.m[name] / (1 - BETA1**t)
+        v_hat = state.v[name] / (1 - BETA2**t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 def _stratified_subset(beams: np.ndarray, candidates: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -98,8 +96,8 @@ def train_frame(
 ) -> TrainResult:
     """Fit one ``architecture`` model to one frame; ``seed`` drives the
     initial weights and each epoch's supervised subset. Returns the
-    parameters that achieved the lowest training loss, the loss history,
-    and wall time."""
+    parameters that achieved the lowest training loss and the loss
+    history."""
     observed = np.flatnonzero(frame.observed_mask)
     dropped = np.flatnonzero(frame.dropped_mask)
     if observed.size == 0:
@@ -114,7 +112,6 @@ def train_frame(
     best_params = {k: p.copy() for k, p in params.items()}
     since_best = 0
     history: list[float] = []
-    t0 = time.perf_counter()
     for epoch in range(train_cfg.epochs):
         rng = np.random.default_rng([seed, epoch])
         sup = _stratified_subset(frame.cloud.beam, observed, rng)
@@ -141,8 +138,7 @@ def train_frame(
         tape.backward(loss)
         grads = {k: bound[k].grad if bound[k].grad is not None else np.zeros_like(params[k]) for k in params}
         adam_step(params, grads, state, train_cfg.learning_rate)
-    elapsed = time.perf_counter() - t0
-    return TrainResult(params=best_params, loss_history=history, train_time_s=elapsed)
+    return TrainResult(params=best_params, loss_history=history)
 
 
 def predict_dropped(
@@ -150,12 +146,11 @@ def predict_dropped(
     graph: Graph,
     params: dict[str, np.ndarray],
     architecture: str,
-) -> tuple[np.ndarray, float]:
+) -> np.ndarray:
     """Single forward with the frame's true masking, evaluated at the dropped
-    nodes only; returns their z estimates and elapsed time."""
-    t0 = time.perf_counter()
+    nodes only; returns their z estimates."""
     bound = bind_params(params, None)
     dropped = np.flatnonzero(frame.dropped_mask)
     z_hat = forward(graph, Tensor(graph.features), bound, architecture, rows=dropped)
-    return z_hat.data, time.perf_counter() - t0
+    return z_hat.data
 

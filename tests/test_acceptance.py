@@ -60,9 +60,9 @@ def _train_and_score(frame, graph, architecture, seed, **overrides):
     cfg = ModelConfig()
     tc = TrainConfig(**{**BENCH_TRAIN, **overrides})
     result = train_frame(frame, graph, architecture, cfg, tc, seed)
-    z_hat, infer_s = predict_dropped(frame, graph, result.params, architecture)
+    z_hat = predict_dropped(frame, graph, result.params, architecture)
     truth = frame.z_truth[np.flatnonzero(frame.dropped_mask)]
-    return metrics.rmse_z(z_hat, truth), result.train_time_s + infer_s
+    return metrics.rmse_z(z_hat, truth)
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +87,7 @@ def test_criterion_01_sqrt3_identity(capsys, small_sine_frame, small_sine_graph)
         for arch in ("simple_gcn", "gat_baseline", "superior_gat"):
             cfg = ModelConfig()
             params = init_params(arch, cfg, seed=0)
-            z_hat, _ = predict_dropped(frame, small_sine_graph, params, arch)
+            z_hat = predict_dropped(frame, small_sine_graph, params, arch)
             z_only_identity(z_hat, arch)
 
         # nearest-neighbor substitution moves (x, y) too, so it must break
@@ -230,8 +230,7 @@ def test_criterion_04_method_ordering(capsys):
             truth = frame.z_truth[np.flatnonzero(frame.dropped_mask)]
             scores["linear"].append(metrics.rmse_z(baselines.linear_interp(frame), truth))
             for arch in ("superior_gat", "gat_baseline", "simple_gcn"):
-                rmse, _ = _train_and_score(frame, g, arch, seed)
-                scores[arch].append(rmse)
+                scores[arch].append(_train_and_score(frame, g, arch, seed))
         means = {m: float(np.mean(v)) for m, v in scores.items()}
         detail = " ".join(f"{m}={v:.3f}" for m, v in means.items())
         assert means["superior_gat"] < means["gat_baseline"], detail
@@ -298,7 +297,7 @@ def test_criterion_05_k_sensitivity(capsys):
 
         rmses = {}
         for k in (5, 10):
-            rmses[k], _ = _train_and_score(frame, graphs[k], "superior_gat", seed=1)
+            rmses[k] = _train_and_score(frame, graphs[k], "superior_gat", seed=1)
         assert rmses[10] <= rmses[5], f"rmse k=10 ({rmses[10]:.3f}) > k=5 ({rmses[5]:.3f})"
         return (
             " ".join(f"k{a}->k{b}: {d * 1e3:+.0f}ms" for (a, b), d in slopes.items())
@@ -411,7 +410,7 @@ def test_criterion_09_kitti_frame(capsys):
         g = graph_mod.build_knn_graph(frame, k=10)
         truth = frame.z_truth[np.flatnonzero(frame.dropped_mask)]
         rmse_lin = metrics.rmse_z(baselines.linear_interp(frame), truth)
-        rmse_gat, _ = _train_and_score(frame, g, "superior_gat", seed=0)
+        rmse_gat = _train_and_score(frame, g, "superior_gat", seed=0)
         assert 0.05 <= rmse_gat <= 0.40, f"rmse_z {rmse_gat:.3f} outside [0.05, 0.40]"
         assert rmse_gat < rmse_lin, f"gated {rmse_gat:.3f} vs linear {rmse_lin:.3f}"
         return f"rmse_z {rmse_gat:.3f} in [0.05, 0.40], linear at {rmse_lin:.3f}"

@@ -146,6 +146,20 @@ class TestLinearInterp:
         z_hat = linear_interp(frame, bin_count=bin_count)
         assert z_hat.tobytes() == loop_linear_interp(frame, bin_count=bin_count).tobytes()
 
+    @pytest.mark.parametrize("bin_count", [360, 7])
+    def test_matches_loop_reference_with_one_observed_beam(self, bin_count):
+        # beams {4, 5}: beam 4 is dropped and beam 5 alone is observed, so
+        # every dropped point copies beam 5 in its bin or falls back to the
+        # planar-nearest observed point
+        rng = np.random.default_rng(bin_count)
+        cloud = PointCloud(xyz=rng.uniform(-10, 10, size=(200, 3)), reflectance=np.zeros(200),
+                           beam=rng.integers(4, 6, size=200), num_beams=8)
+        frame = ingest.apply_beam_dropout(cloud, nth=4)
+        assert np.unique(cloud.beam[frame.observed_mask]).tolist() == [5]
+        z_hat = linear_interp(frame, bin_count=bin_count)
+        assert z_hat.tobytes() == loop_linear_interp(frame, bin_count=bin_count).tobytes()
+        assert np.isin(z_hat, frame.z_truth[frame.observed_mask]).all()
+
     def test_representative_ties_keep_first_observed_index(self):
         # beams 0 and 2 each hold two points equally far from the bin center;
         # the first observed one of each pair is the representative

@@ -1,11 +1,12 @@
 import dataclasses
 import json
+import time
 
 import numpy as np
 import pytest
 
 from beamgat import baselines, blas, cli, graph as graph_mod, ingest, metrics, synth, trainer
-from beamgat.experiment import ExperimentConfig, _run_one_frame, run_experiment
+from beamgat.experiment import JSON_TYPES, ExperimentConfig, _run_one_frame, run_experiment
 from beamgat.model import ModelConfig
 from beamgat.trainer import TrainConfig
 
@@ -181,6 +182,34 @@ def test_rerun_with_timing_off_is_byte_identical(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_timing_columns_cover_fit_and_predict(tmp_path, monkeypatch):
+    # train_s spans the whole train_frame call and infer_s the prediction
+    # step, which for a baseline is its whole run; a baseline has no fit
+    spent = {}
+
+    def timed(module, name):
+        original = getattr(module, name)
+
+        def spy(*args):
+            t0 = time.perf_counter()
+            result = original(*args)
+            spent[name] = time.perf_counter() - t0
+            return result
+
+        monkeypatch.setattr(module, name, spy)
+
+    for module, name in ((trainer, "train_frame"), (trainer, "predict_dropped"),
+                         (baselines, "linear_interp"), (baselines, "nearest_neighbor_sub")):
+        timed(module, name)
+    cfg = ExperimentConfig(methods=("linear", "nn", "superior_gat"), out_dir=str(tmp_path / "runs"), **FAST)
+    linear, nn, learned = run_experiment(cfg)
+    assert learned.train_time_s >= spent["train_frame"] > 0
+    assert learned.infer_time_s >= spent["predict_dropped"] > 0
+    assert linear.infer_time_s >= spent["linear_interp"] > 0
+    assert nn.infer_time_s >= spent["nearest_neighbor_sub"] > 0
+    assert linear.train_time_s == nn.train_time_s == 0
+
+
 def test_unknown_method_rejected():
     with pytest.raises(ValueError):
         ExperimentConfig(methods=("linear", "cubic"))
@@ -281,6 +310,64 @@ def test_cli_run_where_every_frame_is_skipped_exits_1(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "error: every frame was skipped" in captured.err
     assert "wrote" not in captured.out
+
+
+def two_ring_scan(per_ring: int = 600) -> np.ndarray:
+    """Points at the elevations of beams 4 and 5 only: the dropout drops
+    beam 4, so the frame has one observed beam."""
+    span = (ingest.DEFAULT_ELEV_MAX_DEG - ingest.DEFAULT_ELEV_MIN_DEG) / ingest.DEFAULT_NUM_BEAMS
+    rng = np.random.default_rng(0)
+    rings = []
+    for beam in (4, 5):
+        elev = np.radians(ingest.DEFAULT_ELEV_MIN_DEG + (beam + 0.5) * span)
+        theta = rng.uniform(-np.pi, np.pi, per_ring)
+        r = rng.uniform(5.0, 20.0, per_ring)
+        rings.append(np.column_stack([r * np.cos(theta), r * np.sin(theta), r * np.tan(elev)]))
+    return np.concatenate(rings)
+
+
+def test_cli_scan_with_one_observed_beam_reports_both_baselines(tmp_path):
+    frame_dir = tmp_path / "frames"
+    frame_dir.mkdir()
+    xyz = two_ring_scan()
+    ingest.write_kitti_bin(ingest.PointCloud(xyz=xyz, reflectance=np.zeros(len(xyz))),
+                           str(frame_dir / "000000.bin"))
+    assert set(ingest.estimate_beams(ingest.read_kitti_bin(frame_dir / "000000.bin")).beam.tolist()) == {4, 5}
+    out = tmp_path / "runs"
+    rc = cli.main(["--input", str(frame_dir), "--methods", "linear,nn", "--sample-target", "1000",
+                   "--no-timing", "--out", str(out)])
+    assert rc == 0
+    rows = (out / "reports.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[:3] for r in rows] == [["000000", "linear", "10"], ["000000", "nn", "10"]]
+
+
+@pytest.mark.parametrize("config, field", [
+    ({"k_list": 5}, "k_list"), ({"k_list": [4, "5"]}, "k_list"), ({"k_list": [True]}, "k_list"),
+    ({"methods": "linear"}, "methods"), ({"methods": ["linear", 3]}, "methods"),
+    ({"frame_limit": "2"}, "frame_limit"), ({"frame_limit": True}, "frame_limit"),
+    ({"frame_limit": 1.5}, "frame_limit"), ({"seed": "x"}, "seed"), ({"sample_target": "500"}, "sample_target"),
+    ({"workers": None}, "workers"), ({"dropout_nth": [4]}, "dropout_nth"),
+    ({"timing": "no"}, "timing"), ({"timing": 0}, "timing"),
+    ({"out_dir": 3}, "out_dir"), ({"input_dir": 3}, "input_dir"),
+    ({"train": {"learning_rate": "x"}}, "train.learning_rate"),
+    ({"train": {"learning_rate": True}}, "train.learning_rate"),
+    ({"train": {"epochs": 2.0}}, "train.epochs"), ({"train": {"patience": "3"}}, "train.patience"),
+    ({"scene": {"noise_sigma": "0.1"}}, "scene.noise_sigma"), ({"scene": {"point_count": None}}, "scene.point_count"),
+    ({"scene": {"kind": 1}}, "scene.kind"),
+])
+def test_cli_config_value_of_the_wrong_type_is_an_error(tmp_path, capsys, config, field):
+    cfg_path = tmp_path / "cfg.json"
+    out_dir = str(tmp_path / "runs")
+    cfg_path.write_text(json.dumps({"methods": ["linear"], "sample_target": 400, "out_dir": out_dir, **config}))
+    assert cli.main(["--config", str(cfg_path)]) == 1
+    assert f"error: config field {field} must be " in capsys.readouterr().err
+    assert not (tmp_path / "runs" / "reports.csv").exists()
+
+
+def test_every_config_field_has_a_json_type_check():
+    for kind in (ExperimentConfig, TrainConfig, synth.SceneSpec):
+        for f in dataclasses.fields(kind):
+            assert f.name in ("train", "scene") or f.type in JSON_TYPES, f"{kind.__name__}.{f.name}"
 
 
 # ---------------------------------------------------------------------------

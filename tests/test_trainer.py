@@ -6,6 +6,7 @@ from beamgat import ingest, synth
 from beamgat import tensor_ad as T
 from beamgat.model import ModelConfig, bind_params, forward, init_params
 from beamgat.tensor_ad import Tensor
+from beamgat import trainer
 from beamgat.trainer import (
     MASK_FRACTION,
     AdamState,
@@ -50,9 +51,8 @@ def test_adam_first_step_closed_form():
     g = rng.normal(size=(4, 3))
     w0 = rng.normal(size=(4, 3))
     params = {"w": w0.copy()}
-    eps = 1e-8
-    adam_step(params, {"w": g}, AdamState.zeros_like(params), lr=1e-2, eps=eps)
-    expected = w0 - 1e-2 * g / (np.abs(g) + eps)
+    adam_step(params, {"w": g}, AdamState.zeros_like(params), lr=1e-2)
+    expected = w0 - 1e-2 * g / (np.abs(g) + trainer.EPS)
     np.testing.assert_allclose(params["w"], expected, rtol=0, atol=1e-15)
 
 
@@ -172,7 +172,7 @@ def test_loss_history_finite_everywhere():
     graph = graph_mod.build_knn_graph(frame, k=4)
     result = train_frame(frame, graph, "superior_gat", TINY, TrainConfig(epochs=15), seed=2)
     assert np.isfinite(result.loss_history).all()
-    assert result.train_time_s >= 0.0
+    assert len(result.loss_history) == 15
 
 
 def test_returned_params_achieve_best_recorded_loss():
@@ -226,9 +226,8 @@ def test_predict_on_frame_without_dropout_is_empty():
     )
     graph = graph_mod.build_knn_graph(none_dropped, k=4)
     for arch in ("superior_gat", "gat_baseline", "simple_gcn"):
-        z_hat, secs = predict_dropped(none_dropped, graph, init_params(arch, TINY, seed=0), arch)
+        z_hat = predict_dropped(none_dropped, graph, init_params(arch, TINY, seed=0), arch)
         assert z_hat.shape == (0,), arch
-        assert secs >= 0.0
 
 
 def test_predict_on_all_dropped_frame_covers_every_node():
@@ -242,21 +241,21 @@ def test_predict_on_all_dropped_frame_covers_every_node():
     )
     graph = graph_mod.build_knn_graph(all_dropped, k=4)
     params = init_params("superior_gat", TINY, seed=0)
-    z_hat, _ = predict_dropped(all_dropped, graph, params, "superior_gat")
+    z_hat = predict_dropped(all_dropped, graph, params, "superior_gat")
     assert z_hat.shape == (n,)
 
 
 def test_predict_is_pure(small_sine_frame, small_sine_graph):
     params = init_params("superior_gat", TINY, seed=1)
-    a, _ = predict_dropped(small_sine_frame, small_sine_graph, params, "superior_gat")
-    b, _ = predict_dropped(small_sine_frame, small_sine_graph, params, "superior_gat")
+    a = predict_dropped(small_sine_frame, small_sine_graph, params, "superior_gat")
+    b = predict_dropped(small_sine_frame, small_sine_graph, params, "superior_gat")
     assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("arch", ["superior_gat", "gat_baseline", "simple_gcn"])
 def test_predict_matches_full_forward_at_dropped(small_sine_frame, small_sine_graph, arch):
     params = init_params(arch, TINY, seed=2)
-    z_hat, _ = predict_dropped(small_sine_frame, small_sine_graph, params, arch)
+    z_hat = predict_dropped(small_sine_frame, small_sine_graph, params, arch)
     full = forward(small_sine_graph, Tensor(small_sine_graph.features), bind_params(params, None), arch).data
     dropped = np.flatnonzero(small_sine_frame.dropped_mask)
     assert z_hat.shape == dropped.shape

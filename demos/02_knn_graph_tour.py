@@ -21,7 +21,7 @@ def main():
 
     frame = ingest.apply_beam_dropout(cloud, nth=4)
     n_drop = int(frame.dropped_mask.sum())
-    print(f"dropout: {n_drop} points ({frame.dropped_fraction:.1%}) lose their z")
+    print(f"dropout: {n_drop} points ({frame.dropped_mask.mean():.1%}) lose their z")
     assert np.all(frame.z_masked[frame.dropped_mask] == 0.0)
 
     g = graph_mod.build_knn_graph(frame, k=8)

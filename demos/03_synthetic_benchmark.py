@@ -30,7 +30,7 @@ def main():
     print(f"{'method':>14}  {'rmse_z':>8}  {'rmse_xyz':>8}  {'chamfer':>8}  {'train_s':>7}")
     for r in sorted(reports, key=lambda r: r.rmse_z):
         print(f"{r.method:>14}  {r.rmse_z:8.4f}  {r.rmse_xyz:8.4f}  "
-              f"{r.chamfer:8.4f}  {r.train_time_s:7.1f}")
+              f"{r.chamfer:8.4f}  {r.train_s:7.1f}")
 
 
 if __name__ == "__main__":

@@ -93,6 +93,4 @@ def nearest_neighbor_sub(frame: SparseFrame) -> np.ndarray:
     tree = cKDTree(cloud.xyz[obs, :2])
     _, j = tree.query(cloud.xyz[dropped, :2])
     nn = obs[np.atleast_1d(j)]
-    out = cloud.xyz[nn].copy()
-    out[:, 2] = frame.z_truth[nn]
-    return out
+    return cloud.xyz[nn]

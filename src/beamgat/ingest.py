@@ -68,16 +68,20 @@ class SparseFrame:
 
     cloud: PointCloud
     dropped_mask: np.ndarray
-    z_truth: np.ndarray
-    z_masked: np.ndarray
 
     @property
     def observed_mask(self) -> np.ndarray:
         return ~self.dropped_mask
 
     @property
-    def dropped_fraction(self) -> float:
-        return float(self.dropped_mask.mean())
+    def z_truth(self) -> np.ndarray:
+        z = self.cloud.xyz[:, 2]
+        z.flags.writeable = False  # a write would move the point
+        return z
+
+    @property
+    def z_masked(self) -> np.ndarray:
+        return np.where(self.dropped_mask, 0.0, self.z_truth)
 
 
 def read_kitti_bin(path: str | os.PathLike) -> PointCloud:
@@ -192,8 +196,5 @@ def apply_beam_dropout(cloud: PointCloud, nth: int = 4) -> SparseFrame:
     if hit == present:
         raise DropoutConfigError("pattern drops every populated beam")
     dropped = np.isin(cloud.beam, list(dropped_beams))
-    z_truth = cloud.xyz[:, 2].copy()
-    z_masked = np.where(dropped, 0.0, z_truth)
-    return SparseFrame(
-        cloud=cloud, dropped_mask=dropped, z_truth=z_truth, z_masked=z_masked
-    )
+    # the frame keeps its own points, so a later write to ``cloud`` leaves its z_truth as it is
+    return SparseFrame(cloud=dataclasses.replace(cloud, xyz=cloud.xyz.copy()), dropped_mask=dropped)

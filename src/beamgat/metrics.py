@@ -19,8 +19,8 @@ class EvalReport:
     rmse_z: float
     rmse_xyz: float
     chamfer: float
-    train_time_s: float
-    infer_time_s: float
+    train_s: float
+    infer_s: float
     n_dropped: int
 
 
@@ -71,6 +71,6 @@ def aggregate(reports: list[EvalReport]) -> dict[str, tuple[float, float]]:
         "rmse_z": stat([r.rmse_z for r in reports]),
         "rmse_xyz": stat([r.rmse_xyz for r in reports]),
         "chamfer": stat([r.chamfer for r in reports]),
-        "train_s": stat([r.train_time_s for r in reports]),
-        "infer_s": stat([r.infer_time_s for r in reports]),
+        "train_s": stat([r.train_s for r in reports]),
+        "infer_s": stat([r.infer_s for r in reports]),
     }

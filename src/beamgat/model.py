@@ -1,13 +1,13 @@
 """Gated single-layer graph-attention model for z reconstruction, plus the
 learned baselines (two-layer mean-aggregation GCN, three-layer plain GAT).
 
-Parameters, and so the model's shape, live in a flat dict of named numpy
-arrays; ``bind_params`` wraps them as tape tensors for a training step.
+``init_params`` builds the parameters, a flat dict of named numpy arrays, in
+the one shape that HEADS, HEAD_WIDTH, FFN_HIDDEN and DEC_HIDDEN give; the
+forward functions read the shape from the dict, and ``bind_params`` wraps it
+as tape tensors for a training step.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import numpy as np
 
@@ -17,7 +17,6 @@ from .tensor_ad import Tape, Tensor
 
 __all__ = [
     "ARCHITECTURES",
-    "ModelConfig",
     "bind_params",
     "forward",
     "gat_attention_layer",
@@ -33,14 +32,10 @@ GAT_BASELINE_LAYERS = 3
 SIMPLE_GCN_LAYERS = 2
 ATTN_SLOPE = 0.2  # LeakyReLU slope of the attention logits and aggregations
 FFN_SLOPE = 0.01  # LeakyReLU slope of the feed-forward and decoder hidden layers
-
-
-@dataclasses.dataclass(frozen=True)
-class ModelConfig:
-    heads: int = 4
-    head_width: int = 16  # residual width = heads * head_width
-    ffn_hidden: int = 128
-    dec_hidden: int = 32
+HEADS = 4  # attention heads per layer
+HEAD_WIDTH = 16  # channels per head; the residual width is HEADS * HEAD_WIDTH
+FFN_HIDDEN = 128
+DEC_HIDDEN = 32
 
 
 def _check_architecture(architecture: str) -> None:
@@ -53,13 +48,13 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.nd
     return rng.uniform(-bound, bound, size=shape)
 
 
-def init_params(architecture: str, cfg: ModelConfig, seed: int) -> dict[str, np.ndarray]:
+def init_params(architecture: str, seed: int) -> dict[str, np.ndarray]:
     """Parameters of ``architecture`` (one of ARCHITECTURES): Glorot-uniform
     weights, zero biases, gate logit 0 (gate starts at 0.5); layer 0, which
     reads the node features, is scaled by FEATURE_INIT_SCALE."""
     _check_architecture(architecture)
     rng = np.random.default_rng(seed)
-    w = cfg.heads * cfg.head_width
+    w = HEADS * HEAD_WIDTH
     p: dict[str, np.ndarray] = {}
 
     def layer_weights(layer: int, f_out: int) -> np.ndarray:
@@ -69,9 +64,9 @@ def init_params(architecture: str, cfg: ModelConfig, seed: int) -> dict[str, np.
         return _glorot(rng, NUM_FEATURES, f_out, (NUM_FEATURES, f_out)) * scale
 
     def heads(prefix: str, layer: int):
-        for h in range(cfg.heads):
-            p[f"{prefix}.h{h}.W"] = layer_weights(layer, cfg.head_width)
-            a = _glorot(rng, 2 * cfg.head_width, 1, (2 * cfg.head_width, 1))  # one draw for both halves
+        for h in range(HEADS):
+            p[f"{prefix}.h{h}.W"] = layer_weights(layer, HEAD_WIDTH)
+            a = _glorot(rng, 2 * HEAD_WIDTH, 1, (2 * HEAD_WIDTH, 1))  # one draw for both halves
             p[f"{prefix}.h{h}.a_dst"], p[f"{prefix}.h{h}.a_src"] = np.split(a, 2)
 
     def norm(prefix: str, width: int):
@@ -79,9 +74,9 @@ def init_params(architecture: str, cfg: ModelConfig, seed: int) -> dict[str, np.
         p[f"{prefix}.bias"] = np.zeros(width)
 
     def decoder():
-        p["dec.W1"] = _glorot(rng, w, cfg.dec_hidden, (w, cfg.dec_hidden))
-        p["dec.b1"] = np.zeros(cfg.dec_hidden)
-        p["dec.W2"] = _glorot(rng, cfg.dec_hidden, 1, (cfg.dec_hidden, 1))
+        p["dec.W1"] = _glorot(rng, w, DEC_HIDDEN, (w, DEC_HIDDEN))
+        p["dec.b1"] = np.zeros(DEC_HIDDEN)
+        p["dec.W2"] = _glorot(rng, DEC_HIDDEN, 1, (DEC_HIDDEN, 1))
         p["dec.b2"] = np.zeros(1)
 
     if architecture == "superior_gat":
@@ -90,9 +85,9 @@ def init_params(architecture: str, cfg: ModelConfig, seed: int) -> dict[str, np.
         norm("in_norm", w)
         p["gate_logit"] = np.zeros(())
         norm("gate_norm", w)
-        p["ffn.W1"] = _glorot(rng, w, cfg.ffn_hidden, (w, cfg.ffn_hidden))
-        p["ffn.b1"] = np.zeros(cfg.ffn_hidden)
-        p["ffn.W2"] = _glorot(rng, cfg.ffn_hidden, w, (cfg.ffn_hidden, w))
+        p["ffn.W1"] = _glorot(rng, w, FFN_HIDDEN, (w, FFN_HIDDEN))
+        p["ffn.b1"] = np.zeros(FFN_HIDDEN)
+        p["ffn.W2"] = _glorot(rng, FFN_HIDDEN, w, (FFN_HIDDEN, w))
         p["ffn.b2"] = np.zeros(w)
         norm("ffn_norm", w)
         decoder()

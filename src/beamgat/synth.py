@@ -30,8 +30,8 @@ class SceneSpec:
             raise ValueError(f"unknown scene kind {self.kind!r}")
         if self.point_count < 100:
             raise ValueError("point_count must be >= 100")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        if not 0 <= self.noise_sigma < float("inf"):  # NaN fails too
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
 
 
 def _surface_z(spec: SceneSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:

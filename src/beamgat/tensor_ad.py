@@ -358,8 +358,7 @@ def edge_logits(score_dst: Tensor, score_src: Tensor, neighbors: np.ndarray, slo
 
     ``score_dst`` holds one score per table row and ``score_src`` one per
     source node, each [n] or [n, 1]. Backward sums each row into
-    ``score_dst`` and scatters into ``score_src`` with bincount, as
-    ``take_rows`` does.
+    ``score_dst`` and scatters into ``score_src`` as ``take_rows`` does.
     """
     _check_slope(slope)
     neighbors = _table(neighbors)
@@ -372,8 +371,7 @@ def edge_logits(score_dst: Tensor, score_src: Tensor, neighbors: np.ndarray, slo
         if score_dst.tape is not None:
             _accum(score_dst, g_raw.sum(axis=1).reshape(score_dst.data.shape))
         if score_src.tape is not None:
-            scattered = np.bincount(neighbors.ravel(), weights=g_raw.ravel(), minlength=n_src)
-            _accum(score_src, scattered.reshape(score_src.data.shape))
+            _accum(score_src, _scatter_add(g_raw.ravel(), neighbors.ravel(), n_src).reshape(score_src.data.shape))
 
     return _make(np.maximum(raw, slope * raw), (score_dst, score_src), bwd)
 

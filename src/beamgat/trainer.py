@@ -14,7 +14,7 @@ import numpy as np
 from . import tensor_ad as T
 from .graph import Graph
 from .ingest import SparseFrame, choose_per_beam
-from .model import ModelConfig, bind_params, forward, init_params
+from .model import bind_params, forward, init_params
 from .tensor_ad import Tape, Tensor
 
 __all__ = ["AdamState", "TrainConfig", "TrainResult", "adam_step", "predict_dropped", "train_frame"]
@@ -36,6 +36,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if not 0 < self.learning_rate < float("inf"):  # NaN fails too
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if self.patience < 1:
+            raise ValueError(f"patience must be >= 1, got {self.patience}")
 
 
 @dataclasses.dataclass
@@ -90,7 +92,6 @@ def train_frame(
     frame: SparseFrame,
     graph: Graph,
     architecture: str,
-    model_cfg: ModelConfig,
     train_cfg: TrainConfig,
     seed: int,
 ) -> TrainResult:
@@ -103,7 +104,7 @@ def train_frame(
     if observed.size == 0:
         raise ValueError("frame has no observed points")
 
-    params = init_params(architecture, model_cfg, seed)
+    params = init_params(architecture, seed)
     state = AdamState.zeros_like(params)
     base_features = graph.features
     dropped_set = frozenset(dropped.tolist())

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from beamgat import graph as graph_mod
-from beamgat import ingest, synth
+from beamgat import ingest, model, synth
 
 
 def finite_diff_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -18,6 +18,13 @@ def finite_diff_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
         g[i] = (f(xp) - f(xm)) / (2 * h)
         it.iternext()
     return g
+
+
+def set_model_shape(mp: pytest.MonkeyPatch, **shape: int) -> None:
+    """Give the model another shape until ``mp`` is undone: ``heads=2`` sets
+    ``model.HEADS``, ``head_width=3`` sets ``model.HEAD_WIDTH``, and so on."""
+    for name, value in shape.items():
+        mp.setattr(model, name.upper(), value)
 
 
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:

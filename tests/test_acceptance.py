@@ -14,11 +14,11 @@ import pytest
 from beamgat import baselines, graph as graph_mod, ingest, metrics, synth
 from beamgat import tensor_ad as T
 from beamgat.graph import knn_indices
-from beamgat.model import ModelConfig, bind_params, forward, gat_attention_layer, init_params
+from beamgat.model import bind_params, forward, gat_attention_layer, init_params
 from beamgat.tensor_ad import Tape, Tensor
 from beamgat.trainer import TrainConfig, predict_dropped, train_frame
 
-from conftest import finite_diff_grad, rel_err
+from conftest import finite_diff_grad, rel_err, set_model_shape
 from test_graph import brute_force_knn
 from test_metrics import brute_chamfer
 from test_model import dense_gat_layer, dense_superior_forward, make_graph, random_graph, ring_graph
@@ -57,9 +57,8 @@ def _bench_frame(seed):
 
 
 def _train_and_score(frame, graph, architecture, seed, **overrides):
-    cfg = ModelConfig()
     tc = TrainConfig(**{**BENCH_TRAIN, **overrides})
-    result = train_frame(frame, graph, architecture, cfg, tc, seed)
+    result = train_frame(frame, graph, architecture, tc, seed)
     z_hat = predict_dropped(frame, graph, result.params, architecture)
     truth = frame.z_truth[np.flatnonzero(frame.dropped_mask)]
     return metrics.rmse_z(z_hat, truth)
@@ -85,8 +84,7 @@ def test_criterion_01_sqrt3_identity(capsys, small_sine_frame, small_sine_graph)
 
         z_only_identity(baselines.linear_interp(frame), "linear")
         for arch in ("simple_gcn", "gat_baseline", "superior_gat"):
-            cfg = ModelConfig()
-            params = init_params(arch, cfg, seed=0)
+            params = init_params(arch, seed=0)
             z_hat = predict_dropped(frame, small_sine_graph, params, arch)
             z_only_identity(z_hat, arch)
 
@@ -118,7 +116,7 @@ def _grad_ok(build, x0, tol):
     return rel_err(analytic, finite_diff_grad(f, x0)) < tol
 
 
-def test_criterion_02_gradient_suite(capsys):
+def test_criterion_02_gradient_suite(capsys, monkeypatch):
     def body():
         n_checked = 0
         for seed in range(20):
@@ -156,11 +154,11 @@ def test_criterion_02_gradient_suite(capsys):
             n_checked += 1
 
         # end-to-end: d loss / d params for the full gated model
-        cfg = ModelConfig(heads=2, head_width=3, ffn_hidden=5, dec_hidden=4)
+        set_model_shape(monkeypatch, heads=2, head_width=3, ffn_hidden=5, dec_hidden=4)
         for seed in range(20):
             rng = np.random.default_rng(100 + seed)
             g = random_graph(rng, n=int(rng.integers(8, 16)), k=3)
-            params = init_params("superior_gat", cfg, seed)
+            params = init_params("superior_gat", seed)
             target = rng.normal(size=g.num_nodes)
 
             def loss_with(p):
@@ -196,17 +194,18 @@ def test_criterion_02_gradient_suite(capsys):
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_03_dense_attention_oracle(capsys):
+def test_criterion_03_dense_attention_oracle(capsys, monkeypatch):
     def body():
         worst = 0.0
         for heads, n, seed in [(1, 10, 0), (1, 60, 1), (4, 10, 2), (4, 100, 3), (4, 37, 4)]:
-            cfg = ModelConfig(heads=heads, head_width=5)
+            with monkeypatch.context() as mp:
+                set_model_shape(mp, heads=heads, head_width=5)
+                params = init_params("superior_gat", seed)
             rng = np.random.default_rng(seed)
             g = random_graph(rng, n=n, k=min(6, n - 1))
-            params = init_params("superior_gat", cfg, seed)
             bound = bind_params(params, None)
             sparse = gat_attention_layer(g, Tensor(g.features), bound, "attn").data
-            dense = dense_gat_layer(g, g.features, params, "attn", cfg)
+            dense = dense_gat_layer(g, g.features, params, "attn", heads)
             worst = max(worst, float(np.abs(sparse - dense).max()))
         assert worst < 1e-9, f"sparse vs dense attention max gap {worst:.2e}"
         return f"max |sparse - dense| = {worst:.2e} over N up to 100, K in {{1,4}}"
@@ -261,8 +260,7 @@ def test_criterion_05_k_sensitivity(capsys):
         # host vary by +/-30% under hypervisor steal, which would swamp the
         # real edge-count slope.  Measuring each pair back-to-back cancels
         # the slowly-varying load component.
-        cfg = ModelConfig()
-        params = init_params("superior_gat", cfg, seed=1)
+        params = init_params("superior_gat", seed=1)
         obs = np.flatnonzero(frame.observed_mask)
 
         def train_step(g):
@@ -338,12 +336,12 @@ def test_criterion_06_knn_chamfer_oracles(capsys):
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_07_permutation_equivariance(capsys):
+def test_criterion_07_permutation_equivariance(capsys, monkeypatch):
     def body():
         rng = np.random.default_rng(4)
-        cfg = ModelConfig(heads=2, head_width=4, ffn_hidden=8, dec_hidden=4)
+        set_model_shape(monkeypatch, heads=2, head_width=4, ffn_hidden=8, dec_hidden=4)
         g = random_graph(rng, n=40, k=4)
-        params = init_params("superior_gat", cfg, seed=2)
+        params = init_params("superior_gat", seed=2)
         z = forward(g, Tensor(g.features), bind_params(params, None), "superior_gat").data
 
         perm = rng.permutation(40)
@@ -363,15 +361,15 @@ def test_criterion_07_permutation_equivariance(capsys):
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_08_receptive_field(capsys):
+def test_criterion_08_receptive_field(capsys, monkeypatch):
     def body():
         rng = np.random.default_rng(5)
         feats = rng.normal(size=(9, 4))
-        cfg = ModelConfig(heads=2, head_width=4, ffn_hidden=8, dec_hidden=4)
-        params = init_params("superior_gat", cfg, seed=3)
+        set_model_shape(monkeypatch, heads=2, head_width=4, ffn_hidden=8, dec_hidden=4)
+        params = init_params("superior_gat", seed=3)
 
         def predict(architecture, features):
-            p = init_params(architecture, cfg, seed=3) if architecture != "superior_gat" else params
+            p = init_params(architecture, seed=3) if architecture != "superior_gat" else params
             g = ring_graph(features)
             return forward(g, Tensor(g.features), bind_params(p, None), architecture).data
 

@@ -114,10 +114,7 @@ class TestLinearInterp:
         pts = [[1.0, 0.0, 0.5], [2.0, 0.0, 0.6]]
         cloud = PointCloud(xyz=np.array(pts), reflectance=np.zeros(2),
                            beam=np.array([0, 1]), num_beams=8)
-        frame = ingest.SparseFrame(
-            cloud=cloud, dropped_mask=np.array([True, True]),
-            z_truth=cloud.xyz[:, 2].copy(), z_masked=np.zeros(2),
-        )
+        frame = ingest.SparseFrame(cloud=cloud, dropped_mask=np.array([True, True]))
         with pytest.raises(ValueError):
             linear_interp(frame)
 

@@ -7,7 +7,6 @@ import pytest
 
 from beamgat import baselines, blas, cli, graph as graph_mod, ingest, metrics, synth, trainer
 from beamgat.experiment import JSON_TYPES, ExperimentConfig, _run_one_frame, run_experiment
-from beamgat.model import ModelConfig
 from beamgat.trainer import TrainConfig
 
 FAST = dict(
@@ -203,11 +202,11 @@ def test_timing_columns_cover_fit_and_predict(tmp_path, monkeypatch):
         timed(module, name)
     cfg = ExperimentConfig(methods=("linear", "nn", "superior_gat"), out_dir=str(tmp_path / "runs"), **FAST)
     linear, nn, learned = run_experiment(cfg)
-    assert learned.train_time_s >= spent["train_frame"] > 0
-    assert learned.infer_time_s >= spent["predict_dropped"] > 0
-    assert linear.infer_time_s >= spent["linear_interp"] > 0
-    assert nn.infer_time_s >= spent["nearest_neighbor_sub"] > 0
-    assert linear.train_time_s == nn.train_time_s == 0
+    assert learned.train_s >= spent["train_frame"] > 0
+    assert learned.infer_s >= spent["predict_dropped"] > 0
+    assert linear.infer_s >= spent["linear_interp"] > 0
+    assert nn.infer_s >= spent["nearest_neighbor_sub"] > 0
+    assert linear.train_s == nn.train_s == 0
 
 
 def test_unknown_method_rejected():
@@ -402,6 +401,18 @@ def test_cli_rejects_counts_below_one(tmp_path, capsys, flag, value, field):
     assert not (tmp_path / "runs" / "reports.csv").exists()
 
 
+@pytest.mark.parametrize("text, field", [
+    ('{"train": {"patience": 0}}', "patience"), ('{"scene": {"noise_sigma": NaN}}', "noise_sigma"),
+    ('{"scene": {"noise_sigma": Infinity}}', "noise_sigma"), ('{"scene": {"noise_sigma": -1}}', "noise_sigma"),
+])
+def test_cli_config_value_out_of_range_is_an_error(tmp_path, capsys, text, field):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    assert cli.main(["--config", str(cfg_path), "--methods", "linear", "--out", str(tmp_path / "runs")]) == 1
+    assert any(line.startswith("error: ") and field in line for line in capsys.readouterr().err.splitlines())
+    assert not (tmp_path / "runs" / "reports.csv").exists()
+
+
 @pytest.mark.parametrize("text", ["[1]", "3", '"scene"', '{"scene": 3}', '{"train": [1]}', '{"scene": null}'])
 def test_cli_config_that_is_not_an_object_is_an_error(tmp_path, capsys, text):
     cfg_path = tmp_path / "cfg.json"
@@ -471,9 +482,9 @@ def _received_train_args(monkeypatch, cfg, out_dir):
     received = []
     train_frame = trainer.train_frame
 
-    def spy(frame, graph, architecture, model_cfg, train_cfg, seed):
+    def spy(frame, graph, architecture, train_cfg, seed):
         received.append((train_cfg, seed))
-        return train_frame(frame, graph, architecture, model_cfg, train_cfg, seed)
+        return train_frame(frame, graph, architecture, train_cfg, seed)
 
     monkeypatch.setattr(trainer, "train_frame", spy)
     run_experiment(dataclasses.replace(
@@ -528,9 +539,7 @@ def test_cli_unknown_config_field_is_an_error(tmp_path, capsys):
         assert "error: unknown config field(s): " + ("model" if section == "model" else path) in err, path
 
 
-@pytest.mark.parametrize("kind, field, value", [
-    (ModelConfig, "architecture", "gat_baseline"), (TrainConfig, "seed", 8), (synth.SceneSpec, "seed", 5),
-])
+@pytest.mark.parametrize("kind, field, value", [(TrainConfig, "seed", 8), (synth.SceneSpec, "seed", 5)])
 def test_values_each_cell_sets_are_not_config_fields(kind, field, value):
     # the method, the training seed and the scene seed are call arguments,
     # so a config cannot carry a value the run would ignore

@@ -195,10 +195,7 @@ class TestBuildFeatures:
             xyz=np.array([[1.0, 2.0, 3.0], [0.0, 0.0, -1.0]]),
             reflectance=np.zeros(2), beam=np.array([63, 1]), num_beams=64,
         )
-        frame = ingest.SparseFrame(
-            cloud=cloud, dropped_mask=np.array([False, False]),
-            z_truth=cloud.xyz[:, 2].copy(), z_masked=cloud.xyz[:, 2].copy(),
-        )
+        frame = ingest.SparseFrame(cloud=cloud, dropped_mask=np.array([False, False]))
         feats = build_features(frame)
         np.testing.assert_allclose(feats[0], [1.0, 2.0, 3.0, 1.0])
 
@@ -207,10 +204,7 @@ class TestBuildFeatures:
             xyz=np.array([[1.0, 2.0, 3.0]]), reflectance=np.zeros(1),
             beam=np.array([0]), num_beams=64,
         )
-        frame = ingest.SparseFrame(
-            cloud=cloud, dropped_mask=np.array([True]),
-            z_truth=np.array([3.0]), z_masked=np.array([0.0]),
-        )
+        frame = ingest.SparseFrame(cloud=cloud, dropped_mask=np.array([True]))
         np.testing.assert_allclose(build_features(frame)[0], [1.0, 2.0, 0.0, 0.0])
 
     def test_beam_normalization(self):
@@ -218,10 +212,7 @@ class TestBuildFeatures:
             xyz=np.zeros((1, 3)), reflectance=np.zeros(1),
             beam=np.array([32]), num_beams=64,
         )
-        frame = ingest.SparseFrame(
-            cloud=cloud, dropped_mask=np.array([False]),
-            z_truth=np.zeros(1), z_masked=np.zeros(1),
-        )
+        frame = ingest.SparseFrame(cloud=cloud, dropped_mask=np.array([False]))
         assert build_features(frame)[0, 3] == pytest.approx(32 / 63)
 
     def test_dropped_nodes_never_expose_truth(self):
@@ -255,10 +246,7 @@ class TestBuildKnnGraph:
             xyz=frame.cloud.xyz[perm], reflectance=frame.cloud.reflectance[perm],
             beam=frame.cloud.beam[perm], num_beams=frame.cloud.num_beams,
         )
-        frame_p = ingest.SparseFrame(
-            cloud=cloud_p, dropped_mask=frame.dropped_mask[perm],
-            z_truth=frame.z_truth[perm], z_masked=frame.z_masked[perm],
-        )
+        frame_p = ingest.SparseFrame(cloud=cloud_p, dropped_mask=frame.dropped_mask[perm])
         g_p = build_knn_graph(frame_p, k=4)
         # new node i is old node perm[i]; old id o relabels to inv[o]
         for new_i in range(80):

@@ -215,8 +215,9 @@ class TestApplyBeamDropout:
     def test_canonical_quarter_drop(self):
         cloud = uniform_cloud(n_per_beam=10, num_beams=64)
         frame = apply_beam_dropout(cloud, nth=4)
-        assert frame.dropped_fraction == pytest.approx(0.25)
-        assert 0.20 <= frame.dropped_fraction <= 0.30
+        fraction = frame.dropped_mask.mean()
+        assert fraction == pytest.approx(0.25)
+        assert 0.20 <= fraction <= 0.30
 
     def test_mask_semantics(self):
         cloud = uniform_cloud(num_beams=8, seed=6)
@@ -225,6 +226,15 @@ class TestApplyBeamDropout:
         np.testing.assert_array_equal(
             frame.z_masked[~frame.dropped_mask], frame.z_truth[~frame.dropped_mask]
         )
+
+    def test_z_truth_is_a_read_only_copy_of_the_cloud_z(self):
+        cloud = uniform_cloud(num_beams=8, seed=6)
+        z = cloud.xyz[:, 2].copy()
+        frame = apply_beam_dropout(cloud, nth=4)
+        cloud.xyz[:, 2] += 1.0
+        np.testing.assert_array_equal(frame.z_truth, z)
+        with pytest.raises(ValueError, match="read-only"):
+            frame.z_truth[0] = 0.0
 
     def test_all_beams_dropped_rejected(self):
         cloud = uniform_cloud(num_beams=8)

@@ -89,7 +89,7 @@ class TestChamfer:
 
 def make_report(**kw):
     base = dict(frame="f", method="m", k=10, rmse_z=1.0, rmse_xyz=0.5,
-                chamfer=0.2, train_time_s=1.0, infer_time_s=0.1, n_dropped=100)
+                chamfer=0.2, train_s=1.0, infer_s=0.1, n_dropped=100)
     base.update(kw)
     return EvalReport(**base)
 

@@ -7,7 +7,8 @@ from beamgat.graph import FEATURE_INIT_SCALE, Graph
 from beamgat.model import (
     ATTN_SLOPE,
     FFN_SLOPE,
-    ModelConfig,
+    HEAD_WIDTH,
+    HEADS,
     bind_params,
     forward,
     gat_attention_layer,
@@ -19,7 +20,9 @@ from beamgat.model import (
 )
 from beamgat.tensor_ad import Tape, Tensor
 
-from conftest import finite_diff_grad, rel_err
+from conftest import finite_diff_grad, rel_err, set_model_shape
+
+SMALL = dict(heads=2, head_width=3, ffn_hidden=6, dec_hidden=4)  # a model shape cheap to finite-difference
 
 
 def make_graph(rows: list[list[int]], features: np.ndarray) -> Graph:
@@ -49,7 +52,7 @@ def leaky(x, slope):
     return np.where(x > 0, x, slope * x)
 
 
-def dense_gat_layer(graph: Graph, h: np.ndarray, params: dict, prefix: str, cfg: ModelConfig):
+def dense_gat_layer(graph: Graph, h: np.ndarray, params: dict, prefix: str, heads: int):
     """Dense N x N attention with -inf masking; no sparse machinery shared
     with the implementation under test. Each edge scores
     a^T [h'_i || h'_j] with a = [a_dst; a_src]."""
@@ -59,7 +62,7 @@ def dense_gat_layer(graph: Graph, h: np.ndarray, params: dict, prefix: str, cfg:
         for j in graph.neighbors[i]:
             adj[i, j] = True
     outs = []
-    for head in range(cfg.heads):
+    for head in range(heads):
         w = params[f"{prefix}.h{head}.W"]
         a = np.concatenate([params[f"{prefix}.h{head}.a_dst"], params[f"{prefix}.h{head}.a_src"]]).ravel()
         hp = h @ w
@@ -81,9 +84,9 @@ def dense_layer_norm(x, gain, bias, eps=1e-5):
     return (x - mu) / np.sqrt(var + eps) * gain + bias
 
 
-def dense_superior_forward(graph: Graph, h: np.ndarray, p: dict, cfg: ModelConfig):
+def dense_superior_forward(graph: Graph, h: np.ndarray, p: dict, heads: int):
     h_norm = dense_layer_norm(h @ p["proj_in"], p["in_norm.gain"], p["in_norm.bias"])
-    h_attn = dense_gat_layer(graph, h, p, "attn", cfg)
+    h_attn = dense_gat_layer(graph, h, p, "attn", heads)
     gamma = 1.0 / (1.0 + np.exp(-p["gate_logit"]))
     h_gated = dense_layer_norm(gamma * h_attn + (1 - gamma) * h_norm,
                                p["gate_norm.gain"], p["gate_norm.bias"])
@@ -96,21 +99,21 @@ def dense_superior_forward(graph: Graph, h: np.ndarray, p: dict, cfg: ModelConfi
 # --- attention layer ---------------------------------------------------------
 
 class TestAttentionLayer:
-    def test_isolated_node_softmax_is_identity(self):
-        cfg = ModelConfig(heads=1, head_width=3)
+    def test_isolated_node_softmax_is_identity(self, monkeypatch):
+        set_model_shape(monkeypatch, heads=1, head_width=3)
         feats = np.array([[1.0, -0.5, 0.25, 0.8]])
         g = make_graph([[]], feats)
-        params = bind_params(init_params("superior_gat", cfg, 0), None)
+        params = bind_params(init_params("superior_gat", 0), None)
         out = gat_attention_layer(g, Tensor(feats), params, "attn")
         hp = feats @ params["attn.h0.W"].data
         expected = np.where(hp > 0, hp, ATTN_SLOPE * hp)
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
-    def test_identical_neighbors_get_equal_weight(self):
-        cfg = ModelConfig(heads=1, head_width=2)
+    def test_identical_neighbors_get_equal_weight(self, monkeypatch):
+        set_model_shape(monkeypatch, heads=1, head_width=2)
         feats = np.array([[0.0, 0.0, 0.0, 0.0], [1.0, 2.0, 3.0, 0.5], [1.0, 2.0, 3.0, 0.5]])
         g = make_graph([[1, 2], [0, 2], [0, 1]], feats)
-        params = bind_params(init_params("superior_gat", cfg, 1), None)
+        params = bind_params(init_params("superior_gat", 1), None)
         hp = T.matmul(Tensor(feats), params["attn.h0.W"])
         sd = T.matmul(hp, params["attn.h0.a_dst"])
         ss = T.matmul(hp, params["attn.h0.a_src"])
@@ -123,33 +126,32 @@ class TestAttentionLayer:
 
     @pytest.mark.parametrize("heads", [1, 4])
     @pytest.mark.parametrize("seed", range(5))
-    def test_matches_dense_oracle(self, heads, seed):
+    def test_matches_dense_oracle(self, heads, seed, monkeypatch):
         rng = np.random.default_rng(seed)
-        cfg = ModelConfig(heads=heads, head_width=2 + seed % 3)
+        set_model_shape(monkeypatch, heads=heads, head_width=2 + seed % 3)
         n = int(rng.integers(5, 100))
         g = random_graph(rng, n, k=min(4, n - 1))
-        params_np = init_params("superior_gat", cfg, seed + 100)
+        params_np = init_params("superior_gat", seed + 100)
         params = bind_params(params_np, None)
         out = gat_attention_layer(g, Tensor(g.features), params, "attn")
-        expected = dense_gat_layer(g, g.features, params_np, "attn", cfg)
+        expected = dense_gat_layer(g, g.features, params_np, "attn", heads)
         assert np.abs(out.data - expected).max() < 1e-9
 
-    def test_path_graph_k1_oracle(self):
+    def test_path_graph_k1_oracle(self, monkeypatch):
         rng = np.random.default_rng(42)
-        cfg = ModelConfig(heads=1, head_width=2)
+        set_model_shape(monkeypatch, heads=1, head_width=2)
         feats = rng.normal(size=(4, 4))
         g = ring_graph(feats)
-        params_np = init_params("superior_gat", cfg, 3)
+        params_np = init_params("superior_gat", 3)
         out = gat_attention_layer(g, Tensor(feats), bind_params(params_np, None), "attn")
-        expected = dense_gat_layer(g, feats, params_np, "attn", cfg)
+        expected = dense_gat_layer(g, feats, params_np, "attn", 1)
         assert np.abs(out.data - expected).max() < 1e-9
 
     def test_attention_sums_to_one_every_head(self):
         rng = np.random.default_rng(9)
         g = random_graph(rng, 40, 5)
-        cfg = ModelConfig()
-        params = bind_params(init_params("superior_gat", cfg, 0), None)
-        for head in range(cfg.heads):
+        params = bind_params(init_params("superior_gat", 0), None)
+        for head in range(HEADS):
             hp = T.matmul(Tensor(g.features), params[f"attn.h{head}.W"])
             sd = T.matmul(hp, params[f"attn.h{head}.a_dst"])
             ss = T.matmul(hp, params[f"attn.h{head}.a_src"])
@@ -163,9 +165,8 @@ class TestAttentionLayer:
 class TestSuperiorGat:
     def test_gate_saturation_high(self):
         rng = np.random.default_rng(0)
-        cfg = ModelConfig()
         g = random_graph(rng, 30, 4)
-        params = init_params("superior_gat", cfg, 0)
+        params = init_params("superior_gat", 0)
         params["gate_logit"] = np.array(30.0)
         out_full = forward(g, Tensor(g.features), bind_params(params, None), "superior_gat").data
         # gate ~ 1: the normalized-input branch must not matter
@@ -176,13 +177,12 @@ class TestSuperiorGat:
 
     def test_gate_saturation_low_bypasses_attention(self):
         rng = np.random.default_rng(1)
-        cfg = ModelConfig()
         g = random_graph(rng, 30, 4)
-        params = init_params("superior_gat", cfg, 0)
+        params = init_params("superior_gat", 0)
         params["gate_logit"] = np.array(-30.0)
         out = forward(g, Tensor(g.features), bind_params(params, None), "superior_gat").data
         params2 = dict(params)
-        for h in range(cfg.heads):
+        for h in range(HEADS):
             params2[f"attn.h{h}.W"] = params[f"attn.h{h}.W"] * 2.0
         out2 = forward(g, Tensor(g.features), bind_params(params2, None), "superior_gat").data
         np.testing.assert_allclose(out, out2, atol=1e-9)
@@ -190,19 +190,17 @@ class TestSuperiorGat:
     @pytest.mark.parametrize("seed", range(3))
     def test_full_forward_matches_dense_oracle(self, seed):
         rng = np.random.default_rng(seed)
-        cfg = ModelConfig()
         g = random_graph(rng, 50, 6)
-        params_np = init_params("superior_gat", cfg, seed)
+        params_np = init_params("superior_gat", seed)
         out = superior_gat_forward(g, Tensor(g.features), bind_params(params_np, None))
-        expected = dense_superior_forward(g, g.features, params_np, cfg)
+        expected = dense_superior_forward(g, g.features, params_np, HEADS)
         assert np.abs(out.data - expected).max() < 1e-9
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(5)
-        cfg = ModelConfig()
         n = 40
         g = random_graph(rng, n, 5)
-        params = bind_params(init_params("superior_gat", cfg, 2), None)
+        params = bind_params(init_params("superior_gat", 2), None)
         out = forward(g, Tensor(g.features), params, "superior_gat").data
 
         perm = rng.permutation(n)
@@ -218,10 +216,9 @@ class TestSuperiorGat:
 
     def test_single_layer_receptive_field(self):
         rng = np.random.default_rng(6)
-        cfg = ModelConfig()
         feats = rng.normal(size=(6, 4))
         g = ring_graph(feats)
-        params = bind_params(init_params("superior_gat", cfg, 1), None)
+        params = bind_params(init_params("superior_gat", 1), None)
         base = forward(g, Tensor(feats), params, "superior_gat").data
         # 2 hops away from node 0 -> no effect
         far = feats.copy()
@@ -234,11 +231,11 @@ class TestSuperiorGat:
         out_near = forward(g, Tensor(near), params, "superior_gat").data
         assert abs(out_near[0] - base[0]) > 1e-8
 
-    def test_end_to_end_gradients(self):
+    def test_end_to_end_gradients(self, monkeypatch):
         rng = np.random.default_rng(7)
-        cfg = ModelConfig(heads=2, head_width=3, ffn_hidden=6, dec_hidden=4)
+        set_model_shape(monkeypatch, **SMALL)
         g = random_graph(rng, 20, 3)
-        params_np = init_params("superior_gat", cfg, 4)
+        params_np = init_params("superior_gat", 4)
         target = rng.normal(size=20)
 
         def loss_fn(p_np):
@@ -293,10 +290,9 @@ class TestLearnedBaselines:
 
     def test_gat_baseline_three_hop_receptive_field(self):
         rng = np.random.default_rng(9)
-        cfg = ModelConfig()
         feats = rng.normal(size=(8, 4))
         g = ring_graph(feats)
-        params = bind_params(init_params("gat_baseline", cfg, 5), None)
+        params = bind_params(init_params("gat_baseline", 5), None)
         base = gat_baseline_forward(g, Tensor(feats), params).data
         bumped = feats.copy()
         bumped[3] += 1.0  # 3 hops from node 0
@@ -309,10 +305,9 @@ class TestLearnedBaselines:
 
     def test_simple_gcn_runs_and_is_two_hop(self):
         rng = np.random.default_rng(10)
-        cfg = ModelConfig()
         feats = rng.normal(size=(7, 4))
         g = ring_graph(feats)
-        params = bind_params(init_params("simple_gcn", cfg, 6), None)
+        params = bind_params(init_params("simple_gcn", 6), None)
         base = simple_gcn_forward(g, Tensor(feats), params).data
         bumped = feats.copy()
         bumped[2] += 1.0
@@ -325,7 +320,6 @@ class TestLearnedBaselines:
 # --- restricted output rows ------------------------------------------------------
 
 ARCHS = ("superior_gat", "gat_baseline", "simple_gcn")
-SMALL = ModelConfig(heads=2, head_width=3, ffn_hidden=6, dec_hidden=4)
 FD_PARAM = {"superior_gat": "attn.h1.W", "gat_baseline": "l2.h1.a_src", "simple_gcn": "l0.W"}
 
 
@@ -351,10 +345,11 @@ class TestRestrictedRows:
 
     @pytest.mark.parametrize("arch", ARCHS)
     @pytest.mark.parametrize("seed", range(3))
-    def test_forward_at_rows_matches_full(self, arch, seed):
+    def test_forward_at_rows_matches_full(self, arch, seed, monkeypatch):
         rng = np.random.default_rng(seed)
+        set_model_shape(monkeypatch, **SMALL)
         g = repeat_graph(rng)
-        params = bind_params(init_params(arch, SMALL, seed), None)
+        params = bind_params(init_params(arch, seed), None)
         full = forward(g, Tensor(g.features), params, arch).data
         for name, rows in row_sets(rng, g.num_nodes).items():
             out = forward(g, Tensor(g.features), params, arch, rows=rows).data
@@ -362,24 +357,25 @@ class TestRestrictedRows:
             assert np.abs(out - full[rows]).max(initial=0.0) <= 1e-12, name
 
     @pytest.mark.parametrize("heads", [1, 2])
-    def test_attention_layer_at_rows_matches_dense_oracle(self, heads):
+    def test_attention_layer_at_rows_matches_dense_oracle(self, heads, monkeypatch):
         # the oracle's boolean adjacency counts a repeated source once, so
         # this graph has no repeat
         rng = np.random.default_rng(heads)
         g = random_graph(rng, 12, 3)
-        cfg = ModelConfig(heads=heads, head_width=3)
-        params_np = init_params("superior_gat", cfg, 5)
-        expected = dense_gat_layer(g, g.features, params_np, "attn", cfg)
+        set_model_shape(monkeypatch, heads=heads, head_width=3)
+        params_np = init_params("superior_gat", 5)
+        expected = dense_gat_layer(g, g.features, params_np, "attn", heads)
         for name, rows in row_sets(rng, g.num_nodes).items():
             out = gat_attention_layer(g, Tensor(g.features), bind_params(params_np, None), "attn", rows)
             assert out.shape == (rows.size, heads * 3), name
             assert np.abs(out.data - expected[rows]).max(initial=0.0) < 1e-9, name
 
     @pytest.mark.parametrize("arch", ARCHS)
-    def test_gradients_at_rows_match_full_pass_and_finite_differences(self, arch):
+    def test_gradients_at_rows_match_full_pass_and_finite_differences(self, arch, monkeypatch):
         rng = np.random.default_rng(11)
+        set_model_shape(monkeypatch, **SMALL)
         g = repeat_graph(rng)
-        params_np = init_params(arch, SMALL, 3)
+        params_np = init_params(arch, 3)
         sets = row_sets(rng, g.num_nodes)
         for name in ("singleton", "subset", "all"):
             rows = sets[name]
@@ -426,20 +422,18 @@ class TestRestrictedRows:
 
 class TestInit:
     def test_deterministic(self):
-        cfg = ModelConfig()
-        a = init_params("superior_gat", cfg, 12)
-        b = init_params("superior_gat", cfg, 12)
+        a = init_params("superior_gat", 12)
+        b = init_params("superior_gat", 12)
         for k in a:
             np.testing.assert_array_equal(a[k], b[k])
 
     def test_gate_starts_at_half(self):
-        params = init_params("superior_gat", ModelConfig(), 0)
+        params = init_params("superior_gat", 0)
         gamma = 1.0 / (1.0 + np.exp(-params["gate_logit"]))
         assert gamma == pytest.approx(0.5)
 
     def test_glorot_bound(self):
-        cfg = ModelConfig()
-        params = init_params("superior_gat", cfg, 3)
+        params = init_params("superior_gat", 3)
         for name, arr in params.items():
             if arr.ndim == 2:
                 fan_in, fan_out = arr.shape
@@ -464,7 +458,7 @@ class TestInit:
             "simple_gcn": [("l0.W", (4, 64)), ("l1.W", (64, 64))] + decoder,
         }
         for arch, names_shapes in expected.items():
-            params = init_params(arch, ModelConfig(), 0)
+            params = init_params(arch, 0)
             assert [(name, arr.shape) for name, arr in params.items()] == names_shapes, arch
 
     @pytest.mark.parametrize("arch, prefix", [("superior_gat", "attn"), ("gat_baseline", "l0")])
@@ -472,11 +466,10 @@ class TestInit:
     def test_attention_vectors_split_one_glorot_draw(self, arch, prefix, seed):
         # each head draws W, then one [2F', 1] vector a = [a_dst; a_src], so
         # the rng stream is that of a single a per head
-        cfg = ModelConfig()
-        params = init_params(arch, cfg, seed)
+        params = init_params(arch, seed)
         rng = np.random.default_rng(seed)
-        fp = cfg.head_width
-        for h in range(cfg.heads):
+        fp = HEAD_WIDTH
+        for h in range(HEADS):
             bound_w = np.sqrt(6.0 / (4 + fp))
             w = rng.uniform(-bound_w, bound_w, size=(4, fp)) * np.asarray(FEATURE_INIT_SCALE)[:, None]
             bound_a = np.sqrt(6.0 / (2 * fp + 1))
@@ -486,11 +479,11 @@ class TestInit:
                 np.vstack([params[f"{prefix}.h{h}.a_dst"], params[f"{prefix}.h{h}.a_src"]]), a)
 
     @pytest.mark.parametrize("arch", ["gat_baseline", "simple_gcn"])
-    def test_only_layer_zero_is_feature_scaled(self, arch):
+    def test_only_layer_zero_is_feature_scaled(self, arch, monkeypatch):
         # a width-4 model: deeper layers have as many inputs as the features,
         # but only layer 0 reads the features, so only it is scaled
-        cfg = ModelConfig(heads=1, head_width=4)
-        params = init_params(arch, cfg, 0)
+        set_model_shape(monkeypatch, heads=1, head_width=4)
+        params = init_params(arch, 0)
         rng = np.random.default_rng(0)
 
         def glorot(fan_in, fan_out):
@@ -509,10 +502,11 @@ class TestInit:
         for name, arr in expected.items():
             np.testing.assert_array_equal(params[name], arr, err_msg=name)
 
-    def test_unknown_architecture_rejected(self):
+    def test_unknown_architecture_rejected(self, monkeypatch):
+        set_model_shape(monkeypatch, **SMALL)
         g = ring_graph(np.ones((3, 4)))
-        params = bind_params(init_params("superior_gat", SMALL, 0), None)
+        params = bind_params(init_params("superior_gat", 0), None)
         with pytest.raises(ValueError, match="unknown architecture"):
-            init_params("gcn", SMALL, 0)
+            init_params("gcn", 0)
         with pytest.raises(ValueError, match="unknown architecture"):
             forward(g, Tensor(g.features), params, "gcn")

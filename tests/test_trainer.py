@@ -4,7 +4,7 @@ import pytest
 from beamgat import graph as graph_mod
 from beamgat import ingest, synth
 from beamgat import tensor_ad as T
-from beamgat.model import ModelConfig, bind_params, forward, init_params
+from beamgat.model import bind_params, forward, init_params
 from beamgat.tensor_ad import Tensor
 from beamgat import trainer
 from beamgat.trainer import (
@@ -17,7 +17,13 @@ from beamgat.trainer import (
     train_frame,
 )
 
-TINY = ModelConfig(heads=2, head_width=4, ffn_hidden=16, dec_hidden=8)
+from conftest import set_model_shape
+
+
+@pytest.fixture(autouse=True)
+def tiny_model(monkeypatch):
+    """Every model this module trains or runs is this small one."""
+    set_model_shape(monkeypatch, heads=2, head_width=4, ffn_hidden=16, dec_hidden=8)
 
 
 def reference_stratified_subset(beams, candidates, fraction, rng):
@@ -92,6 +98,12 @@ def test_learning_rate_must_be_finite_and_positive(lr):
         TrainConfig(learning_rate=lr)
 
 
+@pytest.mark.parametrize("patience", [0, -5])
+def test_patience_below_one_rejected(patience):
+    with pytest.raises(ValueError, match="patience"):
+        TrainConfig(patience=patience)
+
+
 # ---------------------------------------------------------------------------
 # supervision mask sampling
 # ---------------------------------------------------------------------------
@@ -152,7 +164,7 @@ def test_constant_z_frame_reaches_tiny_loss():
     frame = _flat_frame()
     graph = graph_mod.build_knn_graph(frame, k=5)
     cfg = TrainConfig(epochs=200, learning_rate=3e-2)
-    result = train_frame(frame, graph, "superior_gat", TINY, cfg, seed=0)
+    result = train_frame(frame, graph, "superior_gat", cfg, seed=0)
     assert min(result.loss_history) <= 1e-4
 
 
@@ -160,8 +172,8 @@ def test_loss_history_bit_identical_across_runs():
     frame = _flat_frame(n=120, seed=3)
     graph = graph_mod.build_knn_graph(frame, k=4)
     cfg = TrainConfig(epochs=12)
-    r1 = train_frame(frame, graph, "superior_gat", TINY, cfg, seed=5)
-    r2 = train_frame(frame, graph, "superior_gat", TINY, cfg, seed=5)
+    r1 = train_frame(frame, graph, "superior_gat", cfg, seed=5)
+    r2 = train_frame(frame, graph, "superior_gat", cfg, seed=5)
     assert r1.loss_history == r2.loss_history
     for name in r1.params:
         assert np.array_equal(r1.params[name], r2.params[name])
@@ -170,7 +182,7 @@ def test_loss_history_bit_identical_across_runs():
 def test_loss_history_finite_everywhere():
     frame = _flat_frame(n=120, seed=4)
     graph = graph_mod.build_knn_graph(frame, k=4)
-    result = train_frame(frame, graph, "superior_gat", TINY, TrainConfig(epochs=15), seed=2)
+    result = train_frame(frame, graph, "superior_gat", TrainConfig(epochs=15), seed=2)
     assert np.isfinite(result.loss_history).all()
     assert len(result.loss_history) == 15
 
@@ -178,7 +190,7 @@ def test_loss_history_finite_everywhere():
 def test_returned_params_achieve_best_recorded_loss():
     frame = _flat_frame(n=120, seed=5)
     graph = graph_mod.build_knn_graph(frame, k=4)
-    result = train_frame(frame, graph, "superior_gat", TINY, TrainConfig(epochs=20), seed=9)
+    result = train_frame(frame, graph, "superior_gat", TrainConfig(epochs=20), seed=9)
     best_epoch = int(np.argmin(result.loss_history))
     # replay that epoch's supervision mask with the returned parameters
     rng = np.random.default_rng([9, best_epoch])
@@ -192,22 +204,17 @@ def test_returned_params_achieve_best_recorded_loss():
 
 def test_no_observed_points_rejected():
     frame = _flat_frame(n=80, seed=6)
-    all_dropped = ingest.SparseFrame(
-        cloud=frame.cloud,
-        dropped_mask=np.ones(frame.cloud.xyz.shape[0], dtype=bool),
-        z_truth=frame.z_truth,
-        z_masked=np.zeros_like(frame.z_masked),
-    )
+    all_dropped = ingest.SparseFrame(cloud=frame.cloud, dropped_mask=np.ones(frame.cloud.xyz.shape[0], dtype=bool))
     graph = graph_mod.build_knn_graph(all_dropped, k=4)
     with pytest.raises(ValueError):
-        train_frame(all_dropped, graph, "superior_gat", TINY, TrainConfig(epochs=2), seed=0)
+        train_frame(all_dropped, graph, "superior_gat", TrainConfig(epochs=2), seed=0)
 
 
 def test_early_stopping_cuts_history_short():
     frame = _flat_frame(n=120, seed=7)
     graph = graph_mod.build_knn_graph(frame, k=4)
     cfg = TrainConfig(epochs=400, learning_rate=1e-2, patience=5)
-    result = train_frame(frame, graph, "superior_gat", TINY, cfg, seed=1)
+    result = train_frame(frame, graph, "superior_gat", cfg, seed=1)
     assert len(result.loss_history) < 400
 
 
@@ -218,35 +225,25 @@ def test_early_stopping_cuts_history_short():
 
 def test_predict_on_frame_without_dropout_is_empty():
     frame = _flat_frame(n=80, seed=10)
-    none_dropped = ingest.SparseFrame(
-        cloud=frame.cloud,
-        dropped_mask=np.zeros(frame.cloud.xyz.shape[0], dtype=bool),
-        z_truth=frame.z_truth,
-        z_masked=frame.z_truth.copy(),
-    )
+    none_dropped = ingest.SparseFrame(cloud=frame.cloud, dropped_mask=np.zeros(frame.cloud.xyz.shape[0], dtype=bool))
     graph = graph_mod.build_knn_graph(none_dropped, k=4)
     for arch in ("superior_gat", "gat_baseline", "simple_gcn"):
-        z_hat = predict_dropped(none_dropped, graph, init_params(arch, TINY, seed=0), arch)
+        z_hat = predict_dropped(none_dropped, graph, init_params(arch, seed=0), arch)
         assert z_hat.shape == (0,), arch
 
 
 def test_predict_on_all_dropped_frame_covers_every_node():
     frame = _flat_frame(n=80, seed=11)
     n = frame.cloud.xyz.shape[0]
-    all_dropped = ingest.SparseFrame(
-        cloud=frame.cloud,
-        dropped_mask=np.ones(n, dtype=bool),
-        z_truth=frame.z_truth,
-        z_masked=np.zeros(n),
-    )
+    all_dropped = ingest.SparseFrame(cloud=frame.cloud, dropped_mask=np.ones(n, dtype=bool))
     graph = graph_mod.build_knn_graph(all_dropped, k=4)
-    params = init_params("superior_gat", TINY, seed=0)
+    params = init_params("superior_gat", seed=0)
     z_hat = predict_dropped(all_dropped, graph, params, "superior_gat")
     assert z_hat.shape == (n,)
 
 
 def test_predict_is_pure(small_sine_frame, small_sine_graph):
-    params = init_params("superior_gat", TINY, seed=1)
+    params = init_params("superior_gat", seed=1)
     a = predict_dropped(small_sine_frame, small_sine_graph, params, "superior_gat")
     b = predict_dropped(small_sine_frame, small_sine_graph, params, "superior_gat")
     assert np.array_equal(a, b)
@@ -254,7 +251,7 @@ def test_predict_is_pure(small_sine_frame, small_sine_graph):
 
 @pytest.mark.parametrize("arch", ["superior_gat", "gat_baseline", "simple_gcn"])
 def test_predict_matches_full_forward_at_dropped(small_sine_frame, small_sine_graph, arch):
-    params = init_params(arch, TINY, seed=2)
+    params = init_params(arch, seed=2)
     z_hat = predict_dropped(small_sine_frame, small_sine_graph, params, arch)
     full = forward(small_sine_graph, Tensor(small_sine_graph.features), bind_params(params, None), arch).data
     dropped = np.flatnonzero(small_sine_frame.dropped_mask)
@@ -273,7 +270,7 @@ def test_training_epoch_computes_only_supervised_rows(small_sine_frame, small_si
         return original(x, *args, **kwargs)
 
     monkeypatch.setattr(T, "layer_norm", spy)
-    train_frame(small_sine_frame, small_sine_graph, "superior_gat", TINY, TrainConfig(epochs=1), seed=4)
+    train_frame(small_sine_frame, small_sine_graph, "superior_gat", TrainConfig(epochs=1), seed=4)
     sup = _stratified_subset(small_sine_frame.cloud.beam, np.flatnonzero(small_sine_frame.observed_mask),
                              np.random.default_rng([4, 0]))
     assert 0 < sup.size < small_sine_frame.cloud.xyz.shape[0]

@@ -173,8 +173,10 @@ def _run_one_frame(args) -> list[metrics.EvalReport]:
     """All cells of one frame, run with one BLAS thread (``--workers`` runs
     frames in parallel); a frame file that cannot be read, or a frame the
     dropout pattern cannot split into dropped and observed beams, yields no
-    rows, and so does a learned cell whose k is not below the frame's point
-    count (the same for any ``workers``)."""
+    rows. So does a learned cell whose k is not below the frame's point
+    count, and a cell that fails with a FloatingPointError (a non-finite
+    loss or forward value); the frame's other cells still report. Each
+    skip logs a warning, the same for any ``workers``."""
     cfg, frame_id, path = args
     try:
         tag, frame = _build_frame(cfg, frame_id, path)
@@ -193,7 +195,10 @@ def _run_one_frame(args) -> list[metrics.EvalReport]:
             if method in ARCHITECTURES and graph is None:
                 log.warning("skipping %s at k=%d on frame %s: it has only %d points", method, k, tag, n)
                 continue
-            reports.append(_evaluate(cfg, tag, frame, k, method, graph))
+            try:
+                reports.append(_evaluate(cfg, tag, frame, k, method, graph))
+            except FloatingPointError as exc:
+                log.warning("skipping %s at k=%d on frame %s: %s", method, k, tag, exc)
     return reports
 
 

@@ -154,8 +154,10 @@ def choose_per_beam(
 
 
 def stratified_sample(cloud: PointCloud, target: int, seed: int) -> PointCloud:
-    """Subsample to ~``target`` points with per-beam quotas proportional to
-    beam population (largest-remainder rounding), preserving original order."""
+    """Subsample to ``target`` points with per-beam quotas proportional to
+    beam population (largest-remainder rounding, at least one point per
+    populated beam), preserving original order; a cloud of at most
+    ``target`` points is returned as it is."""
     if cloud.beam is None:
         raise ValueError("beam indices must be set before stratified sampling")
     if target >= len(cloud):
@@ -169,12 +171,16 @@ def stratified_sample(cloud: PointCloud, target: int, seed: int) -> PointCloud:
         remainder = exact - np.floor(exact)
         short = target - int(quota.sum())
         beams = np.arange(counts.size)
-        if short > 0:  # largest remainders gain one, lower beam first; clipped to counts below
-            quota[np.lexsort((beams, -remainder))[:short]] += 1
-        elif short < 0:  # smallest remainders above one lose one, higher beam first
+        if short > 0:  # largest remainders among beams with room gain one, lower beam first
+            order = np.lexsort((beams, -remainder))
+            quota[order[quota[order] < counts[order]][:short]] += 1
+        elif short < 0:  # smallest remainders above one lose one, higher beam first, pass by pass
             order = np.lexsort((-beams, remainder))
-            quota[order[quota[order] > 1][:-short]] -= 1
-        return np.minimum(quota, counts)
+            while short < 0:
+                cut = order[quota[order] > 1][:-short]
+                quota[cut] -= 1
+                short += cut.size
+        return quota
 
     sel = choose_per_beam(cloud.beam, quotas, np.random.default_rng(seed))
     return dataclasses.replace(cloud, xyz=cloud.xyz[sel], reflectance=cloud.reflectance[sel],

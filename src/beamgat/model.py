@@ -111,6 +111,13 @@ def _at(x: Tensor, rows: np.ndarray | None) -> Tensor:
     return x if rows is None else T.take_rows(x, rows)
 
 
+def _aggregate_first(h: Tensor, w: Tensor) -> bool:
+    """Whether a layer that projects ``h`` by ``w`` aggregates before it
+    projects: ``A (h W) = (A h) W``, and the product over the edges is the
+    cheaper one on the narrower side."""
+    return h.shape[1] < w.shape[1]
+
+
 def gat_attention_layer(
     graph: Graph,
     h: Tensor,
@@ -121,24 +128,33 @@ def gat_attention_layer(
     """Multi-head attention aggregation over the neighbour table.
 
     Per head (the ``{prefix}.h*.W`` parameters, in the dict's order):
-    project features, score each edge j->i with LeakyReLU(a_dst^T h'_i +
-    a_src^T h'_j) as an [R, k+1] logit table, softmax along each node's row,
-    aggregate as one sparse product ``A_alpha @ h'``, apply LeakyReLU. Head
-    outputs are concatenated. ``h`` holds every node; the output holds the
-    nodes ``rows`` (None: every node), and only their rows are scored.
+    project features h' = h W, score each edge j->i with LeakyReLU(a_dst^T
+    h'_i + a_src^T h'_j) as an [R, k+1] logit table, softmax along each
+    node's row, aggregate as one sparse product ``A_alpha @ h'``, apply
+    LeakyReLU. Head outputs are concatenated. ``h`` holds every node; the
+    output holds the nodes ``rows`` (None: every node), and only their rows
+    are scored.
+
+    A head whose input ``h`` is narrower than its output aggregates first:
+    it scores with ``h @ (W a)`` and returns ``(A_alpha @ h) W``, the same
+    values without an [N, F'] array.
     """
     neighbors = graph.neighbors if rows is None else graph.neighbors[rows]
     heads = [name[:-2] for name in params if name.startswith(f"{prefix}.h") and name.endswith(".W")]
     outs = []
     for head in heads:
-        hp = T.matmul(h, params[f"{head}.W"])  # [N, F']
+        w, a_dst, a_src = params[f"{head}.W"], params[f"{head}.a_dst"], params[f"{head}.a_src"]
+        if _aggregate_first(h, w):
+            x, a_dst, a_src = h, T.matmul(w, a_dst), T.matmul(w, a_src)
+        else:
+            x, w = T.matmul(h, w), None  # [N, F']
         # the score splits into per-node terms, avoiding [E, 2F']
-        score_dst = T.matmul(_at(hp, rows), params[f"{head}.a_dst"])  # [|R|, 1]
-        score_src = T.matmul(hp, params[f"{head}.a_src"])  # [N, 1]
+        score_dst = T.matmul(_at(x, rows), a_dst)  # [|R|, 1]
+        score_src = T.matmul(x, a_src)  # [N, 1]
         logits = T.edge_logits(score_dst, score_src, neighbors, ATTN_SLOPE)
         alpha = T.segment_softmax(logits)
-        agg = T.spmm(alpha, hp, neighbors)
-        outs.append(T.leaky_relu(agg, ATTN_SLOPE))
+        agg = T.spmm(alpha, x, neighbors)
+        outs.append(T.leaky_relu(agg if w is None else T.matmul(agg, w), ATTN_SLOPE))
     return outs[0] if len(outs) == 1 else T.concat_cols(outs)
 
 
@@ -173,10 +189,14 @@ def _decode(h: Tensor, params: dict[str, Tensor]) -> Tensor:
 def gcn_layer(graph: Graph, h: Tensor, w: Tensor, rows: np.ndarray | None = None) -> Tensor:
     """Mean aggregation with fixed weights: out_i = LeakyReLU(mean_j h_j W),
     for the nodes ``rows`` (None: every node); each of a row's k+1 entries
-    weighs 1/(k+1)."""
+    weighs 1/(k+1). An ``h`` narrower than the output is aggregated before
+    it is projected."""
     neighbors = graph.neighbors if rows is None else graph.neighbors[rows]
     mean = np.full(neighbors.shape, 1.0 / neighbors.shape[1])
-    agg = T.spmm(mean, T.matmul(h, w), neighbors)
+    if _aggregate_first(h, w):
+        agg = T.matmul(T.spmm(mean, h, neighbors), w)
+    else:
+        agg = T.spmm(mean, T.matmul(h, w), neighbors)
     return T.leaky_relu(agg, ATTN_SLOPE)
 
 

@@ -5,6 +5,11 @@ float64, row-major. Recording happens on an explicit :class:`Tape`; tensors
 created without a tape are constants and receive no gradient. The graph ops
 (``edge_logits``, ``segment_softmax``, ``spmm``) work on an [R, K]
 neighbour table: row r lists the K source nodes feeding output row r.
+
+The tape holds no tensors. Each recorded tensor owns a gradient cell, and
+the tape keeps that cell with the op's backward function, which holds its
+inputs' cells and only the arrays it reads. An intermediate array that no
+backward function reads is freed as soon as the forward drops its tensor.
 """
 
 from __future__ import annotations
@@ -39,17 +44,33 @@ class NonFiniteError(FloatingPointError):
     """A forward op produced NaN or Inf."""
 
 
+class _Cell:
+    """Where a recorded tensor's gradient accumulates."""
+
+    __slots__ = ("grad", "shape")
+
+    def __init__(self, shape: tuple[int, ...]):
+        self.grad: np.ndarray | None = None
+        self.shape = shape
+
+
 class Tensor:
     """Dense float64 array, optionally linked into a gradient tape."""
 
-    __slots__ = ("data", "grad", "tape")
+    __slots__ = ("data", "tape", "_cell")
 
     def __init__(self, data, tape: "Tape | None" = None):
         arr = np.asarray(data, dtype=np.float64)
         # ascontiguousarray would promote 0-d scalars to 1-d
         self.data = arr if arr.ndim == 0 else np.ascontiguousarray(arr)
-        self.grad: np.ndarray | None = None
         self.tape = tape
+        self._cell = None if tape is None else _Cell(self.data.shape)
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        """The accumulated gradient; None for a constant, and for a
+        recorded intermediate once the backward pass is past it."""
+        return None if self._cell is None else self._cell.grad
 
     @property
     def shape(self):
@@ -63,19 +84,20 @@ class Tape:
     """Ordered record of operations; inputs always precede their consumers."""
 
     def __init__(self):
-        self._nodes: list[tuple[Tensor, callable]] = []
+        self._nodes: list[tuple[_Cell, callable]] = []
         self._consumed = False
 
-    def _record(self, out: Tensor, backward_fn) -> None:
-        self._nodes.append((out, backward_fn))
+    def _record(self, cell: _Cell, backward_fn) -> None:
+        self._nodes.append((cell, backward_fn))
 
     def backward(self, loss: Tensor) -> None:
         """Reverse traversal from a scalar loss; accumulates leaf gradients.
 
         Nodes are popped as the pass reaches them, and each output's
-        ``.grad`` is reset to None once its backward function has run, so
-        intermediates are freed during the reverse pass rather than after
-        it. Only leaf tensors keep a gradient.
+        gradient is taken out of its cell before its backward function
+        runs, so gradients and the arrays a closure holds are freed during
+        the reverse pass rather than after it. Only leaf tensors keep a
+        gradient.
         """
         if loss.data.size != 1:
             raise ValueError("backward requires a scalar loss")
@@ -84,16 +106,15 @@ class Tape:
         if self._consumed:
             raise RuntimeError("tape already consumed; one backward pass per recording")
         self._consumed = True
-        loss.grad = np.ones_like(loss.data)
-        # popping drops each node's closure, and the inputs it holds, as soon
-        # as the pass is past it; the emptied list also breaks the
-        # tensor <-> tape reference cycle without waiting for the gc
+        loss._cell.grad = np.ones_like(loss.data)
+        # popping drops each node's closure, and the arrays it holds, as soon
+        # as the pass is past it
         nodes = self._nodes
         while nodes:
-            out, backward_fn = nodes.pop()
-            if out.grad is not None:
-                backward_fn(out.grad)
-                out.grad = None
+            cell, backward_fn = nodes.pop()
+            g, cell.grad = cell.grad, None
+            if g is not None:
+                backward_fn(g)
 
 
 def _check_finite(data: np.ndarray) -> np.ndarray:
@@ -109,20 +130,20 @@ def _check_finite(data: np.ndarray) -> np.ndarray:
     return data
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    """Add ``g`` into ``t.grad``. A first gradient of the right shape is
-    kept as it is, not copied: the output gradient a backward function
-    passes through is dropped by ``Tape.backward`` once that function has
-    run, so ``t`` is its only holder; a backward function that hands one
-    array to two inputs copies it for the second."""
-    if t.tape is None:
+def _accum(cell: _Cell | None, g: np.ndarray) -> None:
+    """Add ``g`` into ``cell`` (None: a constant, which gets nothing). A
+    first gradient of the right shape is kept as it is, not copied: the
+    output gradient a backward function passes through was taken out of its
+    cell by ``Tape.backward``, so ``cell`` is its only holder; a backward
+    function that hands one array to two inputs copies it for the second."""
+    if cell is None:
         return
-    if t.grad is None:
-        if g.shape != t.data.shape:
-            g = np.broadcast_to(g, t.data.shape).copy()
-        t.grad = g
+    if cell.grad is None:
+        if g.shape != cell.shape:
+            g = np.broadcast_to(g, cell.shape).copy()
+        cell.grad = g
     else:
-        t.grad += g
+        cell.grad += g
 
 
 def _tape_of(*tensors: Tensor) -> Tape | None:
@@ -139,7 +160,7 @@ def _make(data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
     tape = _tape_of(*inputs)
     out = Tensor(_check_finite(data), tape)
     if tape is not None:
-        tape._record(out, backward_fn)
+        tape._record(out._cell, backward_fn)
     return out
 
 
@@ -147,27 +168,32 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape[-1] != b.data.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
     data = a.data @ b.data
+    # each operand is kept only for the other's gradient; a constant operand
+    # (the node features) gets no product
+    ca, cb = a._cell, b._cell
+    a_data = a.data if cb is not None else None
+    b_data = b.data if ca is not None else None
 
     def bwd(g):
-        # a constant operand (the node features) gets no product
-        if a.tape is not None:
-            _accum(a, g @ b.data.T)
-        if b.tape is not None:
-            _accum(b, a.data.T @ g)
+        if ca is not None:
+            _accum(ca, g @ b_data.T)
+        if cb is not None:
+            _accum(cb, a_data.T @ g)
 
     return _make(data, (a, b), bwd)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; also supports adding a length-F bias to an [N, F] matrix."""
+    ca, cb = a._cell, b._cell
     if a.data.shape == b.data.shape:
         def bwd(g):
-            _accum(a, g)
-            _accum(b, g.copy())
+            _accum(ca, g)
+            _accum(cb, g.copy())
     elif a.data.ndim == 2 and b.data.ndim == 1 and a.data.shape[1] == b.data.shape[0]:
         def bwd(g):
-            _accum(a, g)
-            _accum(b, g.sum(axis=0))
+            _accum(ca, g)
+            _accum(cb, g.sum(axis=0))
     else:
         raise ValueError(f"add shape mismatch: {a.shape} + {b.shape}")
     return _make(a.data + b.data, (a, b), bwd)
@@ -181,18 +207,23 @@ def scale(x: Tensor, s: "Tensor | float") -> Tensor:
     factor = s.data.reshape(()) if learned else s
     with np.errstate(over="ignore"):  # _make raises NonFiniteError on overflow
         data = x.data * factor
+    cx = x._cell
+    cs = s._cell if learned else None
+    x_data = x.data if cs is not None else None
 
     def bwd(g):
-        _accum(x, g * factor)
-        if learned:
-            _accum(s, np.full(s.data.shape, np.sum(g * x.data)))
+        _accum(cx, g * factor)
+        if cs is not None:
+            _accum(cs, np.full(cs.shape, np.sum(g * x_data)))
 
     return _make(data, (x, s) if learned else (x,), bwd)
 
 
 def add_const(x: Tensor, c: float) -> Tensor:
+    cx = x._cell
+
     def bwd(g):
-        _accum(x, g)
+        _accum(cx, g)
 
     return _make(x.data + c, (x,), bwd)
 
@@ -205,38 +236,40 @@ def _check_slope(slope: float) -> None:
 
 def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
     _check_slope(slope)
-    data = np.maximum(x.data, slope * x.data)
+    cx = x._cell
+    positive = x.data > 0  # convention: derivative at exactly 0 is `slope`
 
     def bwd(g):
-        # convention: derivative at exactly 0 is `slope`
-        _accum(x, np.where(x.data > 0, g, slope * g))
+        _accum(cx, np.where(positive, g, slope * g))
 
-    return _make(data, (x,), bwd)
+    return _make(np.maximum(x.data, slope * x.data), (x,), bwd)
 
 
 def elu(x: Tensor, alpha: float = 1.0) -> Tensor:
     data = np.where(x.data > 0, x.data, alpha * np.expm1(x.data))
+    cx, x_data = x._cell, x.data
 
     def bwd(g):
-        _accum(x, g * np.where(x.data > 0, 1.0, alpha * np.exp(x.data)))
+        _accum(cx, g * np.where(x_data > 0, 1.0, alpha * np.exp(x_data)))
 
     return _make(data, (x,), bwd)
 
 
 def sigmoid(x: Tensor) -> Tensor:
     data = 1.0 / (1.0 + np.exp(-x.data))
+    cx = x._cell
 
     def bwd(g):
-        _accum(x, g * data * (1.0 - data))
+        _accum(cx, g * data * (1.0 - data))
 
     return _make(data, (x,), bwd)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
-    old = x.data.shape
+    cx, old = x._cell, x.data.shape
 
     def bwd(g):
-        _accum(x, g.reshape(old))
+        _accum(cx, g.reshape(old))
 
     return _make(x.data.reshape(shape), (x,), bwd)
 
@@ -245,10 +278,11 @@ def concat_cols(parts: list[Tensor]) -> Tensor:
     widths = [p.data.shape[1] for p in parts]
     data = np.concatenate([p.data for p in parts], axis=1)
     offsets = np.concatenate([[0], np.cumsum(widths)])
+    cells = [p._cell for p in parts]
 
     def bwd(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _accum(p, g[:, lo:hi])
+        for cell, lo, hi in zip(cells, offsets[:-1], offsets[1:]):
+            _accum(cell, g[:, lo:hi])
 
     return _make(data, tuple(parts), bwd)
 
@@ -264,24 +298,24 @@ def _scatter_add(g: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
 
 def take_rows(x: Tensor, idx: np.ndarray) -> Tensor:
     idx = np.asarray(idx, dtype=np.int64)
+    cx, n = x._cell, x.data.shape[0]
 
     def bwd(g):
-        if x.tape is None:
-            return
-        _accum(x, _scatter_add(g, idx, x.data.shape[0]))
+        if cx is not None:
+            _accum(cx, _scatter_add(g, idx, n))
 
     return _make(x.data[idx], (x,), bwd)
 
 
 def rows(x: Tensor, lo: int, hi: int) -> Tensor:
     """Contiguous row slice x[lo:hi]."""
+    cx = x._cell
 
     def bwd(g):
-        if x.tape is None:
-            return
-        gx = np.zeros_like(x.data)
-        gx[lo:hi] = g
-        _accum(x, gx)
+        if cx is not None:
+            gx = np.zeros(cx.shape)
+            gx[lo:hi] = g
+            _accum(cx, gx)
 
     return _make(x.data[lo:hi].copy(), (x,), bwd)
 
@@ -305,11 +339,12 @@ def segment_softmax(logits: Tensor) -> Tensor:
         raise ValueError(f"logits must be [R, K] with K >= 1, got {logits.shape}")
     e = np.exp(v - v.max(axis=1, keepdims=True))
     alpha = e / e.sum(axis=1, keepdims=True)
+    cl = logits._cell
 
     def bwd(g):
         # softmax Jacobian per row: da = alpha * (g - sum_row(g * alpha))
         dot = (g * alpha).sum(axis=1, keepdims=True)
-        _accum(logits, alpha * (g - dot))
+        _accum(cl, alpha * (g - dot))
 
     return _make(alpha, (logits,), bwd)
 
@@ -323,7 +358,8 @@ def spmm(weights: "Tensor | np.ndarray", values: Tensor, neighbors: np.ndarray) 
     the table as A's column ids; the ``weights`` gradient is the row dot
     <g[i], values[neighbors[i, k]]> (SDDMM), one [R, K, F] gather of
     neighbour rows contracted against g. A plain ndarray for ``weights``
-    is a constant and gets no gradient.
+    is a constant and gets no gradient. Backward keeps A, and ``values``
+    only when the weights learn.
     """
     neighbors = _table(neighbors)
     weight_t = weights if isinstance(weights, Tensor) else None
@@ -335,11 +371,15 @@ def spmm(weights: "Tensor | np.ndarray", values: Tensor, neighbors: np.ndarray) 
         (w.ravel(), neighbors.ravel(), np.arange(0, r * k + 1, k)), shape=(r, values.data.shape[0])
     )
 
+    cv = values._cell
+    cw = weight_t._cell if weight_t is not None else None
+    v = values.data if cw is not None else None
+
     def bwd(g):
-        if values.tape is not None:
-            _accum(values, adj.T @ g)
-        if weight_t is not None and weight_t.tape is not None:
-            _accum(weight_t, np.einsum("rkf,rf->rk", values.data[neighbors], g))
+        if cv is not None:
+            _accum(cv, adj.T @ g)
+        if cw is not None:
+            _accum(cw, np.einsum("rkf,rf->rk", v[neighbors], g))
 
     inputs = (values,) if weight_t is None else (values, weight_t)
     return _make(adj @ values.data, inputs, bwd)
@@ -365,13 +405,15 @@ def edge_logits(score_dst: Tensor, score_src: Tensor, neighbors: np.ndarray, slo
     n_src = score_src.data.shape[0]
     dst = _per_row(score_dst, neighbors.shape[0], "score_dst")
     raw = dst[:, None] + _per_row(score_src, n_src, "score_src")[neighbors]
+    positive = raw > 0
+    c_dst, c_src = score_dst._cell, score_src._cell
 
     def bwd(g):
-        g_raw = np.where(raw > 0, g, slope * g)
-        if score_dst.tape is not None:
-            _accum(score_dst, g_raw.sum(axis=1).reshape(score_dst.data.shape))
-        if score_src.tape is not None:
-            _accum(score_src, _scatter_add(g_raw.ravel(), neighbors.ravel(), n_src).reshape(score_src.data.shape))
+        g_raw = np.where(positive, g, slope * g)
+        if c_dst is not None:
+            _accum(c_dst, g_raw.sum(axis=1).reshape(c_dst.shape))
+        if c_src is not None:
+            _accum(c_src, _scatter_add(g_raw.ravel(), neighbors.ravel(), n_src).reshape(c_src.shape))
 
     return _make(np.maximum(raw, slope * raw), (score_dst, score_src), bwd)
 
@@ -388,15 +430,16 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     inv = 1.0 / np.sqrt(var + eps)
     xhat = np.multiply(centered, inv, out=centered)
     data = xhat * gain.data + bias.data
+    cx, c_gain, c_bias, gain_data = x._cell, gain._cell, bias._cell, gain.data
 
     def bwd(g):
-        _accum(gain, np.sum(g * xhat, axis=0))
-        _accum(bias, np.sum(g, axis=0))
-        if x.tape is not None:
-            dxhat = g * gain.data
+        _accum(c_gain, np.sum(g * xhat, axis=0))
+        _accum(c_bias, np.sum(g, axis=0))
+        if cx is not None:
+            dxhat = g * gain_data
             m1 = dxhat.mean(axis=1, keepdims=True)
             m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
-            _accum(x, inv * (dxhat - m1 - xhat * m2))
+            _accum(cx, inv * (dxhat - m1 - xhat * m2))
 
     return _make(data, (x, gain, bias), bwd)
 
@@ -409,8 +452,9 @@ def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
         raise ValueError("mse of empty prediction")
     diff = pred.data - target
     data = np.array(np.mean(diff * diff))
+    cp = pred._cell
 
     def bwd(g):
-        _accum(pred, g.reshape(()) * 2.0 * diff / diff.size)
+        _accum(cp, g.reshape(()) * 2.0 * diff / diff.size)
 
     return _make(data, (pred,), bwd)

@@ -100,14 +100,12 @@ def train_frame(
     parameters that achieved the lowest training loss and the loss
     history."""
     observed = np.flatnonzero(frame.observed_mask)
-    dropped = np.flatnonzero(frame.dropped_mask)
     if observed.size == 0:
         raise ValueError("frame has no observed points")
 
     params = init_params(architecture, seed)
     state = AdamState.zeros_like(params)
     base_features = graph.features
-    dropped_set = frozenset(dropped.tolist())
 
     best_loss = np.inf
     best_params = {k: p.copy() for k, p in params.items()}
@@ -116,7 +114,7 @@ def train_frame(
     for epoch in range(train_cfg.epochs):
         rng = np.random.default_rng([seed, epoch])
         sup = _stratified_subset(frame.cloud.beam, observed, rng)
-        assert not dropped_set.intersection(sup.tolist()), "supervision leaked into dropped set"
+        assert not frame.dropped_mask[sup].any(), "supervision leaked into dropped set"
         feats = base_features.copy()
         feats[sup, 2] = 0.0
 

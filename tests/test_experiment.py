@@ -437,6 +437,31 @@ def test_k_the_frame_cannot_hold_skips_only_its_learned_cells(tmp_path, caplog, 
         assert "skipping superior_gat at k=60" in caplog.text
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_cell_whose_training_fails_is_skipped(tmp_path, caplog, monkeypatch, workers):
+    # a non-finite training loss in one learned cell leaves the run going:
+    # the other cells of every frame still report, and the run exits 0
+    train_frame = trainer.train_frame
+
+    def failing(frame, graph, architecture, *args):
+        if architecture == "simple_gcn":
+            raise FloatingPointError("non-finite training loss at epoch 0")
+        return train_frame(frame, graph, architecture, *args)
+
+    monkeypatch.setattr(trainer, "train_frame", failing)
+    out = tmp_path / "runs"
+    frames = "1" if workers == "1" else "2"
+    rc = cli.main(["--synthetic", "plane", "--sample-target", "200", "--k", "4", "--epochs", "1",
+                   "--frames", frames, "--methods", "linear,simple_gcn,superior_gat", "--no-timing",
+                   "--workers", workers, "--out", str(out)])
+    assert rc == 0
+    rows = (out / "reports.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[:2] for r in rows] == [
+        [f"plane{i}", m] for i in range(int(frames)) for m in ("linear", "superior_gat")]
+    if workers == "1":  # a worker process logs where caplog does not see it
+        assert "skipping simple_gcn at k=4 on frame plane0: non-finite training loss" in caplog.text
+
+
 def test_cli_rejects_bad_method(tmp_path, capsys):
     rc = cli.main(["--methods", "bogus", "--out", str(tmp_path / "runs")])
     assert rc == 1

@@ -2,6 +2,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from beamgat import ingest
 from beamgat.ingest import (
@@ -109,7 +110,9 @@ class TestEstimateBeams:
 
 def reference_stratified_sample(cloud, target, seed):
     """Selected row indices of the per-beam loops that ``stratified_sample``
-    replaced (largest-remainder adjust and one draw per beam)."""
+    replaced (largest-remainder adjust and one draw per beam). A beam
+    already at its count passes its extra point to the next remainder, and
+    the cut repeats its pass over the beams until the total is ``target``."""
     n = len(cloud)
     counts = np.bincount(cloud.beam, minlength=cloud.num_beams)
     nonempty = np.flatnonzero(counts)
@@ -119,18 +122,17 @@ def reference_stratified_sample(cloud, target, seed):
     short = target - int(quota.sum())
     if short > 0:
         order = np.lexsort((nonempty, -remainder))
-        for b in order[:short]:
-            if quota[b] < counts[nonempty[b]]:
+        for b in order:
+            if short > 0 and quota[b] < counts[nonempty[b]]:
                 quota[b] += 1
+                short -= 1
     elif short < 0:
         order = np.lexsort((-nonempty, remainder))
-        i = 0
-        while short < 0 and i < len(order):
-            b = order[i]
-            if quota[b] > 1:
-                quota[b] -= 1
-                short += 1
-            i += 1
+        while short < 0:
+            for b in order:
+                if short < 0 and quota[b] > 1:
+                    quota[b] -= 1
+                    short += 1
     quota = np.minimum(quota, counts[nonempty])
     rng = np.random.default_rng(seed)
     keep = np.zeros(n, dtype=bool)
@@ -169,6 +171,26 @@ class TestStratifiedSample:
             np.testing.assert_array_equal(out.xyz, cloud.xyz[sel], err_msg=f"case {case}")
             np.testing.assert_array_equal(out.beam, beam[sel], err_msg=f"case {case}")
         assert directions == {-1, 0, 1}
+
+    @settings(max_examples=300, deadline=None)
+    @given(counts=st.lists(st.integers(0, 6), min_size=1, max_size=12), data=st.data())
+    def test_returns_exactly_target(self, counts, data):
+        # small beams (many of them at 1 or 2 points) are where the
+        # floor-of-1 rule fills a beam that a largest remainder also picks
+        counts = np.array(counts)
+        n, nonempty = int(counts.sum()), int(np.count_nonzero(counts))
+        if n - 1 < max(nonempty, 1):
+            return
+        target = data.draw(st.integers(nonempty, n - 1), label="target")
+        beam = np.repeat(np.arange(counts.size), counts)
+        cloud = PointCloud(xyz=np.column_stack([np.arange(n), np.zeros((n, 2))]), reflectance=np.zeros(n),
+                           beam=beam, num_beams=counts.size)
+        out = stratified_sample(cloud, target, seed=data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        assert len(out) == target
+        kept = np.bincount(out.beam, minlength=counts.size)
+        assert np.all(kept[counts > 0] >= 1)
+        assert np.all(kept <= counts)
+        assert np.all(np.diff(out.xyz[:, 0]) > 0)
 
     def test_target_below_populated_beams_rejected(self):
         cloud = uniform_cloud(n_per_beam=5, num_beams=8)

@@ -417,6 +417,35 @@ class TestRestrictedRows:
                 numeric = finite_diff_grad(f, arr.copy())
                 assert rel_err(restricted[key], numeric) < 1e-4, (name, key)
 
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_aggregate_first_layer_gradients_match_finite_differences(self, arch, monkeypatch):
+        # heads 5 wide read the 4 features: every layer 0 aggregates before it
+        # projects, with the features carrying a gradient of their own
+        rng = np.random.default_rng(12)
+        set_model_shape(monkeypatch, **{**SMALL, "head_width": 5})
+        g = repeat_graph(rng)
+        params_np = init_params(arch, 4)
+        rows = row_sets(rng, g.num_nodes)["subset"]
+        target = rng.normal(size=rows.size)
+
+        def loss_of(p_np, feats, tape=None):
+            bound = bind_params(p_np, tape)
+            h = Tensor(feats, tape)
+            return bound, h, T.mse_loss(forward(g, h, bound, arch, rows=rows), target)
+
+        tape = Tape()
+        bound, h, loss = loss_of(params_np, g.features, tape)
+        tape.backward(loss)
+        numeric = finite_diff_grad(lambda v: float(loss_of(params_np, v)[2].data), g.features.copy())
+        assert rel_err(h.grad, numeric) < 1e-4
+        for key in (k for k in params_np if k.startswith(("attn.", "l0."))):
+            arr = params_np[key]
+
+            def f(v, key=key):
+                return float(loss_of({**params_np, key: v.reshape(arr.shape)}, g.features)[2].data)
+
+            assert rel_err(bound[key].grad, finite_diff_grad(f, arr.copy())) < 1e-4, key
+
 
 # --- init -------------------------------------------------------
 

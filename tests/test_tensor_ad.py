@@ -5,10 +5,11 @@ import weakref
 import numpy as np
 import pytest
 
+from beamgat import graph as graph_mod, model
 from beamgat import tensor_ad as T
 from beamgat.tensor_ad import NonFiniteError, Tape, Tensor
 
-from conftest import finite_diff_grad, rel_err
+from conftest import finite_diff_grad, random_frame, rel_err
 
 SEEDS = range(20)
 
@@ -509,7 +510,7 @@ def test_first_gradient_is_taken_without_a_copy():
     tape = Tape()
     x = Tensor(np.ones((2, 3)), tape)
     built = np.full((2, 3), 7.0)
-    T._accum(x, built)
+    T._accum(x._cell, built)
     assert x.grad is built
 
 
@@ -566,3 +567,59 @@ def test_backward_peak_memory_stays_flat_along_a_chain():
         tracemalloc.stop()
     assert peak - base < 5 * nbytes, f"backward peaked {(peak - base) / nbytes:.1f} arrays above its start"
     np.testing.assert_allclose(x.grad, 2.0 * 1.01 ** (2 * steps) / n)
+
+
+def test_constant_has_no_gradient_and_grad_is_read_only():
+    tape = Tape()
+    c = Tensor(np.ones((2, 3)))
+    w = Tensor(np.ones((3, 1)), tape)
+    tape.backward(T.mse_loss(T.reshape(T.matmul(c, w), (-1,)), np.zeros(2)))
+    assert c.grad is None
+    assert w.grad is not None
+    with pytest.raises(AttributeError):
+        w.grad = np.zeros((3, 1))
+
+
+def test_tape_drops_an_output_no_backward_reads():
+    # add(matmul(x, w), b): matmul's backward reads x and w, add's reads
+    # neither operand, so the product is freed before backward runs
+    rng = np.random.default_rng(0)
+    tape = Tape()
+    x = Tensor(rng.normal(size=(5, 3)), tape)
+    w = Tensor(rng.normal(size=(3, 2)), tape)
+    b = Tensor(rng.normal(size=2), tape)
+    product = T.matmul(x, w)
+    ref = weakref.ref(product.data)
+    out = T.add(product, b)
+    del product
+    assert ref() is None
+    loss = T.mse_loss(T.reshape(out, (-1,)), np.zeros(10))
+    tape.backward(loss)
+    g = 2.0 * out.data / out.data.size
+    np.testing.assert_allclose(w.grad, x.data.T @ g, rtol=1e-12)
+    np.testing.assert_allclose(x.grad, g @ w.data.T, rtol=1e-12)
+    np.testing.assert_allclose(b.grad, g.sum(axis=0), rtol=1e-12)
+
+
+def test_superior_gat_tape_keeps_little_per_node():
+    # A live tape after a superior_gat forward at rows = N/5 held about 1.2 kB
+    # per node (3.3 kB when it kept every op's output): the aggregate-first
+    # heads keep no [N, 16] array, and each op keeps only what its backward
+    # reads, mostly [R, 64] inputs of the products and norms.
+    n = 3000
+    frame = random_frame(np.random.default_rng(0), n)
+    g = graph_mod.build_knn_graph(frame, k=10)
+    rows = np.arange(0, n, 5)
+    params = model.init_params("superior_gat", 0)
+    feats = Tensor(g.features)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tape = Tape()
+        z = model.forward(g, feats, model.bind_params(params, tape), "superior_gat", rows=rows)
+        loss = T.mse_loss(z, np.zeros(rows.size))
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert kept < 1800 * n, f"tape keeps {kept / n:.0f} B per node"
+    tape.backward(loss)

@@ -193,14 +193,10 @@ def apply_beam_dropout(cloud: PointCloud, nth: int = 4) -> SparseFrame:
     against the held-out z."""
     if cloud.beam is None:
         raise ValueError("beam indices must be set before dropout")
-    beams = np.arange(cloud.num_beams)
-    dropped_beams = set(beams[beams % nth == 0].tolist())
-    present = set(np.unique(cloud.beam).tolist())
-    hit = present & dropped_beams
-    if not hit:
+    dropped = cloud.beam % nth == 0
+    if not dropped.any():
         raise DropoutConfigError("pattern drops no populated beam")
-    if hit == present:
+    if dropped.all():
         raise DropoutConfigError("pattern drops every populated beam")
-    dropped = np.isin(cloud.beam, list(dropped_beams))
     # the frame keeps its own points, so a later write to ``cloud`` leaves its z_truth as it is
     return SparseFrame(cloud=dataclasses.replace(cloud, xyz=cloud.xyz.copy()), dropped_mask=dropped)

@@ -131,16 +131,15 @@ def _check_finite(data: np.ndarray) -> np.ndarray:
 
 
 def _accum(cell: _Cell | None, g: np.ndarray) -> None:
-    """Add ``g`` into ``cell`` (None: a constant, which gets nothing). A
-    first gradient of the right shape is kept as it is, not copied: the
-    output gradient a backward function passes through was taken out of its
-    cell by ``Tape.backward``, so ``cell`` is its only holder; a backward
-    function that hands one array to two inputs copies it for the second."""
+    """Add ``g``, which has the cell's shape, into ``cell`` (None: a
+    constant, which gets nothing). A first gradient is kept as it is, not
+    copied: the output gradient a backward function passes through was taken
+    out of its cell by ``Tape.backward``, so ``cell`` is its only holder; a
+    backward function that hands one array to two inputs copies it for the
+    second."""
     if cell is None:
         return
     if cell.grad is None:
-        if g.shape != cell.shape:
-            g = np.broadcast_to(g, cell.shape).copy()
         cell.grad = g
     else:
         cell.grad += g
@@ -287,44 +286,29 @@ def concat_cols(parts: list[Tensor]) -> Tensor:
     return _make(data, tuple(parts), bwd)
 
 
-def _scatter_add(g: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
-    """Row scatter-add via bincount (much faster than np.add.at)."""
-    if g.ndim == 1:
-        return np.bincount(idx, weights=g, minlength=n)
-    f = g.shape[1]
-    flat_idx = (idx[:, None] * f + np.arange(f)).ravel()
-    return np.bincount(flat_idx, weights=g.ravel(), minlength=n * f).reshape(n, f)
-
-
 def take_rows(x: Tensor, idx: np.ndarray) -> Tensor:
-    idx = np.asarray(idx, dtype=np.int64)
-    cx, n = x._cell, x.data.shape[0]
-
-    def bwd(g):
-        if cx is not None:
-            _accum(cx, _scatter_add(g, idx, n))
-
-    return _make(x.data[idx], (x,), bwd)
+    """The rows ``x[idx]``, as ``spmm`` with one unit weight per output row:
+    the forward has the bytes of ``x[idx]`` (but for a -0.0, which comes out
+    as 0.0), and the backward ``A^T g`` adds each source row's gradients in
+    ascending output order."""
+    idx = np.asarray(idx, dtype=np.int64)[:, None]
+    return spmm(np.ones(idx.shape), x, idx)
 
 
 def rows(x: Tensor, lo: int, hi: int) -> Tensor:
-    """Contiguous row slice x[lo:hi]."""
-    cx = x._cell
-
-    def bwd(g):
-        if cx is not None:
-            gx = np.zeros(cx.shape)
-            gx[lo:hi] = g
-            _accum(cx, gx)
-
-    return _make(x.data[lo:hi].copy(), (x,), bwd)
+    """Contiguous row slice x[lo:hi], for 0 <= lo <= hi <= len(x)."""
+    return take_rows(x, np.arange(lo, hi))
 
 
-def _table(neighbors: np.ndarray) -> np.ndarray:
-    """``neighbors`` as an int64 [R, K] neighbour table, K >= 1."""
+def _table(neighbors: np.ndarray, n_src: int) -> np.ndarray:
+    """``neighbors`` as an int64 [R, K] neighbour table, K >= 1, of source
+    rows in [0, n_src). The range is checked because scipy's CSR products
+    do not check their column ids."""
     neighbors = np.asarray(neighbors, dtype=np.int64)
     if neighbors.ndim != 2 or neighbors.shape[1] == 0:
         raise ValueError(f"neighbors must be an [R, K] table with K >= 1, got shape {neighbors.shape}")
+    if neighbors.size and (neighbors.min() < 0 or neighbors.max() >= n_src):
+        raise IndexError(f"neighbour ids must lie in [0, {n_src})")
     return neighbors
 
 
@@ -361,7 +345,7 @@ def spmm(weights: "Tensor | np.ndarray", values: Tensor, neighbors: np.ndarray) 
     is a constant and gets no gradient. Backward keeps A, and ``values``
     only when the weights learn.
     """
-    neighbors = _table(neighbors)
+    neighbors = _table(neighbors, values.data.shape[0])
     weight_t = weights if isinstance(weights, Tensor) else None
     w = np.asarray(weights.data if weight_t is not None else weights, dtype=np.float64)
     if w.shape != neighbors.shape:
@@ -398,11 +382,11 @@ def edge_logits(score_dst: Tensor, score_src: Tensor, neighbors: np.ndarray, slo
 
     ``score_dst`` holds one score per table row and ``score_src`` one per
     source node, each [n] or [n, 1]. Backward sums each row into
-    ``score_dst`` and scatters into ``score_src`` as ``take_rows`` does.
+    ``score_dst`` and scatters into ``score_src`` with one ``bincount``.
     """
     _check_slope(slope)
-    neighbors = _table(neighbors)
     n_src = score_src.data.shape[0]
+    neighbors = _table(neighbors, n_src)
     dst = _per_row(score_dst, neighbors.shape[0], "score_dst")
     raw = dst[:, None] + _per_row(score_src, n_src, "score_src")[neighbors]
     positive = raw > 0
@@ -413,7 +397,8 @@ def edge_logits(score_dst: Tensor, score_src: Tensor, neighbors: np.ndarray, slo
         if c_dst is not None:
             _accum(c_dst, g_raw.sum(axis=1).reshape(c_dst.shape))
         if c_src is not None:
-            _accum(c_src, _scatter_add(g_raw.ravel(), neighbors.ravel(), n_src).reshape(c_src.shape))
+            scattered = np.bincount(neighbors.ravel(), weights=g_raw.ravel(), minlength=n_src)
+            _accum(c_src, scattered.reshape(c_src.shape))
 
     return _make(np.maximum(raw, slope * raw), (score_dst, score_src), bwd)
 

@@ -135,7 +135,7 @@ def train_frame(
             if since_best >= train_cfg.patience:
                 break
         tape.backward(loss)
-        grads = {k: bound[k].grad if bound[k].grad is not None else np.zeros_like(params[k]) for k in params}
+        grads = {k: bound[k].grad for k in params}
         adam_step(params, grads, state, train_cfg.learning_rate)
     return TrainResult(params=best_params, loss_history=history)
 

@@ -281,3 +281,24 @@ class TestApplyBeamDropout:
         frame = random_frame(np.random.default_rng(8), 200)
         again = apply_beam_dropout(frame.cloud, nth=4)
         np.testing.assert_array_equal(again.dropped_mask, frame.dropped_mask)
+
+    @settings(max_examples=300, deadline=None)
+    @given(num_beams=st.integers(1, 64), nth=st.integers(2, 8), data=st.data())
+    def test_mask_is_beam_mod_nth(self, num_beams, nth, data):
+        beam = np.array(data.draw(st.lists(st.integers(0, num_beams - 1), max_size=40), label="beam"),
+                        dtype=np.int64)
+        n = beam.size
+        xyz = np.column_stack([np.arange(n), -np.arange(n), np.arange(n) + 1.0])
+        cloud = PointCloud(xyz=xyz, reflectance=np.zeros(n), beam=beam, num_beams=num_beams)
+        populated = np.unique(beam)
+        hit = populated % nth == 0
+        if not hit.any() or hit.all():
+            message = "drops no populated beam" if not hit.any() else "drops every populated beam"
+            with pytest.raises(DropoutConfigError, match=message):
+                apply_beam_dropout(cloud, nth)
+            return
+        frame = apply_beam_dropout(cloud, nth)
+        np.testing.assert_array_equal(frame.dropped_mask, beam % nth == 0)
+        np.testing.assert_array_equal(frame.z_masked == 0.0, frame.dropped_mask)
+        observed = ~frame.dropped_mask
+        np.testing.assert_array_equal(frame.z_masked[observed], frame.z_truth[observed])

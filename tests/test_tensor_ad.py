@@ -294,7 +294,8 @@ def unfused_edge_logits(score_dst, score_src, neighbors, slope):
 @pytest.mark.parametrize("seed", range(5))
 def test_edge_logits_bit_identical_to_unfused_chain(seed, shape):
     # numpy sums a row of fewer than 8 entries in order, so on this table the
-    # fused row sum is bit-identical to take_rows' bincount
+    # fused row sum is bit-identical to the scatter of take_rows' A^T g, which
+    # adds each source row's gradients in ascending output order
     rng = np.random.default_rng(seed)
     d0, s0 = rng.normal(size=shape), rng.normal(size=shape)
     d0[0] = -s0[0]  # row 0's self loop sits exactly on the kink
@@ -404,6 +405,47 @@ def test_take_rows_and_concat_grad(seed):
         return T.mse_loss(T.reshape(both, (-1,)), target)
 
     check_grad(build, rng.normal(size=(4, 2)))
+
+
+@pytest.mark.parametrize("width", [None, 3])
+@pytest.mark.parametrize("seed", range(5))
+def test_take_rows_bit_identical_to_fancy_index_and_add_at(seed, width):
+    # repeated and unsorted indices, rows 0 and 9 never taken
+    rng = np.random.default_rng(seed)
+    idx = rng.permutation(np.concatenate([rng.integers(1, 9, size=12), [1, 1, 8]]))
+    shape = (10,) if width is None else (10, width)
+    x0, target = rng.normal(size=shape), rng.normal(size=(idx.size,) + shape[1:])
+    tape = Tape()
+    x = Tensor(x0, tape)
+    out = T.take_rows(x, idx)
+    assert out.data.tobytes() == x0[idx].tobytes()
+    tape.backward(T.mse_loss(out, target))
+    g = 1.0 * 2.0 * (x0[idx] - target) / target.size  # mse_loss's gradient, as it computes it
+    expected = np.zeros(shape)
+    np.add.at(expected, idx, g)
+    assert x.grad.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 10), (2, 7), (4, 5), (6, 6)])
+def test_rows_is_take_rows_of_a_range(lo, hi):
+    rng = np.random.default_rng(lo)
+    x0, target = rng.normal(size=(10, 3)), rng.normal(size=(hi - lo) * 3)
+    results = []
+    for op in (lambda x: T.rows(x, lo, hi), lambda x: T.take_rows(x, np.arange(lo, hi))):
+        tape = Tape()
+        x = Tensor(x0, tape)
+        out = op(x)
+        if hi > lo:
+            tape.backward(T.mse_loss(T.reshape(out, (-1,)), target))
+        results.append((out.data.tobytes(), None if x.grad is None else x.grad.tobytes()))
+    assert results[0] == results[1]
+    assert results[0][0] == x0[lo:hi].tobytes()
+
+
+@pytest.mark.parametrize("idx", [[0, 10], [-1, 2]])
+def test_take_rows_rejects_indices_outside_the_rows(idx):
+    with pytest.raises(IndexError):
+        T.take_rows(Tensor(np.ones((10, 2))), np.array(idx))
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -45,6 +45,8 @@ class ExperimentConfig:
             raise ValueError("at least one k required")
         if min(self.k_list) < 1:
             raise ValueError(f"k_list entries must be >= 1, got {list(self.k_list)}")
+        if self.sample_target < 1:
+            raise ValueError(f"sample_target must be >= 1, got {self.sample_target}")
         if self.frame_limit < 1:
             raise ValueError(f"frame_limit must be >= 1, got {self.frame_limit}")
         if self.workers < 1:
@@ -171,7 +173,8 @@ def _evaluate(
 @blas.one_thread()
 def _run_one_frame(args) -> list[metrics.EvalReport]:
     """All cells of one frame, run with one BLAS thread (``--workers`` runs
-    frames in parallel); a frame file that cannot be read, or a frame the
+    frames in parallel); a frame file that cannot be read, a frame with
+    more populated beams than ``sample_target`` points, or a frame the
     dropout pattern cannot split into dropped and observed beams, yields no
     rows. So does a learned cell whose k is not below the frame's point
     count, and a cell that fails with a FloatingPointError (a non-finite
@@ -180,17 +183,15 @@ def _run_one_frame(args) -> list[metrics.EvalReport]:
     cfg, frame_id, path = args
     try:
         tag, frame = _build_frame(cfg, frame_id, path)
-    except (OSError, ingest.TruncatedRecordError, ingest.DropoutConfigError) as exc:
+    except (OSError, ingest.TruncatedRecordError, ingest.SampleTargetError, ingest.DropoutConfigError) as exc:
         log.warning("skipping frame %s: %s", path if path is not None else frame_id, exc)
         return []
     n = len(frame.cloud)
     learned = any(m in ARCHITECTURES for m in cfg.methods)
-    # one kNN query per frame at the largest k it holds; a smaller k's rows are
-    # its prefixes, and one graph per (frame, k) is shared by every learned method
-    nearest = graph_mod.knn_indices(frame.cloud.xyz[:, :2], min(max(cfg.k_list), n - 1)) if learned else None
     reports = []
     for k in cfg.k_list:
-        graph = graph_mod.build_knn_graph(frame, k, nearest) if learned and k < n else None
+        # one graph per (frame, k), shared by every learned method
+        graph = graph_mod.build_knn_graph(frame, k) if learned and k < n else None
         for method in cfg.methods:
             if method in ARCHITECTURES and graph is None:
                 log.warning("skipping %s at k=%d on frame %s: it has only %d points", method, k, tag, n)

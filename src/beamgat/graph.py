@@ -8,7 +8,7 @@ import dataclasses
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .ingest import SparseFrame
+from .ingest import NUM_BEAMS, SparseFrame
 
 __all__ = ["Graph", "build_features", "build_knn_graph", "knn_indices"]
 
@@ -21,7 +21,7 @@ class Graph:
     subset R are ``neighbors[R]``."""
 
     neighbors: np.ndarray  # [N, k+1] int64
-    features: np.ndarray  # [N, 4]: x, y, masked z, beam/(B-1)
+    features: np.ndarray  # [N, 4]: x, y, masked z, beam/(NUM_BEAMS-1)
 
     @property
     def num_nodes(self) -> int:
@@ -39,14 +39,14 @@ FEATURE_INIT_SCALE = (0.05, 0.05, 1.0, 1.0)
 
 
 def build_features(frame: SparseFrame) -> np.ndarray:
-    """Node feature rows [x, y, z_masked, beam/(B-1)].
+    """Node feature rows [x, y, z_masked, beam/(NUM_BEAMS-1)].
 
     Dropped rows carry z=0; ground truth never leaks into features.
     """
     cloud = frame.cloud
     if cloud.beam is None:
         raise ValueError("beam indices must be set")
-    b_norm = cloud.beam / (cloud.num_beams - 1)
+    b_norm = cloud.beam / (NUM_BEAMS - 1)
     return np.column_stack([cloud.xyz[:, 0], cloud.xyz[:, 1], frame.z_masked, b_norm])
 
 
@@ -86,17 +86,14 @@ def knn_indices(points: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def build_knn_graph(frame: SparseFrame, k: int, nearest: np.ndarray | None = None) -> Graph:
+def build_knn_graph(frame: SparseFrame, k: int) -> Graph:
     """Directed kNN graph plus self-loops over the frame's points: every
     node has exactly k+1 incoming edges.
 
     Distance is measured in the (x, y) plane: dropped nodes have masked z,
     so 3-D distance on features would systematically mis-neighbor them.
-    ``nearest`` is an optional precomputed ``knn_indices`` result for some
-    k' >= k on the same points; its first k columns are the k-nearest rows,
-    because rows are in exact (distance, index) order.
     """
     feats = build_features(frame)
-    rows = knn_indices(feats[:, :2], k) if nearest is None else nearest[:, :k]
+    rows = knn_indices(feats[:, :2], k)
     with_self = np.column_stack([rows, np.arange(len(rows))])
     return Graph(neighbors=np.sort(with_self, axis=1), features=feats)

@@ -10,16 +10,17 @@ from collections.abc import Callable
 import numpy as np
 
 # HDL-64E vertical field of view
-DEFAULT_NUM_BEAMS = 64
-DEFAULT_ELEV_MIN_DEG = -24.8
-DEFAULT_ELEV_MAX_DEG = 2.0
+NUM_BEAMS = 64
+ELEV_MIN_DEG = -24.8
+ELEV_MAX_DEG = 2.0
 
 __all__ = [
-    "DEFAULT_ELEV_MAX_DEG",
-    "DEFAULT_ELEV_MIN_DEG",
-    "DEFAULT_NUM_BEAMS",
     "DropoutConfigError",
+    "ELEV_MAX_DEG",
+    "ELEV_MIN_DEG",
+    "NUM_BEAMS",
     "PointCloud",
+    "SampleTargetError",
     "SparseFrame",
     "TruncatedRecordError",
     "apply_beam_dropout",
@@ -39,18 +40,21 @@ class DropoutConfigError(ValueError):
     """Dropout pattern would drop every beam or no beam."""
 
 
+class SampleTargetError(ValueError):
+    """Sample target is below the number of populated beams."""
+
+
 @dataclasses.dataclass
 class PointCloud:
     """Columnar point cloud: xyz [N, 3], reflectance [N], optional beam indices.
 
     ``beam`` is None until :func:`estimate_beams` (or a synthetic scanner)
-    assigns channel indices in [0, num_beams).
+    assigns channel indices in [0, NUM_BEAMS).
     """
 
     xyz: np.ndarray
     reflectance: np.ndarray
     beam: np.ndarray | None = None
-    num_beams: int = DEFAULT_NUM_BEAMS
     skipped_nonfinite: int = 0
 
     def __len__(self) -> int:
@@ -122,19 +126,18 @@ def estimate_beams(cloud: PointCloud) -> PointCloud:
 
     The raw format carries no channel id, so the vertical structure is
     reconstructed from geometry: phi = atan2(z, hypot(x, y)), binned over
-    [DEFAULT_ELEV_MIN_DEG, DEFAULT_ELEV_MAX_DEG] and clamped into
-    [0, DEFAULT_NUM_BEAMS). Points at the exact origin get beam 0.
+    [ELEV_MIN_DEG, ELEV_MAX_DEG] and clamped into [0, NUM_BEAMS). Points
+    at the exact origin get beam 0.
     """
-    num_beams = DEFAULT_NUM_BEAMS
     x, y, z = cloud.xyz[:, 0], cloud.xyz[:, 1], cloud.xyz[:, 2]
     planar = np.hypot(x, y)
     at_origin = (planar == 0.0) & (z == 0.0)
     phi = np.degrees(np.arctan2(z, planar))
-    span = DEFAULT_ELEV_MAX_DEG - DEFAULT_ELEV_MIN_DEG
-    beam = np.floor((phi - DEFAULT_ELEV_MIN_DEG) / span * num_beams).astype(np.int64)
-    beam = np.clip(beam, 0, num_beams - 1)
+    span = ELEV_MAX_DEG - ELEV_MIN_DEG
+    beam = np.floor((phi - ELEV_MIN_DEG) / span * NUM_BEAMS).astype(np.int64)
+    beam = np.clip(beam, 0, NUM_BEAMS - 1)
     beam[at_origin] = 0
-    return dataclasses.replace(cloud, beam=beam, num_beams=num_beams)
+    return dataclasses.replace(cloud, beam=beam)
 
 
 def choose_per_beam(
@@ -157,7 +160,8 @@ def stratified_sample(cloud: PointCloud, target: int, seed: int) -> PointCloud:
     """Subsample to ``target`` points with per-beam quotas proportional to
     beam population (largest-remainder rounding, at least one point per
     populated beam), preserving original order; a cloud of at most
-    ``target`` points is returned as it is."""
+    ``target`` points is returned as it is. A larger cloud with more
+    populated beams than ``target`` raises SampleTargetError."""
     if cloud.beam is None:
         raise ValueError("beam indices must be set before stratified sampling")
     if target >= len(cloud):
@@ -165,7 +169,7 @@ def stratified_sample(cloud: PointCloud, target: int, seed: int) -> PointCloud:
 
     def quotas(counts: np.ndarray) -> np.ndarray:
         if target < counts.size:
-            raise ValueError(f"target {target} below number of non-empty beams {counts.size}")
+            raise SampleTargetError(f"target {target} below number of non-empty beams {counts.size}")
         exact = counts * (target / counts.sum())
         quota = np.maximum(np.floor(exact).astype(np.int64), 1)  # never empty a populated beam
         remainder = exact - np.floor(exact)

@@ -155,7 +155,7 @@ def gat_attention_layer(
         alpha = T.segment_softmax(logits)
         agg = T.spmm(alpha, x, neighbors)
         outs.append(T.leaky_relu(agg if w is None else T.matmul(agg, w), ATTN_SLOPE))
-    return outs[0] if len(outs) == 1 else T.concat_cols(outs)
+    return T.concat_cols(outs)
 
 
 def superior_gat_forward(graph: Graph, h: Tensor, params: dict[str, Tensor], rows: np.ndarray | None = None) -> Tensor:

@@ -7,7 +7,7 @@ import dataclasses
 
 import numpy as np
 
-from .ingest import DEFAULT_ELEV_MAX_DEG, DEFAULT_ELEV_MIN_DEG, DEFAULT_NUM_BEAMS, PointCloud
+from .ingest import ELEV_MAX_DEG, ELEV_MIN_DEG, NUM_BEAMS, PointCloud
 
 __all__ = ["SceneSpec", "synthesize_scene"]
 
@@ -50,12 +50,8 @@ def synthesize_scene(spec: SceneSpec, seed: int) -> PointCloud:
 
     All rays are cast at once; points come out beam-major, in azimuth order
     within each beam."""
-    num_beams = DEFAULT_NUM_BEAMS
-    azimuth_count = int(np.ceil(spec.point_count / num_beams))
-    elev = np.radians(
-        DEFAULT_ELEV_MIN_DEG
-        + (np.arange(num_beams) + 0.5) / num_beams * (DEFAULT_ELEV_MAX_DEG - DEFAULT_ELEV_MIN_DEG)
-    )
+    azimuth_count = int(np.ceil(spec.point_count / NUM_BEAMS))
+    elev = np.radians(ELEV_MIN_DEG + (np.arange(NUM_BEAMS) + 0.5) / NUM_BEAMS * (ELEV_MAX_DEG - ELEV_MIN_DEG))
     azim = (np.arange(azimuth_count) + 0.5) / azimuth_count * 2 * np.pi - np.pi
     rng = np.random.default_rng(seed)
 
@@ -63,7 +59,7 @@ def synthesize_scene(spec: SceneSpec, seed: int) -> PointCloud:
     dx = (c * np.cos(azim)).ravel()
     dy = (c * np.sin(azim)).ravel()
     dz = np.repeat(np.sin(elev), azimuth_count)
-    beam = np.repeat(np.arange(num_beams, dtype=np.int64), azimuth_count)
+    beam = np.repeat(np.arange(NUM_BEAMS, dtype=np.int64), azimuth_count)
 
     t = _ground_t(spec, dx, dy, dz)  # NaN where the ray misses the ground
     hit = ~np.isnan(t)
@@ -83,7 +79,6 @@ def synthesize_scene(spec: SceneSpec, seed: int) -> PointCloud:
         xyz=np.column_stack([t * dx, t * dy, z]),
         reflectance=np.full(z.size, 0.5),
         beam=beam[hit],
-        num_beams=num_beams,
     )
 
 

@@ -87,9 +87,6 @@ class Tape:
         self._nodes: list[tuple[_Cell, callable]] = []
         self._consumed = False
 
-    def _record(self, cell: _Cell, backward_fn) -> None:
-        self._nodes.append((cell, backward_fn))
-
     def backward(self, loss: Tensor) -> None:
         """Reverse traversal from a scalar loss; accumulates leaf gradients.
 
@@ -159,13 +156,14 @@ def _make(data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
     tape = _tape_of(*inputs)
     out = Tensor(_check_finite(data), tape)
     if tape is not None:
-        tape._record(out._cell, backward_fn)
+        tape._nodes.append((out._cell, backward_fn))
     return out
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape[-1] != b.data.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
+    """Product of two 2-D tensors."""
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
+        raise ValueError(f"matmul needs [n, m] x [m, p] operands, got {a.shape} x {b.shape}")
     data = a.data @ b.data
     # each operand is kept only for the other's gradient; a constant operand
     # (the node features) gets no product
@@ -244,12 +242,12 @@ def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
     return _make(np.maximum(x.data, slope * x.data), (x,), bwd)
 
 
-def elu(x: Tensor, alpha: float = 1.0) -> Tensor:
-    data = np.where(x.data > 0, x.data, alpha * np.expm1(x.data))
+def elu(x: Tensor) -> Tensor:
+    data = np.where(x.data > 0, x.data, np.expm1(x.data))
     cx, x_data = x._cell, x.data
 
     def bwd(g):
-        _accum(cx, g * np.where(x_data > 0, 1.0, alpha * np.exp(x_data)))
+        _accum(cx, g * np.where(x_data > 0, 1.0, np.exp(x_data)))
 
     return _make(data, (x,), bwd)
 
@@ -370,9 +368,9 @@ def spmm(weights: "Tensor | np.ndarray", values: Tensor, neighbors: np.ndarray) 
 
 
 def _per_row(x: Tensor, n: int, name: str) -> np.ndarray:
-    """``x`` ([n] or [n, 1]) as a flat [n] view."""
-    if x.data.shape not in ((n,), (n, 1)):
-        raise ValueError(f"{name} must be [{n}] or [{n}, 1], got {x.shape}")
+    """``x``, an [n, 1] column, as a flat [n] view."""
+    if x.data.shape != (n, 1):
+        raise ValueError(f"{name} must be [{n}, 1], got {x.shape}")
     return x.data.reshape(n)
 
 
@@ -381,7 +379,7 @@ def edge_logits(score_dst: Tensor, score_src: Tensor, neighbors: np.ndarray, slo
     as one [R, K] array.
 
     ``score_dst`` holds one score per table row and ``score_src`` one per
-    source node, each [n] or [n, 1]. Backward sums each row into
+    source node, each an [n, 1] column. Backward sums each row into
     ``score_dst`` and scatters into ``score_src`` with one ``bincount``.
     """
     _check_slope(slope)
@@ -408,11 +406,11 @@ def segment_weighted_sum(values: Tensor, weights: Tensor) -> Tensor:
     return spmm(weights, values, np.arange(values.data.shape[0]).reshape(weights.data.shape))
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Row-wise normalization with population variance, then affine."""
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Row-wise normalization with population variance and epsilon 1e-5, then affine."""
     centered = x.data - x.data.mean(axis=1, keepdims=True)
     var = (centered * centered).mean(axis=1, keepdims=True)  # as x.var: denominator F
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = np.multiply(centered, inv, out=centered)
     data = xhat * gain.data + bias.data
     cx, c_gain, c_bias, gain_data = x._cell, gain._cell, bias._cell, gain.data

@@ -52,6 +52,5 @@ def random_frame(rng: np.random.Generator, n: int, num_beams: int = 8) -> ingest
         xyz=xyz,
         reflectance=rng.uniform(0, 1, size=n),
         beam=rng.integers(0, num_beams, size=n),
-        num_beams=num_beams,
     )
     return ingest.apply_beam_dropout(cloud, nth=4)

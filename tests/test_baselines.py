@@ -62,14 +62,13 @@ def drop_every_4th(cloud: PointCloud, offset: int = 0) -> ingest.SparseFrame:
     renumbered up by (-offset) % 4, then every 4th beam is dropped. Both
     baselines read beam indices only relative to one another."""
     shift = -offset % 4
-    shifted = PointCloud(xyz=cloud.xyz, reflectance=cloud.reflectance,
-                         beam=cloud.beam + shift, num_beams=cloud.num_beams + shift)
+    shifted = PointCloud(xyz=cloud.xyz, reflectance=cloud.reflectance, beam=cloud.beam + shift)
     return ingest.apply_beam_dropout(shifted, nth=4)
 
 
-def frame_from(xyz, beams, num_beams=8, offset=0):
+def frame_from(xyz, beams, offset=0):
     cloud = PointCloud(xyz=np.asarray(xyz, dtype=float), reflectance=np.zeros(len(xyz)),
-                       beam=np.asarray(beams), num_beams=num_beams)
+                       beam=np.asarray(beams))
     return drop_every_4th(cloud, offset)
 
 
@@ -83,7 +82,7 @@ def beam_plane_frame(n_beams=12, per_beam=6, slope=0.1, seed=0, offset=0):
             r = 10.0 + rng.uniform(0, 0.1)
             pts.append([r * np.cos(theta), r * np.sin(theta), slope * b])
             beams.append(b)
-    return frame_from(pts, beams, num_beams=n_beams, offset=offset)
+    return frame_from(pts, beams, offset=offset)
 
 
 class TestLinearInterp:
@@ -113,7 +112,7 @@ class TestLinearInterp:
     def test_rejects_all_dropped(self):
         pts = [[1.0, 0.0, 0.5], [2.0, 0.0, 0.6]]
         cloud = PointCloud(xyz=np.array(pts), reflectance=np.zeros(2),
-                           beam=np.array([0, 1]), num_beams=8)
+                           beam=np.array([0, 1]))
         frame = ingest.SparseFrame(cloud=cloud, dropped_mask=np.array([True, True]))
         with pytest.raises(ValueError):
             linear_interp(frame)
@@ -150,7 +149,7 @@ class TestLinearInterp:
         # planar-nearest observed point
         rng = np.random.default_rng(bin_count)
         cloud = PointCloud(xyz=rng.uniform(-10, 10, size=(200, 3)), reflectance=np.zeros(200),
-                           beam=rng.integers(4, 6, size=200), num_beams=8)
+                           beam=rng.integers(4, 6, size=200))
         frame = ingest.apply_beam_dropout(cloud, nth=4)
         assert np.unique(cloud.beam[frame.observed_mask]).tolist() == [5]
         z_hat = linear_interp(frame, bin_count=bin_count)

@@ -99,9 +99,9 @@ def count_graph_builds(monkeypatch) -> tuple[list[int], list[int]]:
     built, queried = [], []
     build, query = graph_mod.build_knn_graph, graph_mod.knn_indices
 
-    def counting_build(frame, k, *args, **kwargs):
+    def counting_build(frame, k):
         built.append(k)
-        return build(frame, k, *args, **kwargs)
+        return build(frame, k)
 
     def counting_query(points, k):
         queried.append(k)
@@ -122,9 +122,9 @@ def test_graph_built_once_per_k_for_all_learned_methods(tmp_path, monkeypatch):
         **{**FAST, "train": TrainConfig(epochs=1)},
     )
     reports = run_experiment(cfg)
-    # one graph per (frame, k), from one kNN query per frame at the largest k
+    # one graph, and one kNN query, per (frame, k)
     assert built == [4, 6, 4, 6]
-    assert queried == [6, 6]
+    assert queried == [4, 6, 4, 6]
     assert len(reports) == 2 * 2 * 4
     assert all(np.isfinite(r.rmse_z) for r in reports)
 
@@ -285,17 +285,37 @@ def test_frame_the_dropout_cannot_split_is_skipped_for_any_worker_count(tmp_path
                            str(frame_dir / "000000.bin"))
     cloud = synth.synthesize_scene(synth.SceneSpec(kind="sinusoid", point_count=800), seed=1)
     ingest.write_kitti_bin(cloud, str(frame_dir / "000001.bin"))
+    assert_only_frame_1_reports(tmp_path, frame_dir, "400")
+    assert "skipping frame" in caplog.text and "drops every populated beam" in caplog.text
+
+
+def assert_only_frame_1_reports(tmp_path, frame_dir, sample_target: str) -> None:
+    """A two-frame linear run over ``frame_dir`` writes the same single row,
+    for 000001, with one worker and with two."""
     outs = []
     for workers in ("1", "2"):
         out = tmp_path / f"runs{workers}"
         rc = cli.main(["--input", str(frame_dir), "--frames", "2", "--methods", "linear",
-                       "--sample-target", "400", "--no-timing", "--workers", workers, "--out", str(out)])
+                       "--sample-target", sample_target, "--no-timing", "--workers", workers, "--out", str(out)])
         assert rc == 0
         outs.append((out / "reports.csv").read_bytes())
     assert outs[0] == outs[1]
     lines = outs[0].decode().splitlines()
     assert len(lines) == 2 and lines[1].startswith("000001,linear,")
-    assert "skipping frame" in caplog.text and "drops every populated beam" in caplog.text
+
+
+def test_frame_with_more_beams_than_the_sample_target_is_skipped_for_any_worker_count(tmp_path, caplog):
+    # 000000.bin is a ring scan of about 50 populated beams, which 20 points
+    # cannot hold one each; 000001.bin has two beams
+    frame_dir = tmp_path / "frames"
+    frame_dir.mkdir()
+    cloud = synth.synthesize_scene(synth.SceneSpec(kind="sinusoid", point_count=800), seed=1)
+    assert np.unique(ingest.estimate_beams(cloud).beam).size > 20
+    ingest.write_kitti_bin(cloud, str(frame_dir / "000000.bin"))
+    xyz = two_ring_scan()
+    ingest.write_kitti_bin(ingest.PointCloud(xyz=xyz, reflectance=np.zeros(len(xyz))), str(frame_dir / "000001.bin"))
+    assert_only_frame_1_reports(tmp_path, frame_dir, "20")
+    assert "skipping frame" in caplog.text and "below number of non-empty beams" in caplog.text
 
 
 def test_cli_run_where_every_frame_is_skipped_exits_1(tmp_path, capsys):
@@ -314,11 +334,11 @@ def test_cli_run_where_every_frame_is_skipped_exits_1(tmp_path, capsys):
 def two_ring_scan(per_ring: int = 600) -> np.ndarray:
     """Points at the elevations of beams 4 and 5 only: the dropout drops
     beam 4, so the frame has one observed beam."""
-    span = (ingest.DEFAULT_ELEV_MAX_DEG - ingest.DEFAULT_ELEV_MIN_DEG) / ingest.DEFAULT_NUM_BEAMS
+    span = (ingest.ELEV_MAX_DEG - ingest.ELEV_MIN_DEG) / ingest.NUM_BEAMS
     rng = np.random.default_rng(0)
     rings = []
     for beam in (4, 5):
-        elev = np.radians(ingest.DEFAULT_ELEV_MIN_DEG + (beam + 0.5) * span)
+        elev = np.radians(ingest.ELEV_MIN_DEG + (beam + 0.5) * span)
         theta = rng.uniform(-np.pi, np.pi, per_ring)
         r = rng.uniform(5.0, 20.0, per_ring)
         rings.append(np.column_stack([r * np.cos(theta), r * np.sin(theta), r * np.tan(elev)]))
@@ -393,6 +413,7 @@ def test_cli_smoke_run(tmp_path, capsys):
     ("--frames", "0", "frame_limit"), ("--workers", "-3", "workers"),
     ("--dropout-nth", "0", "dropout_nth"), ("--dropout-nth", "-4", "dropout_nth"), ("--dropout-nth", "1", "dropout_nth"),
     ("--k", "0,-3", "k_list"), ("--k", "4,0", "k_list"),
+    ("--sample-target", "0", "sample_target"), ("--sample-target", "-5", "sample_target"),
 ])
 def test_cli_rejects_counts_below_one(tmp_path, capsys, flag, value, field):
     rc = cli.main([flag, value, "--methods", "linear", "--out", str(tmp_path / "runs")])

@@ -55,7 +55,7 @@ def frame_from_xy(xy: np.ndarray, beams=None, num_beams=8) -> ingest.SparseFrame
     if beams is None:
         beams = np.tile(np.arange(num_beams), n)[:n]
     xyz = np.column_stack([xy, np.linspace(0, 1, n)])
-    cloud = PointCloud(xyz=xyz, reflectance=np.zeros(n), beam=np.asarray(beams), num_beams=num_beams)
+    cloud = PointCloud(xyz=xyz, reflectance=np.zeros(n), beam=np.asarray(beams))
     return ingest.apply_beam_dropout(cloud, nth=4)
 
 
@@ -170,30 +170,11 @@ class TestKnnMatchesLoopReference:
         assert g.neighbors.dtype == table.dtype == np.int64
 
 
-class TestGraphsFromOneQuery:
-    """A graph built from the first k columns of one query at a larger k is
-    byte-identical to one built by its own query."""
-
-    @pytest.mark.parametrize("scene", ["random", "duplicate_heavy"])
-    def test_prefix_graphs_match_per_k_builds(self, scene):
-        rng = np.random.default_rng(21)
-        xy = rng.uniform(-10, 10, size=(700, 2)) if scene == "random" else duplicate_heavy_xy(rng)
-        frame = frame_from_xy(xy)
-        nearest = knn_indices(frame.cloud.xyz[:, :2], 10)
-        for k in (4, 6, 10):
-            got = build_knn_graph(frame, k, nearest)
-            want = build_knn_graph(frame, k)
-            for name in ("neighbors", "features"):
-                a, b = getattr(got, name), getattr(want, name)
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (k, name)
-            assert got.num_nodes == want.num_nodes
-
-
 class TestBuildFeatures:
     def test_observed_point(self):
         cloud = PointCloud(
             xyz=np.array([[1.0, 2.0, 3.0], [0.0, 0.0, -1.0]]),
-            reflectance=np.zeros(2), beam=np.array([63, 1]), num_beams=64,
+            reflectance=np.zeros(2), beam=np.array([63, 1]),
         )
         frame = ingest.SparseFrame(cloud=cloud, dropped_mask=np.array([False, False]))
         feats = build_features(frame)
@@ -202,7 +183,7 @@ class TestBuildFeatures:
     def test_dropped_point_masked(self):
         cloud = PointCloud(
             xyz=np.array([[1.0, 2.0, 3.0]]), reflectance=np.zeros(1),
-            beam=np.array([0]), num_beams=64,
+            beam=np.array([0]),
         )
         frame = ingest.SparseFrame(cloud=cloud, dropped_mask=np.array([True]))
         np.testing.assert_allclose(build_features(frame)[0], [1.0, 2.0, 0.0, 0.0])
@@ -210,7 +191,7 @@ class TestBuildFeatures:
     def test_beam_normalization(self):
         cloud = PointCloud(
             xyz=np.zeros((1, 3)), reflectance=np.zeros(1),
-            beam=np.array([32]), num_beams=64,
+            beam=np.array([32]),
         )
         frame = ingest.SparseFrame(cloud=cloud, dropped_mask=np.array([False]))
         assert build_features(frame)[0, 3] == pytest.approx(32 / 63)
@@ -244,7 +225,7 @@ class TestBuildKnnGraph:
         inv = np.argsort(perm)
         cloud_p = PointCloud(
             xyz=frame.cloud.xyz[perm], reflectance=frame.cloud.reflectance[perm],
-            beam=frame.cloud.beam[perm], num_beams=frame.cloud.num_beams,
+            beam=frame.cloud.beam[perm],
         )
         frame_p = ingest.SparseFrame(cloud=cloud_p, dropped_mask=frame.dropped_mask[perm])
         g_p = build_knn_graph(frame_p, k=4)
@@ -258,7 +239,7 @@ class TestBuildKnnGraph:
         # node 1, while masked 3-D distance would pick node 2
         cloud = PointCloud(
             xyz=np.array([[0.0, 0.0, 5.0], [0.1, 0.0, 5.0], [1.0, 0.0, 0.0]]),
-            reflectance=np.zeros(3), beam=np.array([0, 1, 2]), num_beams=8,
+            reflectance=np.zeros(3), beam=np.array([0, 1, 2]),
         )
         frame = ingest.apply_beam_dropout(cloud, nth=4)
         assert frame.dropped_mask.tolist() == [True, False, False]

@@ -2,10 +2,13 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from beamgat import ingest
 from beamgat.ingest import (
+    ELEV_MAX_DEG,
+    ELEV_MIN_DEG,
+    NUM_BEAMS,
     DropoutConfigError,
     PointCloud,
     TruncatedRecordError,
@@ -32,7 +35,6 @@ def uniform_cloud(n_per_beam=10, num_beams=8, seed=0):
         xyz=rng.uniform(-5, 5, size=(n, 3)),
         reflectance=rng.uniform(0, 1, size=n),
         beam=np.repeat(np.arange(num_beams), n_per_beam),
-        num_beams=num_beams,
     )
 
 
@@ -63,18 +65,35 @@ class TestReadKittiBin:
         assert len(cloud) == 2
         assert cloud.skipped_nonfinite == 1
 
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(5)
-        n = 200
-        cloud = PointCloud(
-            xyz=rng.uniform(-50, 50, size=(n, 3)).astype(np.float32).astype(np.float64),
-            reflectance=rng.uniform(0, 1, size=n).astype(np.float32).astype(np.float64),
-        )
+    # the file is rewritten by every example, so one tmp_path serves them all
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(records=st.lists(st.tuples(*[st.floats(width=32, allow_nan=False, allow_infinity=False)] * 4),
+                            max_size=30),
+           bad=st.lists(st.tuples(st.integers(0, 30), st.integers(0, 3),
+                                  st.sampled_from([np.nan, np.inf, -np.inf])), max_size=5))
+    def test_round_trip(self, tmp_path, records, bad):
+        # float32 records decode exactly and in order, with reflectance clipped
+        # to [0, 1]; a record with a non-finite value, injected before any
+        # position, is skipped and counted
+        finite = np.array(records, dtype="<f4").reshape(-1, 4)
+        rec, good = finite, np.ones(len(finite), dtype=bool)
+        for pos, col, value in bad:
+            row = np.zeros((1, 4), dtype="<f4")
+            row[0, col] = value
+            pos = min(pos, len(rec))
+            rec, good = np.insert(rec, pos, row, axis=0), np.insert(good, pos, False)
         p = tmp_path / "rt.bin"
+        rec.tofile(p)
+        cloud = read_kitti_bin(p)
+        assert cloud.skipped_nonfinite == len(bad) and len(cloud) == len(finite)
+        np.testing.assert_array_equal(cloud.xyz, finite[:, :3].astype(np.float64))
+        np.testing.assert_array_equal(cloud.reflectance, np.clip(finite[:, 3].astype(np.float64), 0.0, 1.0))
+        assert np.all((cloud.reflectance >= 0.0) & (cloud.reflectance <= 1.0))
         write_kitti_bin(cloud, p)
         back = read_kitti_bin(p)
-        np.testing.assert_array_equal(back.xyz, cloud.xyz)
-        np.testing.assert_array_equal(back.reflectance, cloud.reflectance)
+        assert back.skipped_nonfinite == 0
+        assert back.xyz.tobytes() == cloud.xyz.tobytes()
+        assert back.reflectance.tobytes() == cloud.reflectance.tobytes()
 
 
 class TestEstimateBeams:
@@ -84,15 +103,25 @@ class TestEstimateBeams:
         # phi = 0 deg -> floor((0 + 24.8) / 26.8 * 64) = 59
         assert out.beam[0] == 59
 
-    def test_boundaries(self):
-        low = np.tan(np.radians(-24.8))
-        cloud = PointCloud(
-            xyz=np.array([[1.0, 0.0, low], [1.0, 0.0, np.tan(np.radians(10.0))]]),
-            reflectance=np.zeros(2),
-        )
-        out = estimate_beams(cloud)
-        assert out.beam[0] == 0
-        assert out.beam[1] == 63  # above elev_max, clamped
+    @settings(max_examples=200, deadline=None)
+    @example(planar=1.0, elev_deg=[-24.8, 10.0], origin_at=2)
+    @given(planar=st.floats(1e-3, 1e3), elev_deg=st.lists(st.floats(-89.9, 89.9), min_size=1, max_size=40),
+           origin_at=st.integers(0, 40))
+    def test_boundaries(self, planar, elev_deg, origin_at):
+        # points on the +x axis at one planar distance, in rising elevation,
+        # with a point at the origin inserted among them
+        elev_deg = np.sort(elev_deg)
+        xyz = np.column_stack([np.full(elev_deg.size, planar), np.zeros(elev_deg.size),
+                               planar * np.tan(np.radians(elev_deg))])
+        origin_at = min(origin_at, elev_deg.size)
+        xyz = np.insert(xyz, origin_at, 0.0, axis=0)
+        beam = estimate_beams(PointCloud(xyz=xyz, reflectance=np.zeros(len(xyz)))).beam
+        assert beam[origin_at] == 0
+        beam = np.delete(beam, origin_at)
+        assert np.all((beam >= 0) & (beam < NUM_BEAMS))
+        assert np.all(beam[elev_deg > ELEV_MAX_DEG] == NUM_BEAMS - 1)  # above the range: clamped
+        assert np.all(beam[elev_deg < ELEV_MIN_DEG] == 0)  # below it: clamped
+        assert np.all(np.diff(beam) >= 0)  # never decreases as elevation rises
 
     def test_origin_point_flagged_beam_zero(self):
         cloud = PointCloud(xyz=np.zeros((1, 3)), reflectance=np.zeros(1))
@@ -114,7 +143,7 @@ def reference_stratified_sample(cloud, target, seed):
     already at its count passes its extra point to the next remainder, and
     the cut repeats its pass over the beams until the total is ``target``."""
     n = len(cloud)
-    counts = np.bincount(cloud.beam, minlength=cloud.num_beams)
+    counts = np.bincount(cloud.beam)
     nonempty = np.flatnonzero(counts)
     exact = counts[nonempty] * (target / n)
     quota = np.maximum(np.floor(exact).astype(np.int64), 1)
@@ -159,7 +188,7 @@ class TestStratifiedSample:
             beam = rng.permutation(np.repeat(np.arange(num_beams), counts))
             n = beam.size
             cloud = PointCloud(xyz=rng.normal(size=(n, 3)), reflectance=np.zeros(n),
-                               beam=beam, num_beams=num_beams)
+                               beam=beam)
             nonempty = np.unique(beam).size
             if n - 1 < nonempty:
                 continue
@@ -184,7 +213,7 @@ class TestStratifiedSample:
         target = data.draw(st.integers(nonempty, n - 1), label="target")
         beam = np.repeat(np.arange(counts.size), counts)
         cloud = PointCloud(xyz=np.column_stack([np.arange(n), np.zeros((n, 2))]), reflectance=np.zeros(n),
-                           beam=beam, num_beams=counts.size)
+                           beam=beam)
         out = stratified_sample(cloud, target, seed=data.draw(st.integers(0, 2**32 - 1), label="seed"))
         assert len(out) == target
         kept = np.bincount(out.beam, minlength=counts.size)
@@ -219,7 +248,7 @@ class TestStratifiedSample:
         beam = np.concatenate([np.zeros(90, dtype=int), [1], np.full(60, 2)])
         cloud = PointCloud(
             xyz=rng.uniform(size=(151, 3)), reflectance=np.zeros(151),
-            beam=beam, num_beams=3,
+            beam=beam,
         )
         out = stratified_sample(cloud, target=30, seed=1)
         assert set(np.unique(out.beam)) == {0, 1, 2}
@@ -262,7 +291,7 @@ class TestApplyBeamDropout:
         cloud = uniform_cloud(num_beams=8)
         cloud = PointCloud(
             xyz=cloud.xyz[cloud.beam == 0], reflectance=cloud.reflectance[cloud.beam == 0],
-            beam=cloud.beam[cloud.beam == 0], num_beams=8,
+            beam=cloud.beam[cloud.beam == 0],
         )
         with pytest.raises(DropoutConfigError):
             apply_beam_dropout(cloud, nth=4)
@@ -272,7 +301,7 @@ class TestApplyBeamDropout:
         keep = cloud.beam % 4 != 0
         cloud = PointCloud(
             xyz=cloud.xyz[keep], reflectance=cloud.reflectance[keep],
-            beam=cloud.beam[keep], num_beams=8,
+            beam=cloud.beam[keep],
         )
         with pytest.raises(DropoutConfigError):
             apply_beam_dropout(cloud, nth=4)
@@ -289,7 +318,7 @@ class TestApplyBeamDropout:
                         dtype=np.int64)
         n = beam.size
         xyz = np.column_stack([np.arange(n), -np.arange(n), np.arange(n) + 1.0])
-        cloud = PointCloud(xyz=xyz, reflectance=np.zeros(n), beam=beam, num_beams=num_beams)
+        cloud = PointCloud(xyz=xyz, reflectance=np.zeros(n), beam=beam)
         populated = np.unique(beam)
         hit = populated % nth == 0
         if not hit.any() or hit.all():

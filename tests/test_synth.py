@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from beamgat import synth
-from beamgat.ingest import DEFAULT_ELEV_MAX_DEG, DEFAULT_ELEV_MIN_DEG, DEFAULT_NUM_BEAMS
+from beamgat.ingest import ELEV_MAX_DEG, ELEV_MIN_DEG, NUM_BEAMS
 from beamgat.synth import SceneSpec, synthesize_scene
 
 
@@ -62,12 +62,8 @@ def loop_cast(spec: SceneSpec, dx: float, dy: float, dz: float) -> tuple[float, 
 def loop_synthesize_scene(spec: SceneSpec, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-ray reference for ``synthesize_scene``: (xyz, beam), one ray at a
     time in beam-major order, one noise draw per hit."""
-    num_beams = DEFAULT_NUM_BEAMS
-    azimuth_count = int(np.ceil(spec.point_count / num_beams))
-    elev = np.radians(
-        DEFAULT_ELEV_MIN_DEG
-        + (np.arange(num_beams) + 0.5) / num_beams * (DEFAULT_ELEV_MAX_DEG - DEFAULT_ELEV_MIN_DEG)
-    )
+    azimuth_count = int(np.ceil(spec.point_count / NUM_BEAMS))
+    elev = np.radians(ELEV_MIN_DEG + (np.arange(NUM_BEAMS) + 0.5) / NUM_BEAMS * (ELEV_MAX_DEG - ELEV_MIN_DEG))
     azim = (np.arange(azimuth_count) + 0.5) / azimuth_count * 2 * np.pi - np.pi
     rng = np.random.default_rng(seed)
     pts, beams = [], []
@@ -112,7 +108,7 @@ def test_wall_beyond_extent_is_dropped():
     assert_same_scene(spec, 2)
     cloud = synthesize_scene(spec, 2)
     assert np.hypot(cloud.xyz[:, 0], cloud.xyz[:, 1]).max() <= synth.EXTENT + 1e-9
-    azimuth_count = int(np.ceil(spec.point_count / DEFAULT_NUM_BEAMS))
+    azimuth_count = int(np.ceil(spec.point_count / NUM_BEAMS))
     azim = (np.arange(azimuth_count) + 0.5) / azimuth_count * 2 * np.pi - np.pi
     facing = azim[np.cos(azim) > 1e-9]
     within = synth.WALL_X / np.cos(facing) <= synth.EXTENT

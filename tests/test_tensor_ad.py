@@ -45,6 +45,16 @@ def test_matmul_shape_mismatch():
         T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
 
 
+@pytest.mark.parametrize("a_shape, b_shape", [((2, 2), (2,)), ((2,), (2, 2)), ((2,), (2,)),
+                                              ((3, 2, 2), (2, 2)), ((2, 2), (2, 2, 2)), ((), (2, 2))])
+def test_matmul_rejects_operands_that_are_not_2d(a_shape, b_shape):
+    # numpy would broadcast or contract these, and the backward's ``g @ b.T``
+    # would return a gradient of the wrong shape
+    tape = Tape()
+    with pytest.raises(ValueError, match="matmul"):
+        T.matmul(Tensor(np.ones(a_shape), tape), Tensor(np.ones(b_shape), tape))
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_matmul_grad(seed):
     rng = np.random.default_rng(seed)
@@ -290,21 +300,24 @@ def unfused_edge_logits(score_dst, score_src, neighbors, slope):
     return T.reshape(T.leaky_relu(raw, slope), neighbors.shape)
 
 
-@pytest.mark.parametrize("shape", [(4,), (4, 1)])
+@pytest.mark.parametrize("shape", [(4, 1), (2, 1)])
 @pytest.mark.parametrize("seed", range(5))
 def test_edge_logits_bit_identical_to_unfused_chain(seed, shape):
-    # numpy sums a row of fewer than 8 entries in order, so on this table the
-    # fused row sum is bit-identical to the scatter of take_rows' A^T g, which
-    # adds each source row's gradients in ascending output order
+    # ``shape`` is score_dst's: every row of the table, or its first two rows
+    # as a restricted forward scores them. numpy sums a row of fewer than 8
+    # entries in order, so on this table the fused row sum is bit-identical
+    # to the scatter of take_rows' A^T g, which adds each source row's
+    # gradients in ascending output order
     rng = np.random.default_rng(seed)
-    d0, s0 = rng.normal(size=shape), rng.normal(size=shape)
+    table = LOGIT_TABLE[:shape[0]]
+    d0, s0 = rng.normal(size=shape), rng.normal(size=(4, 1))
     d0[0] = -s0[0]  # row 0's self loop sits exactly on the kink
-    target = rng.normal(size=LOGIT_TABLE.shape)
+    target = rng.normal(size=table.shape)
     results = []
     for op in (T.edge_logits, unfused_edge_logits):
         tape = Tape()
         score_dst, score_src = Tensor(d0, tape), Tensor(s0, tape)
-        logits = op(score_dst, score_src, LOGIT_TABLE, 0.2)
+        logits = op(score_dst, score_src, table, 0.2)
         tape.backward(T.mse_loss(logits, target))
         results.append((logits.data.tobytes(), score_dst.grad.tobytes(), score_src.grad.tobytes()))
     assert results[0] == results[1]
@@ -324,6 +337,11 @@ def test_edge_logits_grad(seed):
 def test_edge_logits_shape_mismatch_rejected():
     with pytest.raises(ValueError):
         T.edge_logits(Tensor(np.zeros((3, 1))), Tensor(np.zeros((4, 1))), LOGIT_TABLE, 0.2)
+    # scores are [n, 1] columns, as the model's products give them; a flat [n] is rejected
+    with pytest.raises(ValueError):
+        T.edge_logits(Tensor(np.zeros(4)), Tensor(np.zeros((4, 1))), LOGIT_TABLE, 0.2)
+    with pytest.raises(ValueError):
+        T.edge_logits(Tensor(np.zeros((4, 1))), Tensor(np.zeros(4)), LOGIT_TABLE, 0.2)
     with pytest.raises(ValueError):
         T.edge_logits(Tensor(np.zeros((4, 1))), Tensor(np.zeros((4, 2))), LOGIT_TABLE, 0.2)
     with pytest.raises(ValueError):

@@ -155,7 +155,6 @@ def _flat_frame(n=160, num_beams=8, z=-1.5, seed=0):
         xyz=xyz,
         reflectance=np.zeros(n),
         beam=rng.integers(0, num_beams, size=n),
-        num_beams=num_beams,
     )
     return ingest.apply_beam_dropout(cloud, nth=4)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 
@@ -57,8 +58,34 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig.from_dict(fields, passed)
 
 
+# mallopt(3) parameters, and the values main sets: arrays up to 32 MiB (the
+# largest threshold glibc takes on 64-bit) come from the heap, and up to 1 GiB
+# of freed heap top stays mapped, so each epoch reuses the last epoch's pages
+# instead of faulting in fresh ones
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+MMAP_THRESHOLD_BYTES = 32 << 20
+TRIM_THRESHOLD_BYTES = 1 << 30
+
+
+def keep_heap_pages() -> None:
+    """Set glibc's mmap and trim thresholds for this process and the workers
+    it forks; does nothing without glibc. mallopt has no getter, so the
+    setting cannot be undone: only ``main``, which owns the process, calls it."""
+    try:
+        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    except OSError:
+        return
+    if mallopt is None:
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
+    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    keep_heap_pages()
     try:
         cfg = config_from_args(args)
         reports = run_experiment(cfg)

@@ -10,6 +10,12 @@ The tape holds no tensors. Each recorded tensor owns a gradient cell, and
 the tape keeps that cell with the op's backward function, which holds its
 inputs' cells and only the arrays it reads. An intermediate array that no
 backward function reads is freed as soon as the forward drops its tensor.
+
+An op chains its elementwise steps through arrays it allocated itself
+(``out=``, ``np.copyto(..., where=)``), with the ufuncs and reductions of
+the plain expression in its order, so the bytes are the expression's. No op
+writes into an input, into an array its backward keeps, or into the
+upstream gradient ``g``, which ``concat_cols`` hands out as views.
 """
 
 from __future__ import annotations
@@ -186,7 +192,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape == b.data.shape:
         def bwd(g):
             _accum(ca, g)
-            _accum(cb, g.copy())
+            if cb is not None:  # one array cannot be both cells' gradient
+                _accum(cb, g if ca is None else g.copy())
     elif a.data.ndim == 2 and b.data.ndim == 1 and a.data.shape[1] == b.data.shape[0]:
         def bwd(g):
             _accum(ca, g)
@@ -209,9 +216,16 @@ def scale(x: Tensor, s: "Tensor | float") -> Tensor:
     x_data = x.data if cs is not None else None
 
     def bwd(g):
-        _accum(cx, g * factor)
-        if cs is not None:
-            _accum(cs, np.full(cs.shape, np.sum(g * x_data)))
+        if cs is None:
+            _accum(cx, g * factor)
+        else:
+            # one buffer (an array even for a 0-d gate) holds the products
+            # for the factor's sum, then x's gradient
+            buf = np.multiply(g, x_data, out=np.empty(g.shape))
+            total = np.sum(buf)
+            if cx is not None:
+                _accum(cx, np.multiply(g, factor, out=buf))
+            _accum(cs, np.full(cs.shape, total))
 
     return _make(data, (x, s) if learned else (x,), bwd)
 
@@ -237,9 +251,17 @@ def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
     positive = x.data > 0  # convention: derivative at exactly 0 is `slope`
 
     def bwd(g):
-        _accum(cx, np.where(positive, g, slope * g))
+        _accum(cx, _leaky_grad(g, positive, slope))
 
-    return _make(np.maximum(x.data, slope * x.data), (x,), bwd)
+    data = np.multiply(x.data, slope)
+    return _make(np.maximum(x.data, data, out=data), (x,), bwd)
+
+
+def _leaky_grad(g: np.ndarray, positive: np.ndarray, slope: float) -> np.ndarray:
+    """``np.where(positive, g, slope * g)`` in one new array."""
+    out = np.multiply(g, slope)
+    np.copyto(out, g, where=positive)
+    return out
 
 
 def elu(x: Tensor) -> Tensor:
@@ -319,16 +341,24 @@ def segment_softmax(logits: Tensor) -> Tensor:
     v = logits.data
     if v.ndim != 2 or v.shape[1] == 0:
         raise ValueError(f"logits must be [R, K] with K >= 1, got {logits.shape}")
-    e = np.exp(v - v.max(axis=1, keepdims=True))
-    alpha = e / e.sum(axis=1, keepdims=True)
+    alpha = np.subtract(v, v.max(axis=1, keepdims=True))
+    np.exp(alpha, out=alpha)
+    np.divide(alpha, alpha.sum(axis=1, keepdims=True), out=alpha)
     cl = logits._cell
 
     def bwd(g):
         # softmax Jacobian per row: da = alpha * (g - sum_row(g * alpha))
-        dot = (g * alpha).sum(axis=1, keepdims=True)
-        _accum(cl, alpha * (g - dot))
+        da = np.multiply(g, alpha)
+        dot = da.sum(axis=1, keepdims=True)
+        np.subtract(g, dot, out=da)
+        _accum(cl, np.multiply(alpha, da, out=da))
 
     return _make(alpha, (logits,), bwd)
+
+
+# table rows per gather of the SDDMM: a [4096, K, F] block instead of one
+# [R, K, F] array; each output entry is the same f-sum either way
+SDDMM_BLOCK_ROWS = 4096
 
 
 def spmm(weights: "Tensor | np.ndarray", values: Tensor, neighbors: np.ndarray) -> Tensor:
@@ -338,10 +368,10 @@ def spmm(weights: "Tensor | np.ndarray", values: Tensor, neighbors: np.ndarray) 
     ``weights`` and ``neighbors`` are [R, K]. Forward is ``A @ values``
     and the ``values`` gradient ``A^T @ g``, both scipy CSR products with
     the table as A's column ids; the ``weights`` gradient is the row dot
-    <g[i], values[neighbors[i, k]]> (SDDMM), one [R, K, F] gather of
-    neighbour rows contracted against g. A plain ndarray for ``weights``
-    is a constant and gets no gradient. Backward keeps A, and ``values``
-    only when the weights learn.
+    <g[i], values[neighbors[i, k]]> (SDDMM), a gather of neighbour rows
+    contracted against g, SDDMM_BLOCK_ROWS table rows at a time into one
+    [R, K] array. A plain ndarray for ``weights`` is a constant and gets no
+    gradient. Backward keeps A, and ``values`` only when the weights learn.
     """
     neighbors = _table(neighbors, values.data.shape[0])
     weight_t = weights if isinstance(weights, Tensor) else None
@@ -361,7 +391,11 @@ def spmm(weights: "Tensor | np.ndarray", values: Tensor, neighbors: np.ndarray) 
         if cv is not None:
             _accum(cv, adj.T @ g)
         if cw is not None:
-            _accum(cw, np.einsum("rkf,rf->rk", v[neighbors], g))
+            dw = np.empty((r, k))
+            for lo in range(0, r, SDDMM_BLOCK_ROWS):
+                hi = lo + SDDMM_BLOCK_ROWS
+                np.einsum("rkf,rf->rk", v[neighbors[lo:hi]], g[lo:hi], out=dw[lo:hi])
+            _accum(cw, dw)
 
     inputs = (values,) if weight_t is None else (values, weight_t)
     return _make(adj @ values.data, inputs, bwd)
@@ -386,19 +420,20 @@ def edge_logits(score_dst: Tensor, score_src: Tensor, neighbors: np.ndarray, slo
     n_src = score_src.data.shape[0]
     neighbors = _table(neighbors, n_src)
     dst = _per_row(score_dst, neighbors.shape[0], "score_dst")
-    raw = dst[:, None] + _per_row(score_src, n_src, "score_src")[neighbors]
+    raw = _per_row(score_src, n_src, "score_src")[neighbors]
+    np.add(dst[:, None], raw, out=raw)
     positive = raw > 0
     c_dst, c_src = score_dst._cell, score_src._cell
 
     def bwd(g):
-        g_raw = np.where(positive, g, slope * g)
+        g_raw = _leaky_grad(g, positive, slope)
         if c_dst is not None:
             _accum(c_dst, g_raw.sum(axis=1).reshape(c_dst.shape))
         if c_src is not None:
             scattered = np.bincount(neighbors.ravel(), weights=g_raw.ravel(), minlength=n_src)
             _accum(c_src, scattered.reshape(c_src.shape))
 
-    return _make(np.maximum(raw, slope * raw), (score_dst, score_src), bwd)
+    return _make(np.maximum(raw, np.multiply(raw, slope), out=raw), (score_dst, score_src), bwd)
 
 
 def segment_weighted_sum(values: Tensor, weights: Tensor) -> Tensor:
@@ -408,21 +443,30 @@ def segment_weighted_sum(values: Tensor, weights: Tensor) -> Tensor:
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Row-wise normalization with population variance and epsilon 1e-5, then affine."""
-    centered = x.data - x.data.mean(axis=1, keepdims=True)
-    var = (centered * centered).mean(axis=1, keepdims=True)  # as x.var: denominator F
+    centered = np.subtract(x.data, x.data.mean(axis=1, keepdims=True))
+    data = np.multiply(centered, centered)  # the output's buffer holds the squares first
+    var = data.mean(axis=1, keepdims=True)  # as x.var: denominator F
     inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = np.multiply(centered, inv, out=centered)
-    data = xhat * gain.data + bias.data
+    np.multiply(xhat, gain.data, out=data)
+    np.add(data, bias.data, out=data)
     cx, c_gain, c_bias, gain_data = x._cell, gain._cell, bias._cell, gain.data
 
     def bwd(g):
-        _accum(c_gain, np.sum(g * xhat, axis=0))
+        # two [R, F] buffers: the products for the gain's sum become dxhat,
+        # and the second holds dxhat * xhat, then xhat * m2
+        buf = np.multiply(g, xhat)
+        _accum(c_gain, np.sum(buf, axis=0))
         _accum(c_bias, np.sum(g, axis=0))
         if cx is not None:
-            dxhat = g * gain_data
+            dxhat = np.multiply(g, gain_data, out=buf)
             m1 = dxhat.mean(axis=1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
-            _accum(cx, inv * (dxhat - m1 - xhat * m2))
+            prod = np.multiply(dxhat, xhat)
+            m2 = prod.mean(axis=1, keepdims=True)
+            # inv * (dxhat - m1 - xhat * m2)
+            np.subtract(dxhat, m1, out=dxhat)
+            np.subtract(dxhat, np.multiply(xhat, m2, out=prod), out=dxhat)
+            _accum(cx, np.multiply(inv, dxhat, out=dxhat))
 
     return _make(data, (x, gain, bias), bwd)
 

@@ -1,12 +1,16 @@
+import ctypes
 import dataclasses
 import json
+import os
+import tempfile
 import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from beamgat import baselines, blas, cli, graph as graph_mod, ingest, metrics, synth, trainer
-from beamgat.experiment import JSON_TYPES, ExperimentConfig, _run_one_frame, run_experiment
+from beamgat.experiment import ALL_METHODS, JSON_TYPES, ExperimentConfig, _run_one_frame, run_experiment
 from beamgat.trainer import TrainConfig
 
 FAST = dict(
@@ -331,18 +335,23 @@ def test_cli_run_where_every_frame_is_skipped_exits_1(tmp_path, capsys):
     assert "wrote" not in captured.out
 
 
+def ring_points(counts: dict[int, int], rng) -> np.ndarray:
+    """``counts[beam]`` points at the centre elevation of each beam, 5-20 m
+    out at random azimuths."""
+    span = (ingest.ELEV_MAX_DEG - ingest.ELEV_MIN_DEG) / ingest.NUM_BEAMS
+    rings = []
+    for beam, count in counts.items():
+        elev = np.radians(ingest.ELEV_MIN_DEG + (beam + 0.5) * span)
+        theta = rng.uniform(-np.pi, np.pi, count)
+        r = rng.uniform(5.0, 20.0, count)
+        rings.append(np.column_stack([r * np.cos(theta), r * np.sin(theta), r * np.tan(elev)]))
+    return np.concatenate(rings)
+
+
 def two_ring_scan(per_ring: int = 600) -> np.ndarray:
     """Points at the elevations of beams 4 and 5 only: the dropout drops
     beam 4, so the frame has one observed beam."""
-    span = (ingest.ELEV_MAX_DEG - ingest.ELEV_MIN_DEG) / ingest.NUM_BEAMS
-    rng = np.random.default_rng(0)
-    rings = []
-    for beam in (4, 5):
-        elev = np.radians(ingest.ELEV_MIN_DEG + (beam + 0.5) * span)
-        theta = rng.uniform(-np.pi, np.pi, per_ring)
-        r = rng.uniform(5.0, 20.0, per_ring)
-        rings.append(np.column_stack([r * np.cos(theta), r * np.sin(theta), r * np.tan(elev)]))
-    return np.concatenate(rings)
+    return ring_points({4: per_ring, 5: per_ring}, np.random.default_rng(0))
 
 
 def test_cli_scan_with_one_observed_beam_reports_both_baselines(tmp_path):
@@ -358,6 +367,46 @@ def test_cli_scan_with_one_observed_beam_reports_both_baselines(tmp_path):
     assert rc == 0
     rows = (out / "reports.csv").read_text().splitlines()[1:]
     assert [r.split(",")[:3] for r in rows] == [["000000", "linear", "10"], ["000000", "nn", "10"]]
+
+
+# the beams the default dropout (every 4th) drops, and the ones it keeps
+DROPPED_BEAM = st.sampled_from(range(0, ingest.NUM_BEAMS, 4))
+OBSERVED_BEAM = st.sampled_from([b for b in range(ingest.NUM_BEAMS) if b % 4])
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(dropped=st.dictionaries(DROPPED_BEAM, st.integers(1, 4), min_size=1, max_size=2),
+       observed=st.dictionaries(OBSERVED_BEAM, st.integers(1, 4), min_size=1, max_size=2),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_tiny_frame_or_one_observed_beam_reports_or_warns_alike_for_any_worker_count(
+        caplog, dropped, observed, seed, data):
+    # at most 16 points on one or two observed beams, and k up to one past
+    # the point count: every (k, method) cell gives a row or a skip warning,
+    # nothing aborts, and --workers 2 writes the rows of --workers 1
+    xyz = ring_points({**dropped, **observed}, np.random.default_rng(seed))
+    n = len(xyz)
+    ks = st.integers(1, n + 1) | st.sampled_from([n - 1, n])  # often the largest k n points hold, or one past
+    k_list = data.draw(st.lists(ks, min_size=1, max_size=2, unique=True))
+    with tempfile.TemporaryDirectory() as tmp:
+        frame_dir = os.path.join(tmp, "frames")
+        os.makedirs(frame_dir)
+        ingest.write_kitti_bin(ingest.PointCloud(xyz=xyz, reflectance=np.zeros(n)), os.path.join(frame_dir, "000000.bin"))
+        outs = []
+        for workers in (1, 2):
+            caplog.clear()
+            cfg = ExperimentConfig(input_dir=frame_dir, k_list=tuple(k_list), train=TrainConfig(epochs=2),
+                                   out_dir=os.path.join(tmp, f"runs{workers}"), workers=workers, timing=False)
+            reports = run_experiment(cfg)
+            with open(os.path.join(cfg.out_dir, "reports.csv"), "rb") as fh:
+                outs.append(fh.read())
+            if workers == 1:  # a worker process logs where caplog does not see it
+                cells = {(r.method, r.k) for r in reports}
+                for k in k_list:
+                    for method in ALL_METHODS:
+                        assert (method, k) in cells or any(
+                            m.startswith((f"skipping {method} at k={k} ", "skipping frame "))
+                            for m in caplog.messages), f"{method} at k={k}: no row and no warning"
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("config, field", [
@@ -407,6 +456,58 @@ def test_cli_smoke_run(tmp_path, capsys):
     assert rc == 0
     assert "report rows" in capsys.readouterr().out
     assert (tmp_path / "runs" / "reports.csv").exists()
+
+
+SMALL_LEARNED_RUN = ["--synthetic", "plane", "--methods", "linear,superior_gat", "--sample-target", "400",
+                     "--epochs", "2", "--no-timing"]
+
+
+class RecordingMallopt:
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+def libc_lookup(monkeypatch, mallopt=None):
+    """Patch ``ctypes.CDLL``: the process's own symbols (``CDLL(None)``)
+    offer ``mallopt``, or fail with OSError when it is None; any other
+    library loads as usual. Returns a list that gains an entry per lookup
+    of the process's own symbols."""
+    real, looked_up = ctypes.CDLL, []
+
+    def cdll(name, *args, **kwargs):
+        if name is not None:
+            return real(name, *args, **kwargs)
+        looked_up.append(name)
+        if mallopt is None:
+            raise OSError("no C library")
+        return type("Libc", (), {"mallopt": mallopt})()
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    return looked_up
+
+
+def test_cli_runs_and_writes_its_csvs_when_the_allocator_lookup_fails(tmp_path, monkeypatch):
+    looked_up = libc_lookup(monkeypatch)
+    out = tmp_path / "runs"
+    assert cli.main(SMALL_LEARNED_RUN + ["--out", str(out)]) == 0
+    assert looked_up, "main did not look up mallopt"
+    assert (out / "reports.csv").read_text().count("\n") == 3
+    assert (out / "summary.csv").exists()
+
+
+def test_only_cli_main_sets_the_allocator(tmp_path, monkeypatch):
+    # mallopt has no getter, so a library caller of run_experiment keeps
+    # its allocator settings; main owns its process and sets them
+    mallopt = RecordingMallopt()
+    libc_lookup(monkeypatch, mallopt)
+    run_experiment(ExperimentConfig(methods=("linear", "superior_gat"), out_dir=str(tmp_path / "lib"), **FAST))
+    assert mallopt.calls == []
+    assert cli.main(SMALL_LEARNED_RUN + ["--out", str(tmp_path / "cli")]) == 0
+    assert mallopt.calls == [(cli.M_MMAP_THRESHOLD, 32 << 20), (cli.M_TRIM_THRESHOLD, 1 << 30)]
 
 
 @pytest.mark.parametrize("flag, value, field", [

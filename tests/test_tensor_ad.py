@@ -4,6 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from beamgat import graph as graph_mod, model
 from beamgat import tensor_ad as T
@@ -683,3 +684,213 @@ def test_superior_gat_tape_keeps_little_per_node():
         tracemalloc.stop()
     assert kept < 1500 * n, f"tape keeps {kept / n:.0f} B per node"
     tape.backward(loss)
+
+
+# ---------------------------------------------------------------------------
+# in-place kernels: what each op allocates, and what it must leave alone
+# ---------------------------------------------------------------------------
+
+MEM_SHAPE = (20000, 64)
+MEM_UNIT = MEM_SHAPE[0] * MEM_SHAPE[1] * 8  # bytes of one [20000, 64] array
+
+
+def peak_above_start(fn) -> float:
+    """Peak traced memory while ``fn`` runs, above what was traced when it
+    started, in [20000, 64] arrays; what ``fn`` returns is counted."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    del result
+    return (peak - base) / MEM_UNIT
+
+
+def last_backward(tape: Tape):
+    """The backward function of the op recorded last on ``tape``."""
+    return tape._nodes[-1][1]
+
+
+def memory_case(op: str, rng, tape: Tape):
+    """A zero-argument call of ``op`` on recorded [20000, 64] inputs."""
+    x = Tensor(rng.normal(size=MEM_SHAPE), tape)
+    if op == "layer_norm":
+        gain, bias = Tensor(rng.normal(size=MEM_SHAPE[1]), tape), Tensor(rng.normal(size=MEM_SHAPE[1]), tape)
+        return lambda: T.layer_norm(x, gain, bias)
+    if op == "leaky_relu":
+        return lambda: T.leaky_relu(x, 0.2)
+    if op == "scale":
+        gate = Tensor(np.array(0.3), tape)
+        return lambda: T.scale(x, gate)
+    assert op == "segment_softmax"
+    return lambda: T.segment_softmax(x)
+
+
+# Bounds in [20000, 64] arrays, counting the op's output or gradients. The
+# plain expressions peaked at: layer_norm 3.04 forward and 3.04 backward,
+# leaky_relu 2.13 and 2.0, a learned scale's backward 2.0 and
+# segment_softmax's forward 2.07; writing each chain into one array the op
+# allocated gives 2.05/2.04, 1.13/1.0, 1.0 and 1.07.
+@pytest.mark.parametrize("op, forward_bound, backward_bound", [
+    ("layer_norm", 2.3, 2.3), ("leaky_relu", 1.3, 1.3), ("scale", None, 1.3), ("segment_softmax", 1.3, None),
+])
+def test_op_peak_memory_stays_near_its_outputs(op, forward_bound, backward_bound):
+    rng = np.random.default_rng(0)
+    tape = Tape()
+    call = memory_case(op, rng, tape)
+    if forward_bound is not None:
+        forward = peak_above_start(call)
+        assert forward <= forward_bound, f"{op} forward peaked at {forward:.2f} arrays"
+    out = call()
+    g = rng.normal(size=out.shape)
+    if backward_bound is not None:
+        backward = peak_above_start(lambda: last_backward(tape)(g))
+        assert backward <= backward_bound, f"{op} backward peaked at {backward:.2f} arrays"
+
+
+@pytest.mark.parametrize("learned_side", [0, 1])
+def test_add_backward_copies_no_gradient_for_a_constant_operand(learned_side):
+    rng = np.random.default_rng(0)
+    tape = Tape()
+    operands = [Tensor(rng.normal(size=MEM_SHAPE)) for _ in range(2)]
+    operands[learned_side] = Tensor(operands[learned_side].data, tape)
+    T.add(*operands)
+    g = rng.normal(size=MEM_SHAPE)
+    backward = peak_above_start(lambda: last_backward(tape)(g))
+    assert backward < 0.1, f"add backward allocated {backward:.2f} arrays"
+    assert operands[learned_side].grad is g and operands[1 - learned_side].grad is None
+
+
+def concat_view(rng, shape) -> np.ndarray:
+    """A gradient of ``shape`` as ``concat_cols`` hands it to one part: a
+    column slice of a wider array, so not contiguous."""
+    wide = rng.normal(size=(shape[0], shape[1] + 5))
+    g = wide[:, 2:2 + shape[1]]
+    assert not g.flags.c_contiguous
+    return g
+
+
+def plain_spmm(w, v, table, g):
+    adj = scipy.sparse.csr_array((w.ravel(), table.ravel(), np.arange(0, table.size + 1, table.shape[1])),
+                                 shape=(table.shape[0], v.shape[0]))
+    return adj @ v, [np.einsum("rkf,rf->rk", v[table], g), adj.T @ g]
+
+
+def plain_edge_logits(d, s, table, g, slope=0.2):
+    raw = d.reshape(-1)[:, None] + s.reshape(-1)[table]
+    g_raw = np.where(raw > 0, g, slope * g)
+    src = np.bincount(table.ravel(), weights=g_raw.ravel(), minlength=s.shape[0])
+    return np.maximum(raw, slope * raw), [g_raw.sum(axis=1).reshape(d.shape), src.reshape(s.shape)]
+
+
+def plain_layer_norm(x, gain, bias, g):
+    centered = x - x.mean(axis=1, keepdims=True)
+    var = (centered * centered).mean(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + 1e-5)
+    xhat = centered * inv
+    dxhat = g * gain
+    m1 = dxhat.mean(axis=1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
+    dx = inv * (dxhat - m1 - xhat * m2)
+    return xhat * gain + bias, [dx, np.sum(g * xhat, axis=0), np.sum(g, axis=0)]
+
+
+def plain_segment_softmax(v, g):
+    e = np.exp(v - v.max(axis=1, keepdims=True))
+    alpha = e / e.sum(axis=1, keepdims=True)
+    return alpha, [alpha * (g - (g * alpha).sum(axis=1, keepdims=True))]
+
+
+# Each case: the input arrays, each recorded as a learned tensor; the op on
+# those tensors; and the op's plain expressions, which map the input arrays
+# and the upstream gradient to (output, [gradient per input]). The table
+# reads 300 source rows, and its rows span two SDDMM blocks.
+INPLACE_TABLE = np.random.default_rng(1).integers(0, 300, size=(T.SDDMM_BLOCK_ROWS + 37, 11))
+INPLACE_CASES = {
+    "layer_norm": (lambda rng: [rng.normal(3.0, 2.0, size=(500, 64)), rng.normal(size=64), rng.normal(size=64)],
+                   T.layer_norm, plain_layer_norm),
+    "leaky_relu": (lambda rng: [np.where(rng.random((500, 64)) < 0.1, -0.0, rng.normal(size=(500, 64)))],
+                   lambda x: T.leaky_relu(x, 0.2),
+                   lambda x, g: (np.maximum(x, 0.2 * x), [np.where(x > 0, g, 0.2 * g)])),
+    "scale": (lambda rng: [rng.normal(size=(500, 64)), np.array(-0.7)],
+              T.scale, lambda x, s, g: (x * s, [g * s, np.full((), np.sum(g * x))])),
+    "scale_by_a_float": (lambda rng: [rng.normal(size=(500, 64))],
+                         lambda x: T.scale(x, -1.5), lambda x, g: (x * -1.5, [g * -1.5])),
+    "scale_of_a_scalar": (lambda rng: [np.array(0.4), np.array(-1.3)],
+                          T.scale, lambda x, s, g: (x * s, [g * s, np.full((), np.sum(g * x))])),
+    "segment_softmax": (lambda rng: [rng.normal(size=(500, 11))], T.segment_softmax, plain_segment_softmax),
+    "edge_logits": (lambda rng: [rng.normal(size=(len(INPLACE_TABLE), 1)), rng.normal(size=(300, 1))],
+                    lambda d, s: T.edge_logits(d, s, INPLACE_TABLE, 0.2),
+                    lambda d, s, g: plain_edge_logits(d, s, INPLACE_TABLE, g)),
+    "spmm": (lambda rng: [rng.normal(size=INPLACE_TABLE.shape), rng.normal(size=(300, 16))],
+             lambda w, v: T.spmm(w, v, INPLACE_TABLE),
+             lambda w, v, g: plain_spmm(w, v, INPLACE_TABLE, g)),
+    "add": (lambda rng: [rng.normal(size=(500, 64)), rng.normal(size=(500, 64))],
+            T.add, lambda a, b, g: (a + b, [g, g])),
+    "add_a_bias": (lambda rng: [rng.normal(size=(500, 64)), rng.normal(size=64)],
+                   T.add, lambda a, b, g: (a + b, [g, g.sum(axis=0)])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPLACE_CASES))
+def test_op_leaves_inputs_kept_arrays_and_gradient_alone_and_keeps_the_plain_bytes(case):
+    make_inputs, op, plain = INPLACE_CASES[case]
+    rng = np.random.default_rng(0)
+    arrays = make_inputs(rng)
+    tape = Tape()
+    inputs = [Tensor(a.copy(), tape) for a in arrays]
+    out = op(*inputs)
+    backward = last_backward(tape)
+    kept = [c.cell_contents for c in backward.__closure__ if isinstance(c.cell_contents, np.ndarray)]
+    kept_before = [a.copy() for a in kept]
+    g = concat_view(rng, out.shape) if out.data.ndim == 2 else rng.normal(size=out.shape)
+    g_before = g.copy()
+    backward(g)
+
+    def same(a, b):
+        return np.shape(a) == np.shape(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    assert all(same(t.data, a) for t, a in zip(inputs, arrays)), "an input changed"
+    assert all(same(a, b) for a, b in zip(kept, kept_before)), "an array the backward keeps changed"
+    assert same(g, g_before), "the upstream gradient changed"
+    want_out, want_grads = plain(*arrays, g_before)
+    assert same(out.data, want_out)
+    for t, want in zip(inputs, want_grads):
+        assert same(t.grad, want)
+
+
+def test_spmm_weight_gradient_in_row_blocks_equals_the_one_piece_gather():
+    r, n, f = 2 * T.SDDMM_BLOCK_ROWS + 3, 3000, 16
+    rng = np.random.default_rng(0)
+    table = rng.integers(0, n, size=(r, 11))
+    values = Tensor(rng.normal(size=(n, f)))
+    for g in (rng.normal(size=(r, f)), concat_view(rng, (r, f))):
+        tape = Tape()
+        w = Tensor(rng.normal(size=table.shape), tape)
+        T.spmm(w, values, table)
+        last_backward(tape)(g)
+        assert w.grad.tobytes() == np.einsum("rkf,rf->rk", values.data[table], g).tobytes()
+
+
+def test_spmm_weight_gradient_peaks_below_one_gather():
+    # test_spmm_weight_gradient_peak_stays_near_one_gather's table, E = 200k
+    # edges of in-degree 20 and F = 16: gathered 4096 rows at a time, the
+    # backward peaks at 0.55 of one [E, F] gather; in one piece, at 1.11
+    n, d, f = 10000, 20, 16
+    rng = np.random.default_rng(0)
+    table = rng.integers(0, n, size=(n, d))
+    values = Tensor(rng.normal(size=(n, f)))
+    tape = Tape()
+    w = Tensor(rng.normal(size=(n, d)), tape)
+    out = T.spmm(w, values, table)
+    loss = T.mse_loss(T.reshape(out, (-1,)), np.zeros(n * f))
+    gather = n * d * f * 8
+    tracemalloc.start()
+    try:
+        tape.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.7 * gather, f"weight gradient peaked at {peak / gather:.2f} [E, F] gathers"

@@ -8,25 +8,28 @@ from scipy.spatial import cKDTree
 
 from .ingest import SparseFrame
 
-__all__ = ["linear_interp", "nearest_neighbor_sub"]
+__all__ = ["AZIMUTH_BINS", "linear_interp", "nearest_neighbor_sub"]
+
+AZIMUTH_BINS = 360  # equal azimuth bins of linear_interp
 
 
-def _azimuth_bins(xyz: np.ndarray, bin_count: int) -> np.ndarray:
-    azim = np.arctan2(xyz[:, 1], xyz[:, 0])  # [-pi, pi]
+def _azimuth_bins(azim: np.ndarray, bin_count: int) -> np.ndarray:
+    """The bin of each azimuth in [-pi, pi], out of ``bin_count``."""
     b = np.floor((azim + np.pi) / (2 * np.pi) * bin_count).astype(np.int64)
     return np.clip(b, 0, bin_count - 1)
 
 
-def linear_interp(frame: SparseFrame, bin_count: int = 360) -> np.ndarray:
+def linear_interp(frame: SparseFrame) -> np.ndarray:
     """z estimate per dropped point by interpolating across the beam stack.
 
-    Within each azimuth bin, every observed beam is represented by its point
-    closest to the bin center. A dropped point takes the linear interpolation
-    (in beam index) between the nearest observed beams below and above it;
-    one-sided cases, every case of a frame with one observed beam among them,
-    copy the nearest observed beam's z. A point whose bin
-    holds no other observed beam (in particular, a bin with no observed
-    points) falls back to the planar-nearest observed point.
+    Within each of AZIMUTH_BINS azimuth bins, every observed beam is
+    represented by its point closest to the bin center. A dropped point
+    takes the linear interpolation (in beam index) between the nearest
+    observed beams below and above it; one-sided cases, every case of a
+    frame with one observed beam among them, copy the nearest observed
+    beam's z. A point whose bin holds no other observed beam (in particular,
+    a bin with no observed points) falls back to the planar-nearest observed
+    point.
     """
     cloud = frame.cloud
     if cloud.beam is None:
@@ -35,9 +38,9 @@ def linear_interp(frame: SparseFrame, bin_count: int = 360) -> np.ndarray:
     if obs.size == 0:
         raise ValueError("frame has no observed points")
 
-    bins = _azimuth_bins(cloud.xyz, bin_count)
-    centers = (np.arange(bin_count) + 0.5) / bin_count * 2 * np.pi - np.pi
     azim = np.arctan2(cloud.xyz[:, 1], cloud.xyz[:, 0])
+    bins = _azimuth_bins(azim, AZIMUTH_BINS)
+    centers = (np.arange(AZIMUTH_BINS) + 0.5) / AZIMUTH_BINS * 2 * np.pi - np.pi
     err = np.abs(azim - centers[bins])
 
     beam_lo = int(cloud.beam.min())

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import contextlib
+import csv
 import dataclasses
 import logging
 import os
@@ -45,6 +46,10 @@ class ExperimentConfig:
             raise ValueError("at least one k required")
         if min(self.k_list) < 1:
             raise ValueError(f"k_list entries must be >= 1, got {list(self.k_list)}")
+        for name in ("k_list", "methods"):
+            entries = getattr(self, name)
+            if len(set(entries)) < len(entries):
+                raise ValueError(f"{name} entries must be distinct, got {list(entries)}")
         if self.sample_target < 1:
             raise ValueError(f"sample_target must be >= 1, got {self.sample_target}")
         if self.frame_limit < 1:
@@ -173,17 +178,16 @@ def _evaluate(
 @blas.one_thread()
 def _run_one_frame(args) -> list[metrics.EvalReport]:
     """All cells of one frame, run with one BLAS thread (``--workers`` runs
-    frames in parallel); a frame file that cannot be read, a frame with
-    more populated beams than ``sample_target`` points, or a frame the
-    dropout pattern cannot split into dropped and observed beams, yields no
-    rows. So does a learned cell whose k is not below the frame's point
-    count, and a cell that fails with a FloatingPointError (a non-finite
-    loss or forward value); the frame's other cells still report. Each
-    skip logs a warning, the same for any ``workers``."""
+    frames in parallel); a frame file that cannot be read, or a frame that
+    raises ``ingest.FrameError``, yields no rows. So does a learned cell
+    whose k is not below the frame's point count, and a cell that fails
+    with a FloatingPointError (a non-finite forward value or loss); the
+    frame's other cells still report. Each skip logs a warning, the same
+    for any ``workers``."""
     cfg, frame_id, path = args
     try:
         tag, frame = _build_frame(cfg, frame_id, path)
-    except (OSError, ingest.TruncatedRecordError, ingest.SampleTargetError, ingest.DropoutConfigError) as exc:
+    except (OSError, ingest.FrameError) as exc:
         log.warning("skipping frame %s: %s", path if path is not None else frame_id, exc)
         return []
     n = len(frame.cloud)
@@ -234,14 +238,18 @@ def run_experiment(cfg: ExperimentConfig) -> list[metrics.EvalReport]:
     return reports
 
 
+def _write_csv(path: str, header: list[str], rows) -> None:
+    """One CSV table: minimal quoting, so a name holding a comma, quote or
+    newline reads back whole, and each float written as ``.9g``."""
+    with open(path, "w", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(header)
+        out.writerows([f"{v:.9g}" if isinstance(v, float) else v for v in row] for row in rows)
+
+
 def write_reports_csv(reports: list[metrics.EvalReport], path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write("frame,method,k,rmse_z,rmse_xyz,chamfer,train_s,infer_s,n_dropped\n")
-        for r in reports:
-            fh.write(
-                f"{r.frame},{r.method},{r.k},{r.rmse_z:.9g},{r.rmse_xyz:.9g},"
-                f"{r.chamfer:.9g},{r.train_s:.9g},{r.infer_s:.9g},{r.n_dropped}\n"
-            )
+    names = [f.name for f in dataclasses.fields(metrics.EvalReport)]
+    _write_csv(path, names, (dataclasses.astuple(r) for r in reports))
 
 
 def write_summary_csv(reports: list[metrics.EvalReport], path: str) -> None:
@@ -249,17 +257,10 @@ def write_summary_csv(reports: list[metrics.EvalReport], path: str) -> None:
     groups: dict[tuple[str, int], list[metrics.EvalReport]] = {}
     for r in reports:
         groups.setdefault((r.method, r.k), []).append(r)
-    with open(path, "w") as fh:
-        fh.write(
-            "method,k,rmse_z_mean,rmse_z_sd,rmse_xyz_mean,rmse_xyz_sd,"
-            "chamfer_mean,chamfer_sd,train_s_mean,infer_s_mean,n_frames\n"
-        )
-        for (method, k), rs in sorted(groups.items()):
-            agg = metrics.aggregate(rs)
-            fh.write(
-                f"{method},{k},{agg['rmse_z'][0]:.9g},{agg['rmse_z'][1]:.9g},"
-                f"{agg['rmse_xyz'][0]:.9g},{agg['rmse_xyz'][1]:.9g},"
-                f"{agg['chamfer'][0]:.9g},{agg['chamfer'][1]:.9g},"
-                f"{agg['train_s'][0]:.9g},{agg['infer_s'][0]:.9g},{len(rs)}\n"
-            )
-
+    rows = []
+    for (method, k), rs in sorted(groups.items()):
+        agg = metrics.aggregate(rs)
+        rows.append([method, k, *agg["rmse_z"], *agg["rmse_xyz"], *agg["chamfer"],
+                     agg["train_s"][0], agg["infer_s"][0], len(rs)])
+    _write_csv(path, ["method", "k", "rmse_z_mean", "rmse_z_sd", "rmse_xyz_mean", "rmse_xyz_sd",
+                      "chamfer_mean", "chamfer_sd", "train_s_mean", "infer_s_mean", "n_frames"], rows)

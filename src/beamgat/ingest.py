@@ -15,14 +15,12 @@ ELEV_MIN_DEG = -24.8
 ELEV_MAX_DEG = 2.0
 
 __all__ = [
-    "DropoutConfigError",
     "ELEV_MAX_DEG",
     "ELEV_MIN_DEG",
+    "FrameError",
     "NUM_BEAMS",
     "PointCloud",
-    "SampleTargetError",
     "SparseFrame",
-    "TruncatedRecordError",
     "apply_beam_dropout",
     "choose_per_beam",
     "estimate_beams",
@@ -32,16 +30,10 @@ __all__ = [
 ]
 
 
-class TruncatedRecordError(ValueError):
-    """File length is not a multiple of the 16-byte record size."""
-
-
-class DropoutConfigError(ValueError):
-    """Dropout pattern would drop every beam or no beam."""
-
-
-class SampleTargetError(ValueError):
-    """Sample target is below the number of populated beams."""
+class FrameError(ValueError):
+    """The frame cannot be used: its file is not whole 16-byte records, it
+    has more populated beams than the sample target, or the dropout pattern
+    drops every populated beam or none."""
 
 
 @dataclasses.dataclass
@@ -97,9 +89,7 @@ def read_kitti_bin(path: str | os.PathLike) -> PointCloud:
     """
     size = os.path.getsize(path)
     if size % 16 != 0:
-        raise TruncatedRecordError(
-            f"{path}: length {size} bytes is not a multiple of 16"
-        )
+        raise FrameError(f"{path}: length {size} bytes is not a multiple of 16")
     raw = np.fromfile(path, dtype="<f4")
     pts = raw.reshape(-1, 4).astype(np.float64)
     finite = np.all(np.isfinite(pts), axis=1)
@@ -161,7 +151,7 @@ def stratified_sample(cloud: PointCloud, target: int, seed: int) -> PointCloud:
     beam population (largest-remainder rounding, at least one point per
     populated beam), preserving original order; a cloud of at most
     ``target`` points is returned as it is. A larger cloud with more
-    populated beams than ``target`` raises SampleTargetError."""
+    populated beams than ``target`` raises FrameError."""
     if cloud.beam is None:
         raise ValueError("beam indices must be set before stratified sampling")
     if target >= len(cloud):
@@ -169,7 +159,7 @@ def stratified_sample(cloud: PointCloud, target: int, seed: int) -> PointCloud:
 
     def quotas(counts: np.ndarray) -> np.ndarray:
         if target < counts.size:
-            raise SampleTargetError(f"target {target} below number of non-empty beams {counts.size}")
+            raise FrameError(f"target {target} below number of non-empty beams {counts.size}")
         exact = counts * (target / counts.sum())
         quota = np.maximum(np.floor(exact).astype(np.int64), 1)  # never empty a populated beam
         remainder = exact - np.floor(exact)
@@ -191,7 +181,7 @@ def stratified_sample(cloud: PointCloud, target: int, seed: int) -> PointCloud:
                                beam=cloud.beam[sel])
 
 
-def apply_beam_dropout(cloud: PointCloud, nth: int = 4) -> SparseFrame:
+def apply_beam_dropout(cloud: PointCloud, nth: int) -> SparseFrame:
     """Mask z on every ``nth`` beam, the beams with ``beam % nth == 0``;
     (x, y) and membership are retained so reconstruction can be scored
     against the held-out z."""
@@ -199,8 +189,8 @@ def apply_beam_dropout(cloud: PointCloud, nth: int = 4) -> SparseFrame:
         raise ValueError("beam indices must be set before dropout")
     dropped = cloud.beam % nth == 0
     if not dropped.any():
-        raise DropoutConfigError("pattern drops no populated beam")
+        raise FrameError("pattern drops no populated beam")
     if dropped.all():
-        raise DropoutConfigError("pattern drops every populated beam")
+        raise FrameError("pattern drops every populated beam")
     # the frame keeps its own points, so a later write to ``cloud`` leaves its z_truth as it is
     return SparseFrame(cloud=dataclasses.replace(cloud, xyz=cloud.xyz.copy()), dropped_mask=dropped)

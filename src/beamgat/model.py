@@ -192,7 +192,7 @@ def gcn_layer(graph: Graph, h: Tensor, w: Tensor, rows: np.ndarray | None = None
     weighs 1/(k+1). An ``h`` narrower than the output is aggregated before
     it is projected."""
     neighbors = graph.neighbors if rows is None else graph.neighbors[rows]
-    mean = np.full(neighbors.shape, 1.0 / neighbors.shape[1])
+    mean = Tensor(np.full(neighbors.shape, 1.0 / neighbors.shape[1]))
     if _aggregate_first(h, w):
         agg = T.matmul(T.spmm(mean, h, neighbors), w)
     else:

@@ -245,7 +245,7 @@ def _check_slope(slope: float) -> None:
         raise ValueError(f"leaky_relu slope must be in [0, 1], got {slope}")
 
 
-def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
+def leaky_relu(x: Tensor, slope: float) -> Tensor:
     _check_slope(slope)
     cx = x._cell
     positive = x.data > 0  # convention: derivative at exactly 0 is `slope`
@@ -312,7 +312,7 @@ def take_rows(x: Tensor, idx: np.ndarray) -> Tensor:
     as 0.0), and the backward ``A^T g`` adds each source row's gradients in
     ascending output order."""
     idx = np.asarray(idx, dtype=np.int64)[:, None]
-    return spmm(np.ones(idx.shape), x, idx)
+    return spmm(Tensor(np.ones(idx.shape)), x, idx)
 
 
 def rows(x: Tensor, lo: int, hi: int) -> Tensor:
@@ -361,7 +361,7 @@ def segment_softmax(logits: Tensor) -> Tensor:
 SDDMM_BLOCK_ROWS = 4096
 
 
-def spmm(weights: "Tensor | np.ndarray", values: Tensor, neighbors: np.ndarray) -> Tensor:
+def spmm(weights: Tensor, values: Tensor, neighbors: np.ndarray) -> Tensor:
     """Sparse-dense product over a neighbour table:
     out[i] = sum over k of weights[i, k] * values[neighbors[i, k]].
 
@@ -370,12 +370,11 @@ def spmm(weights: "Tensor | np.ndarray", values: Tensor, neighbors: np.ndarray) 
     the table as A's column ids; the ``weights`` gradient is the row dot
     <g[i], values[neighbors[i, k]]> (SDDMM), a gather of neighbour rows
     contracted against g, SDDMM_BLOCK_ROWS table rows at a time into one
-    [R, K] array. A plain ndarray for ``weights`` is a constant and gets no
-    gradient. Backward keeps A, and ``values`` only when the weights learn.
+    [R, K] array. Backward keeps A, and ``values`` only when the weights
+    learn.
     """
     neighbors = _table(neighbors, values.data.shape[0])
-    weight_t = weights if isinstance(weights, Tensor) else None
-    w = np.asarray(weights.data if weight_t is not None else weights, dtype=np.float64)
+    w = weights.data
     if w.shape != neighbors.shape:
         raise ValueError(f"weights {w.shape} must match the neighbour table {neighbors.shape}")
     r, k = neighbors.shape
@@ -383,8 +382,7 @@ def spmm(weights: "Tensor | np.ndarray", values: Tensor, neighbors: np.ndarray) 
         (w.ravel(), neighbors.ravel(), np.arange(0, r * k + 1, k)), shape=(r, values.data.shape[0])
     )
 
-    cv = values._cell
-    cw = weight_t._cell if weight_t is not None else None
+    cv, cw = values._cell, weights._cell
     v = values.data if cw is not None else None
 
     def bwd(g):
@@ -397,8 +395,7 @@ def spmm(weights: "Tensor | np.ndarray", values: Tensor, neighbors: np.ndarray) 
                 np.einsum("rkf,rf->rk", v[neighbors[lo:hi]], g[lo:hi], out=dw[lo:hi])
             _accum(cw, dw)
 
-    inputs = (values,) if weight_t is None else (values, weight_t)
-    return _make(adj @ values.data, inputs, bwd)
+    return _make(adj @ values.data, (values, weights), bwd)
 
 
 def _per_row(x: Tensor, n: int, name: str) -> np.ndarray:

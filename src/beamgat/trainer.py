@@ -122,9 +122,7 @@ def train_frame(
         bound = bind_params(params, tape)
         z_hat = forward(graph, Tensor(feats), bound, architecture, rows=sup)
         loss = T.mse_loss(z_hat, frame.z_truth[sup])
-        loss_val = float(loss.data)
-        if not np.isfinite(loss_val):
-            raise FloatingPointError(f"non-finite training loss at epoch {epoch}")
+        loss_val = float(loss.data)  # mse_loss raised NonFiniteError if it is not finite
         history.append(loss_val)
         if loss_val < best_loss:
             best_loss = loss_val

@@ -37,7 +37,7 @@ def small_sine_frame():
     """~400-point sinusoid frame with every-4th-beam dropout."""
     spec = synth.SceneSpec(kind="sinusoid", point_count=420)
     cloud = synth.synthesize_scene(spec, seed=7)
-    return ingest.apply_beam_dropout(cloud)
+    return ingest.apply_beam_dropout(cloud, nth=4)
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,7 @@ import pytest
 
 from scipy.spatial import cKDTree
 
-from beamgat import ingest, synth
+from beamgat import baselines, ingest, synth
 from beamgat.baselines import _azimuth_bins, linear_interp, nearest_neighbor_sub
 from beamgat.ingest import PointCloud
 
@@ -15,9 +15,9 @@ def loop_linear_interp(frame: ingest.SparseFrame, bin_count: int = 360) -> np.nd
     observed point at a time, each dropped point interpolated on its own."""
     cloud = frame.cloud
     obs = np.flatnonzero(frame.observed_mask)
-    bins = _azimuth_bins(cloud.xyz, bin_count)
-    centers = (np.arange(bin_count) + 0.5) / bin_count * 2 * np.pi - np.pi
     azim = np.arctan2(cloud.xyz[:, 1], cloud.xyz[:, 0])
+    bins = _azimuth_bins(azim, bin_count)
+    centers = (np.arange(bin_count) + 0.5) / bin_count * 2 * np.pi - np.pi
 
     rep: dict[tuple[int, int], int] = {}
     rep_err: dict[tuple[int, int], float] = {}
@@ -135,15 +135,16 @@ class TestLinearInterp:
         assert z_hat.tobytes() == loop_linear_interp(frame).tobytes()
 
     @pytest.mark.parametrize("n, bin_count", [(40, 360), (300, 360), (2000, 90), (500, 7)])
-    def test_matches_loop_reference_on_random_frames(self, n, bin_count):
+    def test_matches_loop_reference_on_random_frames(self, n, bin_count, monkeypatch):
         # few points per bin leave many bins empty (tree fallback); few bins
         # put many points of one beam in a bin (representative choice)
+        monkeypatch.setattr(baselines, "AZIMUTH_BINS", bin_count)
         frame = random_frame(np.random.default_rng(n), n, num_beams=12)
-        z_hat = linear_interp(frame, bin_count=bin_count)
+        z_hat = linear_interp(frame)
         assert z_hat.tobytes() == loop_linear_interp(frame, bin_count=bin_count).tobytes()
 
     @pytest.mark.parametrize("bin_count", [360, 7])
-    def test_matches_loop_reference_with_one_observed_beam(self, bin_count):
+    def test_matches_loop_reference_with_one_observed_beam(self, bin_count, monkeypatch):
         # beams {4, 5}: beam 4 is dropped and beam 5 alone is observed, so
         # every dropped point copies beam 5 in its bin or falls back to the
         # planar-nearest observed point
@@ -152,7 +153,8 @@ class TestLinearInterp:
                            beam=rng.integers(4, 6, size=200))
         frame = ingest.apply_beam_dropout(cloud, nth=4)
         assert np.unique(cloud.beam[frame.observed_mask]).tolist() == [5]
-        z_hat = linear_interp(frame, bin_count=bin_count)
+        monkeypatch.setattr(baselines, "AZIMUTH_BINS", bin_count)
+        z_hat = linear_interp(frame)
         assert z_hat.tobytes() == loop_linear_interp(frame, bin_count=bin_count).tobytes()
         assert np.isin(z_hat, frame.z_truth[frame.observed_mask]).all()
 

@@ -1,3 +1,4 @@
+import csv
 import ctypes
 import dataclasses
 import json
@@ -10,7 +11,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from beamgat import baselines, blas, cli, graph as graph_mod, ingest, metrics, synth, trainer
-from beamgat.experiment import ALL_METHODS, JSON_TYPES, ExperimentConfig, _run_one_frame, run_experiment
+from beamgat.experiment import (
+    ALL_METHODS,
+    JSON_TYPES,
+    ExperimentConfig,
+    _run_one_frame,
+    run_experiment,
+    write_reports_csv,
+    write_summary_csv,
+)
+from beamgat.tensor_ad import NonFiniteError
 from beamgat.trainer import TrainConfig
 
 FAST = dict(
@@ -50,7 +60,7 @@ def test_scene_generation_is_deterministic():
 
 def test_linear_interp_is_near_exact_on_plane():
     spec = synth.SceneSpec(kind="plane", point_count=800)
-    frame = ingest.apply_beam_dropout(synth.synthesize_scene(spec, seed=2))
+    frame = ingest.apply_beam_dropout(synth.synthesize_scene(spec, seed=2), nth=4)
     z_hat = baselines.linear_interp(frame)
     truth = frame.z_truth[np.flatnonzero(frame.dropped_mask)]
     assert metrics.rmse_z(z_hat, truth) < 1e-6
@@ -223,6 +233,50 @@ def test_empty_grid_rejected():
         ExperimentConfig(methods=())
     with pytest.raises(ValueError):
         ExperimentConfig(k_list=())
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--k", "4,4", "k_list"), ("--methods", "linear,linear", "methods"),
+])
+def test_cli_rejects_repeated_grid_entries(tmp_path, capsys, flag, value, field):
+    # a repeated entry would run the same cell twice and count it as two frames
+    rc = cli.main(["--synthetic", "plane", "--sample-target", "400", "--methods", "linear", "--no-timing",
+                   flag, value, "--out", str(tmp_path / "runs")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+    assert not (tmp_path / "runs" / "reports.csv").exists()
+
+
+def test_csv_tables_round_trip_a_name_that_needs_quoting(tmp_path):
+    name = 'a,b "c"\nd'  # a comma, a quote and a newline
+    report = metrics.EvalReport(frame=name, method="linear", k=4, rmse_z=0.1, rmse_xyz=0.2,
+                                chamfer=0.3, train_s=0.0, infer_s=0.0, n_dropped=7)
+    write_reports_csv([report], str(tmp_path / "reports.csv"))
+    with open(tmp_path / "reports.csv", newline="") as fh:
+        header, row = csv.reader(fh)
+    assert header == [f.name for f in dataclasses.fields(metrics.EvalReport)]
+    assert row == [name, "linear", "4", "0.1", "0.2", "0.3", "0", "0", "7"]
+
+    write_summary_csv([dataclasses.replace(report, method=name)], str(tmp_path / "summary.csv"))
+    with open(tmp_path / "summary.csv", newline="") as fh:
+        header, row = csv.reader(fh)
+    assert len(header) == len(row) == 11
+    assert row[:2] == [name, "4"]
+
+
+def test_cli_scan_name_with_a_comma_reads_back_whole(tmp_path):
+    frame_dir = tmp_path / "frames"
+    frame_dir.mkdir()
+    cloud = synth.synthesize_scene(synth.SceneSpec(kind="sinusoid", point_count=500), seed=4)
+    ingest.write_kitti_bin(cloud, str(frame_dir / "a,b.bin"))
+    out = tmp_path / "runs"
+    rc = cli.main(["--input", str(frame_dir), "--methods", "linear", "--k", "4", "--sample-target", "400",
+                   "--no-timing", "--out", str(out)])
+    assert rc == 0
+    with open(out / "reports.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert (row["frame"], row["method"], row["k"]) == ("a,b", "linear", "4")
 
 
 def test_kitti_input_dir_round_trip(tmp_path):
@@ -567,7 +621,7 @@ def test_cell_whose_training_fails_is_skipped(tmp_path, caplog, monkeypatch, wor
 
     def failing(frame, graph, architecture, *args):
         if architecture == "simple_gcn":
-            raise FloatingPointError("non-finite training loss at epoch 0")
+            raise NonFiniteError("non-finite training loss at epoch 0")
         return train_frame(frame, graph, architecture, *args)
 
     monkeypatch.setattr(trainer, "train_frame", failing)

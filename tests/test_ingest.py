@@ -9,9 +9,8 @@ from beamgat.ingest import (
     ELEV_MAX_DEG,
     ELEV_MIN_DEG,
     NUM_BEAMS,
-    DropoutConfigError,
+    FrameError,
     PointCloud,
-    TruncatedRecordError,
     apply_beam_dropout,
     estimate_beams,
     read_kitti_bin,
@@ -55,7 +54,7 @@ class TestReadKittiBin:
     def test_truncated_record(self, tmp_path):
         p = tmp_path / "bad.bin"
         p.write_bytes(b"\x00" * 17)
-        with pytest.raises(TruncatedRecordError):
+        with pytest.raises(FrameError, match="not a multiple of 16"):
             read_kitti_bin(p)
 
     def test_nonfinite_points_skipped_and_counted(self, tmp_path):
@@ -293,7 +292,7 @@ class TestApplyBeamDropout:
             xyz=cloud.xyz[cloud.beam == 0], reflectance=cloud.reflectance[cloud.beam == 0],
             beam=cloud.beam[cloud.beam == 0],
         )
-        with pytest.raises(DropoutConfigError):
+        with pytest.raises(FrameError, match="drops every populated beam"):
             apply_beam_dropout(cloud, nth=4)
 
     def test_no_beam_dropped_rejected(self):
@@ -303,7 +302,7 @@ class TestApplyBeamDropout:
             xyz=cloud.xyz[keep], reflectance=cloud.reflectance[keep],
             beam=cloud.beam[keep],
         )
-        with pytest.raises(DropoutConfigError):
+        with pytest.raises(FrameError, match="drops no populated beam"):
             apply_beam_dropout(cloud, nth=4)
 
     def test_idempotent_masks(self):
@@ -323,7 +322,7 @@ class TestApplyBeamDropout:
         hit = populated % nth == 0
         if not hit.any() or hit.all():
             message = "drops no populated beam" if not hit.any() else "drops every populated beam"
-            with pytest.raises(DropoutConfigError, match=message):
+            with pytest.raises(FrameError, match=message):
                 apply_beam_dropout(cloud, nth)
             return
         frame = apply_beam_dropout(cloud, nth)

@@ -274,7 +274,7 @@ def test_spmm_constant_weights_get_no_gradient():
     weights = rng.normal(size=SPMM_TABLE.shape)
     before = weights.copy()
     v = Tensor(rng.normal(size=(4, 2)), tape)
-    out = T.spmm(weights, v, SPMM_TABLE)
+    out = T.spmm(Tensor(weights), v, SPMM_TABLE)
     tape.backward(T.mse_loss(T.reshape(out, (-1,)), np.zeros(8)))
     assert v.grad is not None
     np.testing.assert_array_equal(weights, before)
@@ -284,9 +284,9 @@ def test_spmm_constant_weights_get_no_gradient():
 
 def test_spmm_length_mismatch_rejected():
     with pytest.raises(ValueError):
-        T.spmm(np.ones(3), Tensor(np.ones((4, 2))), SPMM_TABLE)
+        T.spmm(Tensor(np.ones(3)), Tensor(np.ones((4, 2))), SPMM_TABLE)
     with pytest.raises(ValueError):
-        T.spmm(np.ones(12), Tensor(np.ones((4, 2))), SPMM_TABLE.ravel())
+        T.spmm(Tensor(np.ones(12)), Tensor(np.ones((4, 2))), SPMM_TABLE.ravel())
 
 
 # Neighbour table of 4 nodes for the attention logits: every row holds its

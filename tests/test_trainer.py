@@ -186,6 +186,15 @@ def test_loss_history_finite_everywhere():
     assert len(result.loss_history) == 15
 
 
+@pytest.mark.parametrize("arch", ["superior_gat", "gat_baseline", "simple_gcn"])
+def test_overflowing_loss_raises_non_finite_error(arch):
+    # the squared error of z = 1e160 overflows; mse_loss's own check raises
+    frame = _flat_frame(n=120, z=1e160, seed=4)
+    graph = graph_mod.build_knn_graph(frame, k=4)
+    with pytest.raises(T.NonFiniteError):
+        train_frame(frame, graph, arch, TrainConfig(epochs=2), seed=2)
+
+
 def test_returned_params_achieve_best_recorded_loss():
     frame = _flat_frame(n=120, seed=5)
     graph = graph_mod.build_knn_graph(frame, k=4)

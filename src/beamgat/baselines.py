@@ -19,6 +19,13 @@ def _azimuth_bins(azim: np.ndarray, bin_count: int) -> np.ndarray:
     return np.clip(b, 0, bin_count - 1)
 
 
+def _nearest_observed(frame: SparseFrame, points: np.ndarray) -> np.ndarray:
+    """Position of the planar-nearest observed point to each of ``points``."""
+    obs = np.flatnonzero(frame.observed_mask)
+    _, j = cKDTree(frame.cloud.xyz[obs, :2]).query(frame.cloud.xyz[points, :2])
+    return obs[j]
+
+
 def linear_interp(frame: SparseFrame) -> np.ndarray:
     """z estimate per dropped point by interpolating across the beam stack.
 
@@ -32,11 +39,7 @@ def linear_interp(frame: SparseFrame) -> np.ndarray:
     point.
     """
     cloud = frame.cloud
-    if cloud.beam is None:
-        raise ValueError("beam indices must be set")
     obs = np.flatnonzero(frame.observed_mask)
-    if obs.size == 0:
-        raise ValueError("frame has no observed points")
 
     azim = np.arctan2(cloud.xyz[:, 1], cloud.xyz[:, 0])
     bins = _azimuth_bins(azim, AZIMUTH_BINS)
@@ -76,8 +79,7 @@ def linear_interp(frame: SparseFrame) -> np.ndarray:
     # no observed beam in the bin: the planar-nearest observed point
     empty = ~(has_lo | has_hi)
     if empty.any():
-        _, j = cKDTree(cloud.xyz[obs, :2]).query(cloud.xyz[dropped[empty], :2])
-        z_hat[empty] = frame.z_truth[obs[j]]
+        z_hat[empty] = frame.z_truth[_nearest_observed(frame, dropped[empty])]
     return z_hat
 
 
@@ -88,12 +90,4 @@ def nearest_neighbor_sub(frame: SparseFrame) -> np.ndarray:
     Returns [n_dropped, 3]: the neighbor's full (x, y, z) is substituted,
     which trades global coordinate alignment for local z accuracy.
     """
-    cloud = frame.cloud
-    obs = np.flatnonzero(frame.observed_mask)
-    if obs.size == 0:
-        raise ValueError("frame has no observed points")
-    dropped = np.flatnonzero(frame.dropped_mask)
-    tree = cKDTree(cloud.xyz[obs, :2])
-    _, j = tree.query(cloud.xyz[dropped, :2])
-    nn = obs[np.atleast_1d(j)]
-    return cloud.xyz[nn]
+    return frame.cloud.xyz[_nearest_observed(frame, np.flatnonzero(frame.dropped_mask))]

@@ -120,9 +120,11 @@ def _build(kind, fields: dict, prefix: str):
 
 def _build_frame(cfg: ExperimentConfig, frame_id: int, path: str | None) -> tuple[str, ingest.SparseFrame]:
     if path is not None:
+        tag = os.path.splitext(os.path.basename(path))[0]
+        if "\r" in tag:  # csv on Python 3.11 writes it unquoted, and a reader splits the row there
+            raise ingest.FrameError(f"frame name {tag!r} holds a carriage return")
         cloud = ingest.read_kitti_bin(path)
         cloud = ingest.estimate_beams(cloud)
-        tag = os.path.splitext(os.path.basename(path))[0]
     else:
         cloud = synth.synthesize_scene(cfg.scene, cfg.seed + frame_id)
         tag = f"{cfg.scene.kind}{frame_id}"

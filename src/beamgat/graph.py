@@ -44,8 +44,6 @@ def build_features(frame: SparseFrame) -> np.ndarray:
     Dropped rows carry z=0; ground truth never leaks into features.
     """
     cloud = frame.cloud
-    if cloud.beam is None:
-        raise ValueError("beam indices must be set")
     b_norm = cloud.beam / (NUM_BEAMS - 1)
     return np.column_stack([cloud.xyz[:, 0], cloud.xyz[:, 1], frame.z_masked, b_norm])
 

@@ -31,9 +31,9 @@ __all__ = [
 
 
 class FrameError(ValueError):
-    """The frame cannot be used: its file is not whole 16-byte records, it
-    has more populated beams than the sample target, or the dropout pattern
-    drops every populated beam or none."""
+    """The frame cannot be used: its name holds a carriage return, its file
+    is not whole 16-byte records, it has more populated beams than the sample
+    target, or the dropout pattern drops every populated beam or none."""
 
 
 @dataclasses.dataclass
@@ -59,11 +59,20 @@ class SparseFrame:
 
     Dropout removes only the z value: point identity and (x, y) are kept,
     so the dropped set doubles as a supervised test set. ``z_masked`` is 0
-    exactly at dropped rows and equals ``z_truth`` elsewhere.
+    exactly at dropped rows and equals ``z_truth`` elsewhere. A frame has
+    beams (else ValueError), an observed and a dropped point (else FrameError).
     """
 
     cloud: PointCloud
     dropped_mask: np.ndarray
+
+    def __post_init__(self):
+        if self.cloud.beam is None:
+            raise ValueError("beam indices must be set before dropout")
+        if not self.dropped_mask.any():
+            raise FrameError("pattern drops no populated beam")
+        if self.dropped_mask.all():
+            raise FrameError("pattern drops every populated beam")
 
     @property
     def observed_mask(self) -> np.ndarray:
@@ -188,9 +197,5 @@ def apply_beam_dropout(cloud: PointCloud, nth: int) -> SparseFrame:
     if cloud.beam is None:
         raise ValueError("beam indices must be set before dropout")
     dropped = cloud.beam % nth == 0
-    if not dropped.any():
-        raise FrameError("pattern drops no populated beam")
-    if dropped.all():
-        raise FrameError("pattern drops every populated beam")
     # the frame keeps its own points, so a later write to ``cloud`` leaves its z_truth as it is
     return SparseFrame(cloud=dataclasses.replace(cloud, xyz=cloud.xyz.copy()), dropped_mask=dropped)

@@ -441,9 +441,10 @@ def segment_weighted_sum(values: Tensor, weights: Tensor) -> Tensor:
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Row-wise normalization with population variance and epsilon 1e-5, then affine."""
     centered = np.subtract(x.data, x.data.mean(axis=1, keepdims=True))
-    data = np.multiply(centered, centered)  # the output's buffer holds the squares first
-    var = data.mean(axis=1, keepdims=True)  # as x.var: denominator F
-    inv = 1.0 / np.sqrt(var + 1e-5)
+    with np.errstate(over="ignore"):  # an overflowing variance raises NonFiniteError below
+        data = np.multiply(centered, centered)  # the output's buffer holds the squares first
+        var = data.mean(axis=1, keepdims=True)  # as x.var: denominator F
+    inv = 1.0 / np.sqrt(_check_finite(var) + 1e-5)  # an infinite var would zero its xhat row
     xhat = np.multiply(centered, inv, out=centered)
     np.multiply(xhat, gain.data, out=data)
     np.add(data, bias.data, out=data)
@@ -475,7 +476,8 @@ def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
     if pred.data.size == 0:
         raise ValueError("mse of empty prediction")
     diff = pred.data - target
-    data = np.array(np.mean(diff * diff))
+    with np.errstate(over="ignore"):  # _make raises NonFiniteError on overflow
+        data = np.array(np.mean(diff * diff))
     cp = pred._cell
 
     def bwd(g):

@@ -100,9 +100,6 @@ def train_frame(
     parameters that achieved the lowest training loss and the loss
     history."""
     observed = np.flatnonzero(frame.observed_mask)
-    if observed.size == 0:
-        raise ValueError("frame has no observed points")
-
     params = init_params(architecture, seed)
     state = AdamState.zeros_like(params)
     base_features = graph.features

@@ -113,9 +113,8 @@ class TestLinearInterp:
         pts = [[1.0, 0.0, 0.5], [2.0, 0.0, 0.6]]
         cloud = PointCloud(xyz=np.array(pts), reflectance=np.zeros(2),
                            beam=np.array([0, 1]))
-        frame = ingest.SparseFrame(cloud=cloud, dropped_mask=np.array([True, True]))
-        with pytest.raises(ValueError):
-            linear_interp(frame)
+        with pytest.raises(ingest.FrameError, match="drops every populated beam"):
+            ingest.SparseFrame(cloud=cloud, dropped_mask=np.array([True, True]))
 
     def test_deterministic(self):
         frame = beam_plane_frame(seed=3)

@@ -279,6 +279,22 @@ def test_cli_scan_name_with_a_comma_reads_back_whole(tmp_path):
     assert (row["frame"], row["method"], row["k"]) == ("a,b", "linear", "4")
 
 
+def test_cli_scan_name_with_a_carriage_return_is_skipped(tmp_path, caplog):
+    frame_dir = tmp_path / "frames"
+    frame_dir.mkdir()
+    cloud = synth.synthesize_scene(synth.SceneSpec(kind="sinusoid", point_count=500), seed=4)
+    ingest.write_kitti_bin(cloud, str(frame_dir / "a\rb.bin"))
+    ingest.write_kitti_bin(cloud, str(frame_dir / "c.bin"))
+    out = tmp_path / "runs"
+    rc = cli.main(["--input", str(frame_dir), "--methods", "linear", "--k", "4", "--sample-target", "400",
+                   "--no-timing", "--out", str(out)])
+    assert rc == 0
+    assert "skipping frame" in caplog.text and "frame name 'a\\rb' holds a carriage return" in caplog.text
+    with open(out / "reports.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert (row["frame"], row["method"], row["k"]) == ("c", "linear", "4")
+
+
 def test_kitti_input_dir_round_trip(tmp_path):
     spec = synth.SceneSpec(kind="sinusoid", point_count=500)
     cloud = synth.synthesize_scene(spec, seed=4)

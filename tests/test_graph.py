@@ -176,24 +176,24 @@ class TestBuildFeatures:
             xyz=np.array([[1.0, 2.0, 3.0], [0.0, 0.0, -1.0]]),
             reflectance=np.zeros(2), beam=np.array([63, 1]),
         )
-        frame = ingest.SparseFrame(cloud=cloud, dropped_mask=np.array([False, False]))
+        frame = ingest.SparseFrame(cloud=cloud, dropped_mask=np.array([False, True]))
         feats = build_features(frame)
         np.testing.assert_allclose(feats[0], [1.0, 2.0, 3.0, 1.0])
 
     def test_dropped_point_masked(self):
         cloud = PointCloud(
-            xyz=np.array([[1.0, 2.0, 3.0]]), reflectance=np.zeros(1),
-            beam=np.array([0]),
+            xyz=np.array([[1.0, 2.0, 3.0], [0.0, 0.0, -1.0]]), reflectance=np.zeros(2),
+            beam=np.array([0, 1]),
         )
-        frame = ingest.SparseFrame(cloud=cloud, dropped_mask=np.array([True]))
+        frame = ingest.SparseFrame(cloud=cloud, dropped_mask=np.array([True, False]))
         np.testing.assert_allclose(build_features(frame)[0], [1.0, 2.0, 0.0, 0.0])
 
     def test_beam_normalization(self):
         cloud = PointCloud(
-            xyz=np.zeros((1, 3)), reflectance=np.zeros(1),
-            beam=np.array([32]),
+            xyz=np.zeros((2, 3)), reflectance=np.zeros(2),
+            beam=np.array([32, 0]),
         )
-        frame = ingest.SparseFrame(cloud=cloud, dropped_mask=np.array([False]))
+        frame = ingest.SparseFrame(cloud=cloud, dropped_mask=np.array([False, True]))
         assert build_features(frame)[0, 3] == pytest.approx(32 / 63)
 
     def test_dropped_nodes_never_expose_truth(self):

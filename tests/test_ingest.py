@@ -305,6 +305,17 @@ class TestApplyBeamDropout:
         with pytest.raises(FrameError, match="drops no populated beam"):
             apply_beam_dropout(cloud, nth=4)
 
+    @pytest.mark.parametrize("beam, dropped, error, message", [
+        (None, [True, False], ValueError, "beam indices must be set"),
+        ([0, 1], [False, False], FrameError, "drops no populated beam"),
+        ([0, 1], [True, True], FrameError, "drops every populated beam"),
+    ])
+    def test_frame_checks_itself(self, beam, dropped, error, message):
+        cloud = PointCloud(xyz=np.ones((2, 3)), reflectance=np.zeros(2),
+                           beam=None if beam is None else np.array(beam))
+        with pytest.raises(error, match=message):
+            ingest.SparseFrame(cloud=cloud, dropped_mask=np.array(dropped))
+
     def test_idempotent_masks(self):
         frame = random_frame(np.random.default_rng(8), 200)
         again = apply_beam_dropout(frame.cloud, nth=4)

@@ -534,6 +534,12 @@ def test_nonfinite_forward_detected():
                 T.scale(Tensor([1e308]), factor)
 
 
+def test_layer_norm_overflowing_variance_raises():
+    # the squares overflow to inf, which would silently set the row to its bias
+    with pytest.raises(NonFiniteError):
+        T.layer_norm(Tensor([[1e200, -1e200]]), Tensor(np.ones(2)), Tensor(np.zeros(2)))
+
+
 def test_gradient_accumulation_at_shared_input():
     tape = Tape()
     x = Tensor([1.0, 2.0], tape)

@@ -48,6 +48,13 @@ def build_features(frame: SparseFrame) -> np.ndarray:
     return np.column_stack([cloud.xyz[:, 0], cloud.xyz[:, 1], frame.z_masked, b_norm])
 
 
+# (row x window) entries per kd-tree query: a round's rows are queried in
+# chunks of at most this many, so a group of d coincident points, whose
+# window grows past d, needs O(d) memory and not O(d^2); each row's result
+# is the same either way
+KNN_QUERY_ENTRIES = 1 << 20
+
+
 def knn_indices(points: np.ndarray, k: int) -> np.ndarray:
     """[N, k] array: row i holds the k nearest other nodes of node i, ties
     broken by lower point index.
@@ -57,7 +64,8 @@ def knn_indices(points: np.ndarray, k: int) -> np.ndarray:
     whether the k-th distance is tied; a row whose farthest returned
     candidate still ties its k-th neighbour may have missed an
     equal-distance point, so such rows alone are queried again with twice
-    the window until none ties.
+    the window until none ties. Each round queries its rows
+    KNN_QUERY_ENTRIES // window at a time.
     """
     n = points.shape[0]
     if k < 1:
@@ -69,19 +77,28 @@ def knn_indices(points: np.ndarray, k: int) -> np.ndarray:
     rows = np.arange(n)
     m = min(n, k + 2)
     while rows.size:
-        dist, idx = tree.query(points[rows], k=m)
-        farthest = dist[:, -1].copy()
-        # push each node's own hit past every real candidate, then order each
-        # row by (distance, index) in one pass
-        dist[idx == rows[:, None]] = np.inf
-        order = np.lexsort((idx, dist), axis=-1)[:, :k]
-        out[rows] = np.take_along_axis(idx, order, axis=1)
+        step = max(1, KNN_QUERY_ENTRIES // m)
+        tied = [_query(tree, points, chunk, m, out) for chunk in np.split(rows, range(step, rows.size, step))]
         if m == n:
             break
-        kth = np.take_along_axis(dist, order[:, -1:], axis=1)[:, 0]
-        rows = rows[farthest <= kth]
+        rows = np.concatenate(tied)
         m = min(n, 2 * m)
     return out
+
+
+def _query(tree: cKDTree, points: np.ndarray, rows: np.ndarray, m: int, out: np.ndarray) -> np.ndarray:
+    """Write the k = out.shape[1] nearest other nodes of ``rows``, from a
+    window of ``m`` candidates, into ``out``; return the rows whose farthest
+    candidate ties their k-th neighbour."""
+    dist, idx = tree.query(points[rows], k=m)
+    farthest = dist[:, -1].copy()
+    # push each node's own hit past every real candidate, then order each
+    # row by (distance, index) in one pass
+    dist[idx == rows[:, None]] = np.inf
+    order = np.lexsort((idx, dist), axis=-1)[:, :out.shape[1]]
+    out[rows] = np.take_along_axis(idx, order, axis=1)
+    kth = np.take_along_axis(dist, order[:, -1:], axis=1)[:, 0]
+    return rows[farthest <= kth]
 
 
 def build_knn_graph(frame: SparseFrame, k: int) -> Graph:

@@ -162,22 +162,25 @@ def superior_gat_forward(graph: Graph, h: Tensor, params: dict[str, Tensor], row
     """Full pipeline: input projection + norm, attention, gated residual
     fusion, feed-forward refinement, decoder. Returns one z per node of
     ``rows`` (None: every node); one attention hop, so every stage after
-    it runs on those rows alone."""
+    it runs on those rows alone.
+
+    ``h`` is rebound and each part is deleted once it has been mixed, so a
+    part no backward reads (a norm's output, whose readers keep its
+    rebuild; the mix; the FFN output) is freed there, and no extra [R, 64]
+    array is alive while a norm runs."""
     h_norm = T.layer_norm(T.matmul(_at(h, rows), params["proj_in"]), params["in_norm.gain"], params["in_norm.bias"])
     h_attn = gat_attention_layer(graph, h, params, "attn", rows)
     gate = T.sigmoid(params["gate_logit"])
     anti_gate = T.add_const(T.scale(gate, -1.0), 1.0)
-    mix = T.add(T.scale(h_attn, gate), T.scale(h_norm, anti_gate))
-    h_gated = T.layer_norm(mix, params["gate_norm.gain"], params["gate_norm.bias"])
-    ffn = T.add(
-        T.matmul(
-            T.leaky_relu(T.add(T.matmul(h_gated, params["ffn.W1"]), params["ffn.b1"]), FFN_SLOPE),
-            params["ffn.W2"],
-        ),
-        params["ffn.b2"],
-    )
-    h_final = T.layer_norm(T.add(ffn, h_gated), params["ffn_norm.gain"], params["ffn_norm.bias"])
-    return _decode(h_final, params)
+    h = T.add(T.scale(h_attn, gate), T.scale(h_norm, anti_gate))
+    del h_attn, h_norm
+    h = T.layer_norm(h, params["gate_norm.gain"], params["gate_norm.bias"])
+    ffn = T.leaky_relu(T.add(T.matmul(h, params["ffn.W1"]), params["ffn.b1"]), FFN_SLOPE)
+    ffn = T.add(T.matmul(ffn, params["ffn.W2"]), params["ffn.b2"])
+    h = T.add(ffn, h)
+    del ffn
+    h = T.layer_norm(h, params["ffn_norm.gain"], params["ffn_norm.bias"])
+    return _decode(h, params)
 
 
 def _decode(h: Tensor, params: dict[str, Tensor]) -> Tensor:

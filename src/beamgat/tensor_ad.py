@@ -10,6 +10,11 @@ The tape holds no tensors. Each recorded tensor owns a gradient cell, and
 the tape keeps that cell with the op's backward function, which holds its
 inputs' cells and only the arrays it reads. An intermediate array that no
 backward function reads is freed as soon as the forward drops its tensor.
+A layer norm's output recorded on a tape carries a rebuild of ``xhat *
+gain + bias`` from the arrays the norm's backward keeps anyway; an op that
+reads that output in its backward (``matmul``, a learned ``scale``) keeps
+the rebuild instead of the array and calls it when the backward runs, so
+the output is held by its tensor alone.
 
 An op chains its elementwise steps through arrays it allocated itself
 (``out=``, ``np.copyto(..., where=)``), with the ufuncs and reductions of
@@ -63,7 +68,7 @@ class _Cell:
 class Tensor:
     """Dense float64 array, optionally linked into a gradient tape."""
 
-    __slots__ = ("data", "tape", "_cell")
+    __slots__ = ("data", "tape", "_cell", "_rebuild")
 
     def __init__(self, data, tape: "Tape | None" = None):
         arr = np.asarray(data, dtype=np.float64)
@@ -71,6 +76,8 @@ class Tensor:
         self.data = arr if arr.ndim == 0 else np.ascontiguousarray(arr)
         self.tape = tape
         self._cell = None if tape is None else _Cell(self.data.shape)
+        # a call that returns ``data``'s bytes in a new array (see layer_norm)
+        self._rebuild = None
 
     @property
     def grad(self) -> np.ndarray | None:
@@ -158,6 +165,16 @@ def _tape_of(*tensors: Tensor) -> Tape | None:
     return tape
 
 
+def _keep(x: Tensor):
+    """What a backward keeps to read ``x.data``: the rebuild, when ``x``
+    has one, else the array; ``_kept`` turns it back into the array."""
+    return x.data if x._rebuild is None else x._rebuild
+
+
+def _kept(kept) -> np.ndarray:
+    return kept if isinstance(kept, np.ndarray) else kept()
+
+
 def _make(data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
     tape = _tape_of(*inputs)
     out = Tensor(_check_finite(data), tape)
@@ -174,14 +191,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     # each operand is kept only for the other's gradient; a constant operand
     # (the node features) gets no product
     ca, cb = a._cell, b._cell
-    a_data = a.data if cb is not None else None
-    b_data = b.data if ca is not None else None
+    a_kept = _keep(a) if cb is not None else None
+    b_kept = _keep(b) if ca is not None else None
 
     def bwd(g):
         if ca is not None:
-            _accum(ca, g @ b_data.T)
+            _accum(ca, g @ _kept(b_kept).T)
         if cb is not None:
-            _accum(cb, a_data.T @ g)
+            _accum(cb, _kept(a_kept).T @ g)
 
     return _make(data, (a, b), bwd)
 
@@ -200,7 +217,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             _accum(cb, g.sum(axis=0))
     else:
         raise ValueError(f"add shape mismatch: {a.shape} + {b.shape}")
-    return _make(a.data + b.data, (a, b), bwd)
+    with np.errstate(over="ignore"):  # _make raises NonFiniteError on overflow
+        data = a.data + b.data
+    return _make(data, (a, b), bwd)
 
 
 def scale(x: Tensor, s: "Tensor | float") -> Tensor:
@@ -213,7 +232,7 @@ def scale(x: Tensor, s: "Tensor | float") -> Tensor:
         data = x.data * factor
     cx = x._cell
     cs = s._cell if learned else None
-    x_data = x.data if cs is not None else None
+    x_kept = _keep(x) if cs is not None else None
 
     def bwd(g):
         if cs is None:
@@ -221,7 +240,7 @@ def scale(x: Tensor, s: "Tensor | float") -> Tensor:
         else:
             # one buffer (an array even for a 0-d gate) holds the products
             # for the factor's sum, then x's gradient
-            buf = np.multiply(g, x_data, out=np.empty(g.shape))
+            buf = np.multiply(g, _kept(x_kept), out=np.empty(g.shape))
             total = np.sum(buf)
             if cx is not None:
                 _accum(cx, np.multiply(g, factor, out=buf))
@@ -236,7 +255,9 @@ def add_const(x: Tensor, c: float) -> Tensor:
     def bwd(g):
         _accum(cx, g)
 
-    return _make(x.data + c, (x,), bwd)
+    with np.errstate(over="ignore"):  # _make raises NonFiniteError on overflow
+        data = x.data + c
+    return _make(data, (x,), bwd)
 
 
 def _check_slope(slope: float) -> None:
@@ -275,7 +296,8 @@ def elu(x: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    data = 1.0 / (1.0 + np.exp(-x.data))
+    with np.errstate(over="ignore"):  # exp(-x) overflows to inf for x << 0, and 1 / inf is 0
+        data = 1.0 / (1.0 + np.exp(-x.data))
     cx = x._cell
 
     def bwd(g):
@@ -418,7 +440,8 @@ def edge_logits(score_dst: Tensor, score_src: Tensor, neighbors: np.ndarray, slo
     neighbors = _table(neighbors, n_src)
     dst = _per_row(score_dst, neighbors.shape[0], "score_dst")
     raw = _per_row(score_src, n_src, "score_src")[neighbors]
-    np.add(dst[:, None], raw, out=raw)
+    with np.errstate(over="ignore"):  # _make raises NonFiniteError on overflow
+        np.add(dst[:, None], raw, out=raw)
     positive = raw > 0
     c_dst, c_src = score_dst._cell, score_src._cell
 
@@ -430,7 +453,9 @@ def edge_logits(score_dst: Tensor, score_src: Tensor, neighbors: np.ndarray, slo
             scattered = np.bincount(neighbors.ravel(), weights=g_raw.ravel(), minlength=n_src)
             _accum(c_src, scattered.reshape(c_src.shape))
 
-    return _make(np.maximum(raw, np.multiply(raw, slope), out=raw), (score_dst, score_src), bwd)
+    with np.errstate(invalid="ignore"):  # an overflowed score times a slope of 0 is NaN
+        data = np.maximum(raw, np.multiply(raw, slope), out=raw)
+    return _make(data, (score_dst, score_src), bwd)
 
 
 def segment_weighted_sum(values: Tensor, weights: Tensor) -> Tensor:
@@ -466,7 +491,18 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
             np.subtract(dxhat, np.multiply(xhat, m2, out=prod), out=dxhat)
             _accum(cx, np.multiply(inv, dxhat, out=dxhat))
 
-    return _make(data, (x, gain, bias), bwd)
+    out = _make(data, (x, gain, bias), bwd)
+    if out.tape is not None:
+        bias_data = bias.data
+
+        def rebuild():
+            # the forward's two ufuncs in its order, so the bytes are data's;
+            # gain and bias change only after the backward pass
+            y = np.multiply(xhat, gain_data)
+            return np.add(y, bias_data, out=y)
+
+        out._rebuild = rebuild
+    return out
 
 
 def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:

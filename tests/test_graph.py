@@ -1,9 +1,12 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.spatial import cKDTree
 
-from beamgat import ingest
+from beamgat import graph as graph_mod, ingest
 from beamgat.graph import build_features, build_knn_graph, knn_indices
 from beamgat.ingest import PointCloud
 from beamgat.synth import SceneSpec, synthesize_scene
@@ -122,6 +125,23 @@ class TestKnn:
         slow = brute_force_knn(pts, 10)
         for f, s in zip(fast, slow):
             assert f.tolist() == s.tolist()
+
+    def test_a_large_coincident_group_is_queried_in_bounded_chunks(self):
+        # 1500 points at the origin widen their window to 1536 candidates;
+        # queried in one call that round held [1500, 1536] arrays and
+        # peaked at 62 MiB, in chunks of KNN_QUERY_ENTRIES entries 25 MiB
+        rng = np.random.default_rng(0)
+        pts = rng.uniform(-50, 50, size=(5000, 2))
+        pts[:1500] = 0.0
+        tracemalloc.start()
+        try:
+            out = knn_indices(pts, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * graph_mod.KNN_QUERY_ENTRIES, f"kNN peaked at {peak / 2**20:.0f} MiB"
+        # every group point's nearest are the group's lowest other indices
+        np.testing.assert_array_equal(out[:1500], [[j for j in range(11) if j != i][:10] for i in range(1500)])
 
     def test_matches_brute_force_large(self):
         rng = np.random.default_rng(99)
@@ -269,3 +289,23 @@ def test_knn_graph_rows_are_self_plus_brute_force_neighbours(frame_and_k):
     for i, (row, nearest) in enumerate(zip(g.neighbors, brute_force_knn(frame.cloud.xyz[:, :2], k))):
         assert np.count_nonzero(row == i) == 1
         assert row[row != i].tolist() == sorted(nearest.tolist())
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    groups=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(1, 12)), min_size=1, max_size=8),
+    k=st.integers(1, 15),
+    entries=st.integers(1, 200),
+)
+def test_knn_on_grid_duplicate_groups_matches_brute_force_at_any_chunk_size(groups, k, entries):
+    # groups of coincident integer grid points, queried KNN_QUERY_ENTRIES
+    # (row x window) entries at a time: down to one row per query
+    pts = np.array([(x, y) for x, y, size in groups for _ in range(size)], dtype=np.float64)
+    pts = pts[np.random.default_rng(len(pts)).permutation(len(pts))]
+    assume(len(pts) > 1)
+    k = min(k, len(pts) - 1)
+    with mock.patch.object(graph_mod, "KNN_QUERY_ENTRIES", entries):
+        fast = knn_indices(pts, k)
+    assert fast.shape == (len(pts), k)
+    for f, s in zip(fast, brute_force_knn(pts, k)):
+        assert f.tolist() == s.tolist()

@@ -358,12 +358,17 @@ def segment_softmax(logits: Tensor) -> Tensor:
     """Softmax along each row of [R, K] logits, one row per node's K
     incoming edges.
 
-    Subtracts the row max before exponentiating; each row sums to 1.
+    Subtracts the row max before exponentiating; each row sums to 1. The
+    max is taken one column at a time, which is exact and, for the few
+    columns of a neighbour table, faster than numpy's row reduction.
     """
     v = logits.data
     if v.ndim != 2 or v.shape[1] == 0:
         raise ValueError(f"logits must be [R, K] with K >= 1, got {logits.shape}")
-    alpha = np.subtract(v, v.max(axis=1, keepdims=True))
+    row_max = v[:, 0].copy()
+    for j in range(1, v.shape[1]):
+        np.maximum(row_max, v[:, j], out=row_max)
+    alpha = np.subtract(v, row_max[:, None])
     np.exp(alpha, out=alpha)
     np.divide(alpha, alpha.sum(axis=1, keepdims=True), out=alpha)
     cl = logits._cell
@@ -414,7 +419,7 @@ def spmm(weights: Tensor, values: Tensor, neighbors: np.ndarray) -> Tensor:
             dw = np.empty((r, k))
             for lo in range(0, r, SDDMM_BLOCK_ROWS):
                 hi = lo + SDDMM_BLOCK_ROWS
-                np.einsum("rkf,rf->rk", v[neighbors[lo:hi]], g[lo:hi], out=dw[lo:hi])
+                np.einsum("rkf,rf->rk", np.take(v, neighbors[lo:hi], axis=0), g[lo:hi], out=dw[lo:hi])
             _accum(cw, dw)
 
     return _make(adj @ values.data, (values, weights), bwd)

@@ -11,10 +11,10 @@ import os
 import numpy as np
 import pytest
 
-from beamgat import baselines, graph as graph_mod, ingest, metrics, synth
+from beamgat import baselines, blas, graph as graph_mod, ingest, metrics, synth
 from beamgat import tensor_ad as T
 from beamgat.graph import knn_indices
-from beamgat.model import bind_params, forward, gat_attention_layer, init_params
+from beamgat.model import ARCHITECTURES, bind_params, forward, gat_attention_layer, init_params
 from beamgat.tensor_ad import Tape, Tensor
 from beamgat.trainer import TrainConfig, predict_dropped, train_frame
 
@@ -259,16 +259,21 @@ def test_criterion_05_k_sensitivity(capsys):
         # of paired CPU-time differences: single wall-clock readings on this
         # host vary by +/-30% under hypervisor steal, which would swamp the
         # real edge-count slope.  Measuring each pair back-to-back cancels
-        # the slowly-varying load component.
-        params = init_params("superior_gat", seed=1)
+        # the slowly-varying load component.  A sample is one training step
+        # of each learned method, the frame's per-epoch cost.  superior_gat
+        # alone adds 1-4 ms per 5 k to a ~35 ms step, and its median slope
+        # moved by as much from one process to the next, so it read 0 or
+        # below now and then; the three methods add 10-30 ms.
+        params = {arch: init_params(arch, seed=1) for arch in ARCHITECTURES}
         obs = np.flatnonzero(frame.observed_mask)
 
         def train_step(g):
-            tape = Tape()
-            bound = bind_params(params, tape)
-            z = forward(g, Tensor(g.features, tape), bound, "superior_gat")
-            loss = T.mse_loss(T.take_rows(z, obs), frame.z_truth[obs])
-            tape.backward(loss)
+            for arch, arch_params in params.items():
+                tape = Tape()
+                bound = bind_params(arch_params, tape)
+                z = forward(g, Tensor(g.features, tape), bound, arch)
+                loss = T.mse_loss(T.take_rows(z, obs), frame.z_truth[obs])
+                tape.backward(loss)
 
         def timed(k):
             gc.collect()
@@ -276,18 +281,21 @@ def test_criterion_05_k_sensitivity(capsys):
             train_step(graphs[k])
             return time.process_time() - t0
 
-        train_step(graphs[ks[0]])  # warm-up
-        gc.disable()
+        # One BLAS thread, as run_experiment trains a frame: process time
+        # would also count a second thread's spin-waits, which vary with load.
         slopes = {}
-        try:
-            for a, b in zip(ks, ks[1:]):
-                diffs = []
-                for _ in range(16):
-                    t_a1, t_b1, t_b2, t_a2 = timed(a), timed(b), timed(b), timed(a)
-                    diffs.append(((t_b1 + t_b2) - (t_a1 + t_a2)) / 2)
-                slopes[(a, b)] = float(np.median(diffs))
-        finally:
-            gc.enable()
+        with blas.one_thread():
+            train_step(graphs[ks[0]])  # warm-up
+            gc.disable()
+            try:
+                for a, b in zip(ks, ks[1:]):
+                    diffs = []
+                    for _ in range(16):
+                        t_a1, t_b1, t_b2, t_a2 = timed(a), timed(b), timed(b), timed(a)
+                        diffs.append(((t_b1 + t_b2) - (t_a1 + t_a2)) / 2)
+                    slopes[(a, b)] = float(np.median(diffs))
+            finally:
+                gc.enable()
         assert all(d > 0 for d in slopes.values()), (
             "per-epoch cost not monotone: "
             + " ".join(f"k{a}->k{b}={d * 1e3:+.0f}ms" for (a, b), d in slopes.items())

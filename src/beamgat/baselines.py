@@ -8,8 +8,6 @@ from scipy.spatial import cKDTree
 
 from .ingest import SparseFrame
 
-__all__ = ["AZIMUTH_BINS", "linear_interp", "nearest_neighbor_sub"]
-
 AZIMUTH_BINS = 360  # equal azimuth bins of linear_interp
 
 

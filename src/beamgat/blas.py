@@ -14,8 +14,6 @@ try:
 except ImportError:  # numpy 1.x
     from numpy.core import _multiarray_umath
 
-__all__ = ["one_thread", "openblas_threads"]
-
 # (get, set) thread-count symbols of the OpenBLAS builds numpy ships or links
 _SYMBOLS = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),

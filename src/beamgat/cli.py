@@ -22,26 +22,29 @@ def _names(text: str) -> list[str]:
 def build_parser() -> argparse.ArgumentParser:
     """Every flag defaults to None ("not passed"), so only the flags a user
     passes override the ``--config`` file; each ``dest`` is the config path
-    it sets (``--epochs`` sets ``train.epochs``)."""
+    it sets (``--epochs`` sets ``train.epochs``). The help shows each
+    default of ``ExperimentConfig``."""
+    default = ExperimentConfig()
     p = argparse.ArgumentParser(
         prog="beamgat",
         description="Reconstruct dropped LiDAR beams and benchmark methods.",
     )
     p.add_argument("--input", dest="input_dir", metavar="DIR", help="directory of KITTI velodyne .bin frames")
     p.add_argument("--synthetic", dest="scene.kind", choices=SCENE_KINDS,
-                   help="synthetic scene kind when no --input (default: sinusoid)")
+                   help=f"synthetic scene kind when no --input (default: {default.scene.kind})")
     p.add_argument("--k", dest="k_list", metavar="K", type=_ints,
-                   help="comma-separated neighbor counts (default: 10)")
+                   help=f"comma-separated neighbor counts (default: {','.join(map(str, default.k_list))})")
     p.add_argument("--methods", type=_names,
                    help=f"comma-separated subset of {','.join(ALL_METHODS)} (default: all)")
-    p.add_argument("--frames", dest="frame_limit", metavar="N", type=int, help="frame limit (default: 1)")
-    p.add_argument("--seed", type=int, help="experiment and training seed (default: 0)")
-    p.add_argument("--out", dest="out_dir", metavar="DIR", help="output directory (default: runs)")
+    p.add_argument("--frames", dest="frame_limit", metavar="N", type=int,
+                   help=f"frame limit (default: {default.frame_limit})")
+    p.add_argument("--seed", type=int, help=f"experiment and training seed (default: {default.seed})")
+    p.add_argument("--out", dest="out_dir", metavar="DIR", help=f"output directory (default: {default.out_dir})")
     p.add_argument("--epochs", dest="train.epochs", metavar="EPOCHS", type=int,
-                   help="training epochs (default: 200)")
-    p.add_argument("--sample-target", type=int, help="points kept per frame (default: 50000)")
-    p.add_argument("--dropout-nth", type=int, help="drop every n-th beam (default: 4)")
-    p.add_argument("--workers", type=int, help="frame worker processes (default: 1)")
+                   help=f"training epochs (default: {default.train.epochs})")
+    p.add_argument("--sample-target", type=int, help=f"points kept per frame (default: {default.sample_target})")
+    p.add_argument("--dropout-nth", type=int, help=f"drop every n-th beam (default: {default.dropout_nth})")
+    p.add_argument("--workers", type=int, help=f"frame worker processes (default: {default.workers})")
     p.add_argument("--no-timing", dest="timing", action="store_false", default=None,
                    help="zero the time columns for byte-stable CSVs")
     p.add_argument("--config", help="JSON file of ExperimentConfig fields; flags override its entries")

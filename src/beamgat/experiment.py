@@ -17,8 +17,6 @@ from . import baselines, blas, graph as graph_mod, ingest, metrics, synth, train
 from .model import ARCHITECTURES
 from .trainer import TrainConfig
 
-__all__ = ["ExperimentConfig", "run_experiment"]
-
 log = logging.getLogger(__name__)
 
 ALL_METHODS = ("linear", "nn") + ARCHITECTURES

@@ -10,8 +10,6 @@ from scipy.spatial import cKDTree
 
 from .ingest import NUM_BEAMS, SparseFrame
 
-__all__ = ["Graph", "build_features", "build_knn_graph", "knn_indices"]
-
 
 @dataclasses.dataclass
 class Graph:

@@ -14,21 +14,6 @@ NUM_BEAMS = 64
 ELEV_MIN_DEG = -24.8
 ELEV_MAX_DEG = 2.0
 
-__all__ = [
-    "ELEV_MAX_DEG",
-    "ELEV_MIN_DEG",
-    "FrameError",
-    "NUM_BEAMS",
-    "PointCloud",
-    "SparseFrame",
-    "apply_beam_dropout",
-    "choose_per_beam",
-    "estimate_beams",
-    "read_kitti_bin",
-    "stratified_sample",
-    "write_kitti_bin",
-]
-
 
 class FrameError(ValueError):
     """The frame cannot be used: its name holds a carriage return, its file

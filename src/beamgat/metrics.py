@@ -8,8 +8,6 @@ import dataclasses
 import numpy as np
 from scipy.spatial import cKDTree
 
-__all__ = ["EvalReport", "aggregate", "chamfer", "rmse_xyz", "rmse_z"]
-
 
 @dataclasses.dataclass
 class EvalReport:
@@ -57,8 +55,8 @@ def chamfer(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def aggregate(reports: list[EvalReport]) -> dict[str, tuple[float, float]]:
-    """Mean and sample standard deviation (ddof=1) per metric; a single
-    report gets SD 0."""
+    """Mean and sample standard deviation (ddof=1) per float field of
+    ``EvalReport``, in field order; a single report gets SD 0."""
     if not reports:
         raise ValueError("no reports to aggregate")
 
@@ -67,10 +65,6 @@ def aggregate(reports: list[EvalReport]) -> dict[str, tuple[float, float]]:
         sd = float(v.std(ddof=1)) if v.size > 1 else 0.0
         return float(v.mean()), sd
 
-    return {
-        "rmse_z": stat([r.rmse_z for r in reports]),
-        "rmse_xyz": stat([r.rmse_xyz for r in reports]),
-        "chamfer": stat([r.chamfer for r in reports]),
-        "train_s": stat([r.train_s for r in reports]),
-        "infer_s": stat([r.infer_s for r in reports]),
-    }
+    # annotations are strings here (``from __future__ import annotations``)
+    names = [f.name for f in dataclasses.fields(EvalReport) if f.type == "float"]
+    return {name: stat([getattr(r, name) for r in reports]) for name in names}

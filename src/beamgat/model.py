@@ -15,18 +15,6 @@ from . import tensor_ad as T
 from .graph import FEATURE_INIT_SCALE, NUM_FEATURES, Graph
 from .tensor_ad import Tape, Tensor
 
-__all__ = [
-    "ARCHITECTURES",
-    "bind_params",
-    "forward",
-    "gat_attention_layer",
-    "gat_baseline_forward",
-    "gcn_layer",
-    "init_params",
-    "simple_gcn_forward",
-    "superior_gat_forward",
-]
-
 ARCHITECTURES = ("superior_gat", "gat_baseline", "simple_gcn")
 GAT_BASELINE_LAYERS = 3
 SIMPLE_GCN_LAYERS = 2

@@ -13,8 +13,6 @@ import numpy as np
 
 from .ingest import ELEV_MAX_DEG, ELEV_MIN_DEG, NUM_BEAMS, PointCloud
 
-__all__ = ["SceneSpec", "synthesize_scene"]
-
 SCENE_KINDS = ("plane", "sinusoid", "two_plane")
 EXTENT = 40.0  # max range in meters
 GROUND_Z = -1.7
@@ -112,8 +110,7 @@ def _ground_t(spec: SceneSpec, dx: np.ndarray, dy: np.ndarray, dz: np.ndarray) -
         return t * dz[ray] - _surface_z(spec, t * dx[ray], t * dy[ray])
 
     t_hit = np.full(dz.shape, np.nan)
-    ray = np.flatnonzero(dz < -1e-9)
-    ray = ray[g(ray, np.zeros(ray.size)) > 0]
+    ray = np.flatnonzero(dz < -1e-9)  # g(0) > 0: the origin is above every surface
     planar = np.hypot(dx[ray], dy[ray])
     with np.errstate(divide="ignore"):
         t_max = np.where(planar > 1e-12, EXTENT / planar, -GROUND_Z / -dz[ray] * 2)

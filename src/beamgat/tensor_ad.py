@@ -28,28 +28,6 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse
 
-__all__ = [
-    "NonFiniteError",
-    "Tape",
-    "Tensor",
-    "add",
-    "add_const",
-    "concat_cols",
-    "edge_logits",
-    "elu",
-    "layer_norm",
-    "leaky_relu",
-    "matmul",
-    "mse_loss",
-    "reshape",
-    "scale",
-    "segment_softmax",
-    "segment_weighted_sum",
-    "sigmoid",
-    "spmm",
-    "take_rows",
-]
-
 
 class NonFiniteError(FloatingPointError):
     """A forward op produced NaN or Inf."""

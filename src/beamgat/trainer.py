@@ -17,8 +17,6 @@ from .ingest import SparseFrame, choose_per_beam
 from .model import bind_params, forward, init_params
 from .tensor_ad import Tape, Tensor
 
-__all__ = ["AdamState", "TrainConfig", "TrainResult", "adam_step", "predict_dropped", "train_frame"]
-
 MASK_FRACTION = 0.25  # share of each beam's observed nodes supervised per epoch
 BETA1 = 0.9  # Adam's first-moment decay
 BETA2 = 0.999  # Adam's second-moment decay

@@ -3,6 +3,7 @@ import ctypes
 import dataclasses
 import json
 import os
+import re
 import tempfile
 import time
 
@@ -658,6 +659,25 @@ def test_cli_rejects_bad_method(tmp_path, capsys):
     rc = cli.main(["--methods", "bogus", "--out", str(tmp_path / "runs")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_help_shows_the_config_defaults():
+    # each "(default: ...)" shown in a flag's help, passed back through that
+    # flag, leaves ExperimentConfig() as it is: the help shows the value the
+    # config holds at the flag's dest path
+    parser = cli.build_parser()
+    shown = {}
+    for action in parser._actions:
+        match = re.search(r"\(default: ([^)]*)\)", action.help or "")
+        if match and action.dest != "methods":  # "all": a word, not a value
+            shown[action.dest] = (action.option_strings[0], match[1])
+    assert sorted(shown) == [
+        "dropout_nth", "frame_limit", "k_list", "out_dir", "sample_target",
+        "scene.kind", "seed", "train.epochs", "workers",
+    ]
+    for flag, text in shown.values():
+        args = parser.parse_args([flag, text])
+        assert cli.config_from_args(args) == ExperimentConfig(), (flag, text)
 
 
 def test_cli_config_file_supplies_defaults(tmp_path, capsys):

@@ -253,14 +253,16 @@ def write_reports_csv(reports: list[metrics.EvalReport], path: str) -> None:
 
 
 def write_summary_csv(reports: list[metrics.EvalReport], path: str) -> None:
-    """Mean +/- SD per (method, k) across frames."""
+    """Mean +/- SD per (method, k) across frames: the mean and SD of each
+    error metric ``metrics.aggregate`` returns, and the mean alone of each
+    time (``_s``)."""
+    columns = [(name, i) for name in metrics.AGGREGATED_FIELDS for i in ((0,) if name.endswith("_s") else (0, 1))]
     groups: dict[tuple[str, int], list[metrics.EvalReport]] = {}
     for r in reports:
         groups.setdefault((r.method, r.k), []).append(r)
     rows = []
     for (method, k), rs in sorted(groups.items()):
         agg = metrics.aggregate(rs)
-        rows.append([method, k, *agg["rmse_z"], *agg["rmse_xyz"], *agg["chamfer"],
-                     agg["train_s"][0], agg["infer_s"][0], len(rs)])
-    _write_csv(path, ["method", "k", "rmse_z_mean", "rmse_z_sd", "rmse_xyz_mean", "rmse_xyz_sd",
-                      "chamfer_mean", "chamfer_sd", "train_s_mean", "infer_s_mean", "n_frames"], rows)
+        rows.append([method, k, *(agg[name][i] for name, i in columns), len(rs)])
+    header = ["method", "k", *(f"{name}_{('mean', 'sd')[i]}" for name, i in columns), "n_frames"]
+    _write_csv(path, header, rows)

@@ -54,9 +54,14 @@ def chamfer(a: np.ndarray, b: np.ndarray) -> float:
     return float(0.5 * (d_ab.mean() + d_ba.mean()))
 
 
+# the float fields of EvalReport, in field order; annotations are strings
+# here (``from __future__ import annotations``)
+AGGREGATED_FIELDS = tuple(f.name for f in dataclasses.fields(EvalReport) if f.type == "float")
+
+
 def aggregate(reports: list[EvalReport]) -> dict[str, tuple[float, float]]:
-    """Mean and sample standard deviation (ddof=1) per float field of
-    ``EvalReport``, in field order; a single report gets SD 0."""
+    """Mean and sample standard deviation (ddof=1) per name of
+    AGGREGATED_FIELDS, in its order; a single report gets SD 0."""
     if not reports:
         raise ValueError("no reports to aggregate")
 
@@ -65,6 +70,4 @@ def aggregate(reports: list[EvalReport]) -> dict[str, tuple[float, float]]:
         sd = float(v.std(ddof=1)) if v.size > 1 else 0.0
         return float(v.mean()), sd
 
-    # annotations are strings here (``from __future__ import annotations``)
-    names = [f.name for f in dataclasses.fields(EvalReport) if f.type == "float"]
-    return {name: stat([getattr(r, name) for r in reports]) for name in names}
+    return {name: stat([getattr(r, name) for r in reports]) for name in AGGREGATED_FIELDS}

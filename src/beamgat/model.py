@@ -163,8 +163,7 @@ def superior_gat_forward(graph: Graph, h: Tensor, params: dict[str, Tensor], row
     h = T.add(T.scale(h_attn, gate), T.scale(h_norm, anti_gate))
     del h_attn, h_norm
     h = T.layer_norm(h, params["gate_norm.gain"], params["gate_norm.bias"])
-    ffn = T.leaky_relu(T.add(T.matmul(h, params["ffn.W1"]), params["ffn.b1"]), FFN_SLOPE)
-    ffn = T.add(T.matmul(ffn, params["ffn.W2"]), params["ffn.b2"])
+    ffn = T.mlp(h, params["ffn.W1"], params["ffn.b1"], params["ffn.W2"], params["ffn.b2"], FFN_SLOPE)
     h = T.add(ffn, h)
     del ffn
     h = T.layer_norm(h, params["ffn_norm.gain"], params["ffn_norm.bias"])
@@ -172,8 +171,7 @@ def superior_gat_forward(graph: Graph, h: Tensor, params: dict[str, Tensor], row
 
 
 def _decode(h: Tensor, params: dict[str, Tensor]) -> Tensor:
-    hidden = T.leaky_relu(T.add(T.matmul(h, params["dec.W1"]), params["dec.b1"]), FFN_SLOPE)
-    z = T.add(T.matmul(hidden, params["dec.W2"]), params["dec.b2"])
+    z = T.mlp(h, params["dec.W1"], params["dec.b1"], params["dec.W2"], params["dec.b2"], FFN_SLOPE)
     return T.reshape(z, (-1,))
 
 

@@ -21,6 +21,14 @@ An op chains its elementwise steps through arrays it allocated itself
 the plain expression in its order, so the bytes are the expression's. No op
 writes into an input, into an array its backward keeps, or into the
 upstream gradient ``g``, which ``concat_cols`` hands out as views.
+
+A backward keeps each array once and lets go of it as soon as it has read
+it. ``mlp`` keeps its hidden layer in a holder that its backward empties
+once the weight gradient and the LeakyReLU sign are read, so the hidden
+layer is gone before the hidden gradient is allocated. ``layer_norm``'s
+backward keeps one full [R, F] buffer, the input gradient; its per-row
+products go through a BLOCK_ROWS-row temporary, as rows reduce
+independently.
 """
 
 from __future__ import annotations
@@ -361,9 +369,11 @@ def segment_softmax(logits: Tensor) -> Tensor:
     return _make(alpha, (logits,), bwd)
 
 
-# table rows per gather of the SDDMM: a [4096, K, F] block instead of one
-# [R, K, F] array; each output entry is the same f-sum either way
-SDDMM_BLOCK_ROWS = 4096
+# rows per block of a row-wise kernel: the SDDMM gathers a [4096, K, F]
+# block instead of one [R, K, F] array, and layer_norm's backward and mlp's
+# LeakyReLU form their products in a [4096, F] temporary; each row is
+# computed alone, so the bytes are the one-piece kernel's
+BLOCK_ROWS = 4096
 
 
 def spmm(weights: Tensor, values: Tensor, neighbors: np.ndarray) -> Tensor:
@@ -374,7 +384,7 @@ def spmm(weights: Tensor, values: Tensor, neighbors: np.ndarray) -> Tensor:
     and the ``values`` gradient ``A^T @ g``, both scipy CSR products with
     the table as A's column ids; the ``weights`` gradient is the row dot
     <g[i], values[neighbors[i, k]]> (SDDMM), a gather of neighbour rows
-    contracted against g, SDDMM_BLOCK_ROWS table rows at a time into one
+    contracted against g, BLOCK_ROWS table rows at a time into one
     [R, K] array. Backward keeps A, and ``values`` only when the weights
     learn.
     """
@@ -395,8 +405,8 @@ def spmm(weights: Tensor, values: Tensor, neighbors: np.ndarray) -> Tensor:
             _accum(cv, adj.T @ g)
         if cw is not None:
             dw = np.empty((r, k))
-            for lo in range(0, r, SDDMM_BLOCK_ROWS):
-                hi = lo + SDDMM_BLOCK_ROWS
+            for lo in range(0, r, BLOCK_ROWS):
+                hi = lo + BLOCK_ROWS
                 np.einsum("rkf,rf->rk", np.take(v, neighbors[lo:hi], axis=0), g[lo:hi], out=dw[lo:hi])
             _accum(cw, dw)
 
@@ -459,20 +469,25 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     cx, c_gain, c_bias, gain_data = x._cell, gain._cell, bias._cell, gain.data
 
     def bwd(g):
-        # two [R, F] buffers: the products for the gain's sum become dxhat,
-        # and the second holds dxhat * xhat, then xhat * m2
+        # one [R, F] buffer: the products for the gain's sum become dxhat,
+        # then x's gradient, one row block at a time; a block's dxhat * xhat
+        # (for m2), then xhat * m2, go through a [BLOCK_ROWS, F] temporary
         buf = np.multiply(g, xhat)
         _accum(c_gain, np.sum(buf, axis=0))
         _accum(c_bias, np.sum(g, axis=0))
         if cx is not None:
             dxhat = np.multiply(g, gain_data, out=buf)
-            m1 = dxhat.mean(axis=1, keepdims=True)
-            prod = np.multiply(dxhat, xhat)
-            m2 = prod.mean(axis=1, keepdims=True)
-            # inv * (dxhat - m1 - xhat * m2)
-            np.subtract(dxhat, m1, out=dxhat)
-            np.subtract(dxhat, np.multiply(xhat, m2, out=prod), out=dxhat)
-            _accum(cx, np.multiply(inv, dxhat, out=dxhat))
+            tmp = np.empty((min(BLOCK_ROWS, len(xhat)), xhat.shape[1]))
+            for lo in range(0, len(xhat), BLOCK_ROWS):
+                d, xh = dxhat[lo:lo + BLOCK_ROWS], xhat[lo:lo + BLOCK_ROWS]
+                m1 = d.mean(axis=1, keepdims=True)
+                prod = np.multiply(d, xh, out=tmp[:len(d)])
+                m2 = prod.mean(axis=1, keepdims=True)
+                # inv * (dxhat - m1 - xhat * m2)
+                np.subtract(d, m1, out=d)
+                np.subtract(d, np.multiply(xh, m2, out=prod), out=d)
+                np.multiply(inv[lo:lo + BLOCK_ROWS], d, out=d)
+            _accum(cx, dxhat)
 
     out = _make(data, (x, gain, bias), bwd)
     if out.tape is not None:
@@ -486,6 +501,62 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
         out._rebuild = rebuild
     return out
+
+
+def mlp(h: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, slope: float) -> Tensor:
+    """Two-layer perceptron ``LeakyReLU(h W1 + b1) W2 + b2``: the chain
+    ``add(matmul(leaky_relu(add(matmul(h, w1), b1), slope), w2), b2)`` as
+    one op, with the chain's bytes and its five finiteness checks.
+
+    The backward keeps ``h`` (through ``_keep``), the weights and the hidden
+    layer, in a holder that it empties once it has read the ``W2`` gradient
+    and the sign off it; the hidden gradient, a fresh ``g @ W2^T``, then
+    takes the LeakyReLU factor in place. For a slope in [0, 1] the hidden
+    layer is positive exactly where its pre-activation is, so no sign mask
+    is kept.
+    """
+    _check_slope(slope)
+    if not (h.data.ndim == w1.data.ndim == w2.data.ndim == 2 and h.data.shape[1] == w1.data.shape[0]
+            and b1.data.shape == w1.data.shape[1:] == w2.data.shape[:1] and b2.data.shape == w2.data.shape[1:]):
+        raise ValueError(f"mlp needs [n, f] @ [f, m] + [m], then @ [m, p] + [p] operands, got "
+                         f"{h.shape} @ {w1.shape} + {b1.shape}, then @ {w2.shape} + {b2.shape}")
+    # an overflow anywhere, and the inf - inf it can feed in a product, is
+    # raised as NonFiniteError by the check after it
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = _check_finite(h.data @ w1.data)
+        _check_finite(np.add(a, b1.data, out=a))
+        # the LeakyReLU max(u, slope * u) in place, a row block at a time
+        tmp = np.empty((min(BLOCK_ROWS, len(a)), a.shape[1]))
+        for lo in range(0, len(a), BLOCK_ROWS):
+            u = a[lo:lo + BLOCK_ROWS]
+            np.maximum(u, np.multiply(u, slope, out=tmp[:len(u)]), out=u)
+        del tmp
+        _check_finite(a)
+        out = _check_finite(a @ w2.data)
+        np.add(out, b2.data, out=out)
+    ch, cw1, cb1, cw2, cb2 = h._cell, w1._cell, b1._cell, w2._cell, b2._cell
+    h_kept = _keep(h) if cw1 is not None else None
+    w1_data, w2_data = w1.data, w2.data
+    hidden = [a]
+
+    def bwd(g):
+        _accum(cb2, g.sum(axis=0))
+        a = hidden.pop()
+        if cw2 is not None:
+            _accum(cw2, a.T @ g)
+        # where the pre-activation is not positive; a holds no NaN
+        not_positive = a <= 0
+        del a
+        du = g @ w2_data.T
+        np.multiply(du, slope, out=du, where=not_positive)
+        del not_positive
+        _accum(cb1, du.sum(axis=0))
+        if cw1 is not None:
+            _accum(cw1, _kept(h_kept).T @ du)
+        if ch is not None:
+            _accum(ch, du @ w1_data.T)
+
+    return _make(out, (h, w1, b1, w2, b2), bwd)
 
 
 def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:

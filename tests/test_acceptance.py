@@ -153,6 +153,17 @@ def test_criterion_02_gradient_suite(capsys, monkeypatch):
             )
             n_checked += 1
 
+            # the fused perceptron, with respect to each of h, W1, b1, W2 and b2
+            mlp_args = [a, rng.normal(size=(4, 5)), rng.normal(size=5), rng.normal(size=(5, 3)), rng.normal(size=3)]
+            for i, x0 in enumerate(mlp_args):
+                def mlp(x, i=i):
+                    args = [Tensor(v) for v in mlp_args]
+                    args[i] = x
+                    return T.mse_loss(T.reshape(T.mlp(*args, 0.01), (-1,)), np.zeros(3 * m))
+
+                assert _grad_ok(mlp, x0.copy(), 1e-5), f"mlp gradient check {i} failed at seed {seed}"
+                n_checked += 1
+
         # end-to-end: d loss / d params for the full gated model
         set_model_shape(monkeypatch, heads=2, head_width=3, ffn_hidden=5, dec_hidden=4)
         for seed in range(20):

@@ -266,6 +266,19 @@ def test_csv_tables_round_trip_a_name_that_needs_quoting(tmp_path):
     assert row[:2] == [name, "4"]
 
 
+def test_summary_csv_holds_each_error_metrics_mean_and_sd_and_each_times_mean(tmp_path):
+    header = ("method,k,rmse_z_mean,rmse_z_sd,rmse_xyz_mean,rmse_xyz_sd,chamfer_mean,chamfer_sd,"
+              "train_s_mean,infer_s_mean,n_frames\n")
+    path = tmp_path / "summary.csv"
+    write_summary_csv([], str(path))
+    assert path.read_text() == header
+    reports = [metrics.EvalReport(frame=f"f{i}", method="linear", k=4, rmse_z=1.0 + 2 * i, rmse_xyz=2.0,
+                                  chamfer=3.0 + 2 * i, train_s=4.0 + 2 * i, infer_s=5.0 + 2 * i, n_dropped=7)
+               for i in range(2)]
+    write_summary_csv(reports, str(path))
+    assert path.read_text() == header + "linear,4,2,1.41421356,2,0,4,1.41421356,5,6,2\n"
+
+
 def test_cli_scan_name_with_a_comma_reads_back_whole(tmp_path):
     frame_dir = tmp_path / "frames"
     frame_dir.mkdir()

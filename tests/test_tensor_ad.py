@@ -534,14 +534,26 @@ def test_nonfinite_forward_detected():
                 T.scale(Tensor([1e308]), factor)
 
 
-@pytest.mark.parametrize("case", ["add", "add_const", "edge_logits", "edge_logits_at_slope_0"])
+@pytest.mark.parametrize("case", ["add", "add_const", "edge_logits", "edge_logits_at_slope_0",
+                                  "mlp_hidden_product", "mlp_hidden_product_of_cancelling_infinities",
+                                  "mlp_hidden_bias", "mlp_output"])
 def test_overflowing_op_raises_only_non_finite_error(case):
     big = np.array([[1e308]])
+
+    def mlp(h, w1, b1, w2=np.ones((1, 1))):
+        return T.mlp(Tensor(h), Tensor(w1), Tensor(b1), Tensor(w2), Tensor(np.zeros(1)), 0.01)
+
     ops = {
         "add": lambda: T.add(Tensor(big), Tensor(big)),
         "add_const": lambda: T.add_const(Tensor(big), 1e308),
         "edge_logits": lambda: T.edge_logits(Tensor(big), Tensor(big), np.zeros((1, 1)), 0.2),
         "edge_logits_at_slope_0": lambda: T.edge_logits(Tensor(big), Tensor(big), np.zeros((1, 1)), 0.0),
+        "mlp_hidden_product": lambda: mlp(big, np.full((1, 1), 10.0), np.zeros(1)),
+        # a blocked product sums lanes of +inf and -inf to NaN
+        "mlp_hidden_product_of_cancelling_infinities": lambda: mlp(np.tile([[1e308, -1e308]], 16),
+                                                                   np.full((32, 1), 10.0), np.zeros(1)),
+        "mlp_hidden_bias": lambda: mlp(big, np.ones((1, 1)), np.full(1, 1e308)),
+        "mlp_output": lambda: mlp(big, np.ones((1, 1)), np.zeros(1), np.full((1, 1), 10.0)),
     }
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -689,7 +701,7 @@ def test_tape_drops_an_output_no_backward_reads():
     np.testing.assert_allclose(b.grad, g.sum(axis=0), rtol=1e-12)
 
 
-@pytest.mark.parametrize("consumer", ["matmul", "scale"])
+@pytest.mark.parametrize("consumer", ["matmul", "scale", "mlp"])
 def test_tape_drops_a_layer_norm_output_its_consumer_reads(consumer):
     # the consumer's backward reads the norm's output, but keeps the norm's
     # rebuild of it, so the output array dies with its tensor
@@ -703,14 +715,23 @@ def test_tape_drops_a_layer_norm_output_its_consumer_reads(consumer):
     if consumer == "matmul":
         w = Tensor(rng.normal(size=(4, 3)), tape)
         out = T.matmul(normed, w)
-    else:
+    elif consumer == "scale":
         w = Tensor(np.array(-0.7), tape)
         out = T.scale(normed, w)
+    else:
+        w = Tensor(rng.normal(size=(4, 5)), tape)
+        rest = [rng.normal(size=5), rng.normal(size=(5, 3)), rng.normal(size=3)]
+        out = T.mlp(normed, w, *map(Tensor, rest), 0.01)
     del normed
     assert ref() is None
     tape.backward(T.mse_loss(T.reshape(out, (-1,)), np.zeros(out.data.size)))
     g = 2.0 * out.data / out.data.size
-    want = kept.T @ g if consumer == "matmul" else np.full((), np.sum(g * kept))
+    if consumer == "matmul":
+        want = kept.T @ g
+    elif consumer == "scale":
+        want = np.full((), np.sum(g * kept))
+    else:
+        want = plain_mlp(kept, w.data, *rest, g)[1][1]
     np.testing.assert_allclose(w.grad, want, rtol=1e-12)
 
 
@@ -784,6 +805,24 @@ def last_backward(tape: Tape):
     return tape._nodes[-1][1]
 
 
+def backward_peak(call, rng, tape: Tape) -> float:
+    """Peak traced memory while the backward of ``call()`` runs on a random
+    upstream gradient, above what was traced when it started, in [20000, 64]
+    arrays. Tracing starts before the forward, so an array that the forward
+    allocates and the backward frees counts as freed."""
+    tracemalloc.start()
+    try:
+        out = call()
+        g = rng.normal(size=out.shape)
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        last_backward(tape)(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - base) / MEM_UNIT
+
+
 def memory_case(op: str, rng, tape: Tape):
     """A zero-argument call of ``op`` on recorded [20000, 64] inputs."""
     x = Tensor(rng.normal(size=MEM_SHAPE), tape)
@@ -795,6 +834,10 @@ def memory_case(op: str, rng, tape: Tape):
     if op == "scale":
         gate = Tensor(np.array(0.3), tape)
         return lambda: T.scale(x, gate)
+    if op == "mlp":
+        w1, b1 = Tensor(rng.normal(size=(64, 128)), tape), Tensor(rng.normal(size=128), tape)
+        w2, b2 = Tensor(rng.normal(size=(128, 64)), tape), Tensor(rng.normal(size=64), tape)
+        return lambda: T.mlp(x, w1, b1, w2, b2, 0.01)
     assert op == "segment_softmax"
     return lambda: T.segment_softmax(x)
 
@@ -803,9 +846,16 @@ def memory_case(op: str, rng, tape: Tape):
 # plain expressions peaked at: layer_norm 3.04 forward and 3.04 backward,
 # leaky_relu 2.13 and 2.0, a learned scale's backward 2.0 and
 # segment_softmax's forward 2.07; writing each chain into one array the op
-# allocated gives 2.05/2.04, 1.13/1.0, 1.0 and 1.07.
+# allocated gives 2.05/2.04, 1.13/1.0, 1.0 and 1.07. layer_norm's backward
+# with one [20000, 64] buffer, its row products formed in a [BLOCK_ROWS, 64]
+# temporary (the 20000 rows span five blocks), peaks at 1.22. mlp, on a
+# [20000, 128] hidden layer, peaks at 3.01 forward and, as its backward
+# frees the hidden layer before allocating its gradient, at 1.01 backward;
+# the plain chain of matmul, add, leaky_relu, matmul and add peaked at 4.26
+# and 2.01.
 @pytest.mark.parametrize("op, forward_bound, backward_bound", [
-    ("layer_norm", 2.3, 2.3), ("leaky_relu", 1.3, 1.3), ("scale", None, 1.3), ("segment_softmax", 1.3, None),
+    ("layer_norm", 2.3, 1.4), ("leaky_relu", 1.3, 1.3), ("scale", None, 1.3), ("segment_softmax", 1.3, None),
+    ("mlp", 3.3, 1.3),
 ])
 def test_op_peak_memory_stays_near_its_outputs(op, forward_bound, backward_bound):
     rng = np.random.default_rng(0)
@@ -814,10 +864,8 @@ def test_op_peak_memory_stays_near_its_outputs(op, forward_bound, backward_bound
     if forward_bound is not None:
         forward = peak_above_start(call)
         assert forward <= forward_bound, f"{op} forward peaked at {forward:.2f} arrays"
-    out = call()
-    g = rng.normal(size=out.shape)
     if backward_bound is not None:
-        backward = peak_above_start(lambda: last_backward(tape)(g))
+        backward = backward_peak(call, rng, tape)
         assert backward <= backward_bound, f"{op} backward peaked at {backward:.2f} arrays"
 
 
@@ -868,6 +916,32 @@ def plain_layer_norm(x, gain, bias, g):
     return xhat * gain + bias, [dx, np.sum(g * xhat, axis=0), np.sum(g, axis=0)]
 
 
+def plain_mlp(h, w1, b1, w2, b2, g, slope=0.01):
+    u = h @ w1 + b1
+    a = np.maximum(u, slope * u)
+    ga = g @ w2.T
+    du = np.where(u > 0, ga, slope * ga)
+    return a @ w2 + b2, [du @ w1.T, h.T @ du, du.sum(axis=0), a.T @ g, g.sum(axis=0)]
+
+
+def mlp_inputs(rng):
+    """h, W1, b1, W2, b2 whose pre-activations ``h @ W1 + b1`` hold exact
+    zeros of both signs: rows of h that are 0 give 0.0, and rows of the
+    smallest negative subnormal, against the positive columns of W1, give
+    products that an FMA kernel rounds to -0.0, which a -0.0 bias keeps;
+    with a 0.0 bias the other columns of those rows are subnormals, which
+    the slope takes to -0.0."""
+    h = rng.normal(size=(500, 8))
+    h[:40] = 0.0
+    h[40:80] = -5e-324
+    w1 = rng.normal(size=(8, 32))
+    w1[:, :8] = rng.uniform(0.05, 0.45, size=(8, 8))
+    b1 = rng.normal(size=32)
+    b1[:4] = -0.0
+    b1[4:12] = 0.0
+    return [h, w1, b1, rng.normal(size=(32, 16)), rng.normal(size=16)]
+
+
 def plain_segment_softmax(v, g):
     e = np.exp(v - v.max(axis=1, keepdims=True))
     alpha = e / e.sum(axis=1, keepdims=True)
@@ -877,11 +951,19 @@ def plain_segment_softmax(v, g):
 # Each case: the input arrays, each recorded as a learned tensor; the op on
 # those tensors; and the op's plain expressions, which map the input arrays
 # and the upstream gradient to (output, [gradient per input]). The table
-# reads 300 source rows, and its rows span two SDDMM blocks.
-INPLACE_TABLE = np.random.default_rng(1).integers(0, 300, size=(T.SDDMM_BLOCK_ROWS + 37, 11))
+# reads 300 source rows, and its rows span two row blocks, as do the rows of
+# the second layer_norm and mlp cases.
+INPLACE_TABLE = np.random.default_rng(1).integers(0, 300, size=(T.BLOCK_ROWS + 37, 11))
 INPLACE_CASES = {
     "layer_norm": (lambda rng: [rng.normal(3.0, 2.0, size=(500, 64)), rng.normal(size=64), rng.normal(size=64)],
                    T.layer_norm, plain_layer_norm),
+    "layer_norm_over_two_row_blocks": (lambda rng: [rng.normal(3.0, 2.0, size=(T.BLOCK_ROWS + 37, 16)),
+                                                    rng.normal(size=16), rng.normal(size=16)],
+                                       T.layer_norm, plain_layer_norm),
+    "mlp": (mlp_inputs, lambda *ts: T.mlp(*ts, 0.01), plain_mlp),
+    "mlp_over_two_row_blocks": (lambda rng: [rng.normal(size=(T.BLOCK_ROWS + 37, 8)), rng.normal(size=(8, 32)),
+                                             rng.normal(size=32), rng.normal(size=(32, 16)), rng.normal(size=16)],
+                                lambda *ts: T.mlp(*ts, 0.01), plain_mlp),
     "leaky_relu": (lambda rng: [np.where(rng.random((500, 64)) < 0.1, -0.0, rng.normal(size=(500, 64)))],
                    lambda x: T.leaky_relu(x, 0.2),
                    lambda x, g: (np.maximum(x, 0.2 * x), [np.where(x > 0, g, 0.2 * g)])),
@@ -932,8 +1014,26 @@ def test_op_leaves_inputs_kept_arrays_and_gradient_alone_and_keeps_the_plain_byt
         assert same(t.grad, want)
 
 
+@pytest.mark.parametrize("shapes", [
+    [(3,), (4, 5), (5,), (5, 2), (2,)], [(3, 4), (5, 5), (5,), (5, 2), (2,)], [(3, 4), (4, 5, 1), (5,), (5, 2), (2,)],
+    [(3, 4), (4, 5), (4,), (5, 2), (2,)], [(3, 4), (4, 5), (5,), (4, 2), (2,)], [(3, 4), (4, 5), (5,), (5,), ()],
+    [(3, 4), (4, 5), (5,), (5, 2), (3,)], [(3, 4), (4, 5), (5, 1), (5, 2), (2,)],
+])
+def test_mlp_rejects_operands_that_do_not_chain(shapes):
+    tape = Tape()
+    with pytest.raises(ValueError, match="mlp"):
+        T.mlp(*(Tensor(np.ones(shape), tape) for shape in shapes), 0.01)
+
+
+def test_mlp_case_has_pre_activations_of_zero_and_minus_zero():
+    h, w1, b1, _, _ = mlp_inputs(np.random.default_rng(0))
+    u = h @ w1 + b1
+    zero = u == 0
+    assert (zero & np.signbit(u)).any() and (zero & ~np.signbit(u)).any()
+
+
 def test_spmm_weight_gradient_in_row_blocks_equals_the_one_piece_gather():
-    r, n, f = 2 * T.SDDMM_BLOCK_ROWS + 3, 3000, 16
+    r, n, f = 2 * T.BLOCK_ROWS + 3, 3000, 16
     rng = np.random.default_rng(0)
     table = rng.integers(0, n, size=(r, 11))
     values = Tensor(rng.normal(size=(n, f)))

@@ -10,25 +10,36 @@ The tape holds no tensors. Each recorded tensor owns a gradient cell, and
 the tape keeps that cell with the op's backward function, which holds its
 inputs' cells and only the arrays it reads. An intermediate array that no
 backward function reads is freed as soon as the forward drops its tensor.
-A layer norm's output recorded on a tape carries a rebuild of ``xhat *
-gain + bias`` from the arrays the norm's backward keeps anyway; an op that
-reads that output in its backward (``matmul``, a learned ``scale``) keeps
-the rebuild instead of the array and calls it when the backward runs, so
-the output is held by its tensor alone.
+
+An output recorded on a tape whose bytes can be recomputed cheaply carries
+a rebuild: a call that returns those bytes in a new array. A rebuild holds
+only arrays its op keeps anyway, or weights, and allocates its output and
+small block temporaries, nothing more. A ``matmul`` whose left operand is
+narrower than its output rebuilds ``a @ b``; a ``leaky_relu`` whose input
+has a rebuild applies the LeakyReLU in place to the rebuilt input; a
+``concat_cols`` whose parts all have one fills one array part by part; a
+``layer_norm`` rebuilds ``xhat * gain + bias``.
+An op that reads an input in its backward keeps the input's rebuild
+(through ``_keep``) instead of the array and calls it when the backward
+runs, so such an output is held by its tensor alone. A ``layer_norm`` over
+a rebuilt input keeps that rebuild and two [R, 1] columns instead of its
+[R, F] ``xhat``.
 
 An op chains its elementwise steps through arrays it allocated itself
-(``out=``, ``np.copyto(..., where=)``), with the ufuncs and reductions of
-the plain expression in its order, so the bytes are the expression's. No op
-writes into an input, into an array its backward keeps, or into the
-upstream gradient ``g``, which ``concat_cols`` hands out as views.
+(``out=``), with the ufuncs and reductions of the plain expression in its
+order, so the bytes are the expression's. No op writes into an input, into
+an array its backward keeps, or into the upstream gradient ``g``, which
+``concat_cols`` hands out as views.
 
 A backward keeps each array once and lets go of it as soon as it has read
 it. ``mlp`` keeps its hidden layer in a holder that its backward empties
 once the weight gradient and the LeakyReLU sign are read, so the hidden
 layer is gone before the hidden gradient is allocated. ``layer_norm``'s
-backward keeps one full [R, F] buffer, the input gradient; its per-row
-products go through a BLOCK_ROWS-row temporary, as rows reduce
-independently.
+backward keeps one full [R, F] buffer, the input gradient. Row-wise kernels
+(the LeakyReLU and its gradient factor, the SDDMM, the norm backward's
+per-row products) run a block of about CACHE_BLOCK elements at a time, so
+their temporaries stay in cache; each row is computed alone, so the bytes
+are the one-piece kernel's.
 """
 
 from __future__ import annotations
@@ -62,7 +73,7 @@ class Tensor:
         self.data = arr if arr.ndim == 0 else np.ascontiguousarray(arr)
         self.tape = tape
         self._cell = None if tape is None else _Cell(self.data.shape)
-        # a call that returns ``data``'s bytes in a new array (see layer_norm)
+        # a call that returns ``data``'s bytes in a new array (see the module docstring)
         self._rebuild = None
 
     @property
@@ -170,7 +181,10 @@ def _make(data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Product of two 2-D tensors."""
+    """Product of two 2-D tensors. On a tape, a product whose left operand
+    is narrower than the output carries a rebuild ``a @ b`` from what
+    ``_keep`` returns for its operands, which never holds more bytes than
+    the output."""
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ValueError(f"matmul needs [n, m] x [m, p] operands, got {a.shape} x {b.shape}")
     data = a.data @ b.data
@@ -181,12 +195,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     b_kept = _keep(b) if ca is not None else None
 
     def bwd(g):
-        if ca is not None:
-            _accum(ca, g @ _kept(b_kept).T)
+        # b's gradient first: a rebuilt a is freed before a's gradient is
+        # allocated
         if cb is not None:
             _accum(cb, _kept(a_kept).T @ g)
+        if ca is not None:
+            _accum(ca, g @ _kept(b_kept).T)
 
-    return _make(data, (a, b), bwd)
+    out = _make(data, (a, b), bwd)
+    if out.tape is not None and a.data.shape[1] < b.data.shape[1]:
+        a_src, b_src = _keep(a), _keep(b)
+        out._rebuild = lambda: _kept(a_src) @ _kept(b_src)
+    return out
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -252,7 +272,32 @@ def _check_slope(slope: float) -> None:
         raise ValueError(f"leaky_relu slope must be in [0, 1], got {slope}")
 
 
+# elements per block of a row-wise kernel: 256 KiB of float64, so a block's
+# temporary stays in cache
+CACHE_BLOCK = 1 << 15
+
+
+def _row_blocks(shape: tuple[int, ...]) -> list:
+    """Slices of the leading axis that cut an array of ``shape`` into blocks
+    of about CACHE_BLOCK elements; ``...`` for a 0-d array."""
+    if not shape:
+        return [...]
+    step = max(1, CACHE_BLOCK // max(1, int(np.prod(shape[1:]))))
+    return [slice(lo, lo + step) for lo in range(0, shape[0], step)]
+
+
+def _leaky_in_place(u: np.ndarray, slope: float) -> np.ndarray:
+    """``u = max(u, slope * u)``, the forward's two ufuncs a block at a time."""
+    for blk in _row_blocks(u.shape):
+        v = u[blk]
+        np.maximum(v, np.multiply(v, slope), out=v)
+    return u
+
+
 def leaky_relu(x: Tensor, slope: float) -> Tensor:
+    """LeakyReLU ``max(x, slope * x)``. On a tape, the output of an input
+    that has a rebuild carries one: the input's, with the LeakyReLU applied
+    in place."""
     _check_slope(slope)
     cx = x._cell
     positive = x.data > 0  # convention: derivative at exactly 0 is `slope`
@@ -261,13 +306,22 @@ def leaky_relu(x: Tensor, slope: float) -> Tensor:
         _accum(cx, _leaky_grad(g, positive, slope))
 
     data = np.multiply(x.data, slope)
-    return _make(np.maximum(x.data, data, out=data), (x,), bwd)
+    out = _make(np.maximum(x.data, data, out=data), (x,), bwd)
+    if out.tape is not None and x._rebuild is not None:
+        x_rebuild = x._rebuild
+        out._rebuild = lambda: _leaky_in_place(x_rebuild(), slope)
+    return out
 
 
-def _leaky_grad(g: np.ndarray, positive: np.ndarray, slope: float) -> np.ndarray:
-    """``np.where(positive, g, slope * g)`` in one new array."""
-    out = np.multiply(g, slope)
-    np.copyto(out, g, where=positive)
+def _leaky_grad(g: np.ndarray, positive: np.ndarray, slope: float, out: np.ndarray | None = None) -> np.ndarray:
+    """``np.where(positive, g, slope * g)``, written into ``out`` (a new
+    array when None; ``g`` itself is allowed): g times a factor of slope or
+    1.0, the factor taken a cache-sized block at a time. ``g * 1.0`` has
+    g's bytes."""
+    out = np.empty(g.shape) if out is None else out
+    factors = np.array([slope, 1.0])
+    for blk in _row_blocks(g.shape):
+        np.multiply(g[blk], np.take(factors, positive[blk].view(np.uint8)), out=out[blk])
     return out
 
 
@@ -302,6 +356,8 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 
 def concat_cols(parts: list[Tensor]) -> Tensor:
+    """The parts side by side. On a tape, when every part has a rebuild, so
+    does the output: one array filled part by part."""
     widths = [p.data.shape[1] for p in parts]
     data = np.concatenate([p.data for p in parts], axis=1)
     offsets = np.concatenate([[0], np.cumsum(widths)])
@@ -311,7 +367,19 @@ def concat_cols(parts: list[Tensor]) -> Tensor:
         for cell, lo, hi in zip(cells, offsets[:-1], offsets[1:]):
             _accum(cell, g[:, lo:hi])
 
-    return _make(data, tuple(parts), bwd)
+    out = _make(data, tuple(parts), bwd)
+    rebuilds = [p._rebuild for p in parts]
+    if out.tape is not None and None not in rebuilds:
+        shape = data.shape
+
+        def rebuild():
+            y = np.empty(shape)
+            for part, lo, hi in zip(rebuilds, offsets[:-1], offsets[1:]):
+                y[:, lo:hi] = part()
+            return y
+
+        out._rebuild = rebuild
+    return out
 
 
 def take_rows(x: Tensor, idx: np.ndarray) -> Tensor:
@@ -369,13 +437,6 @@ def segment_softmax(logits: Tensor) -> Tensor:
     return _make(alpha, (logits,), bwd)
 
 
-# rows per block of a row-wise kernel: the SDDMM gathers a [4096, K, F]
-# block instead of one [R, K, F] array, and layer_norm's backward and mlp's
-# LeakyReLU form their products in a [4096, F] temporary; each row is
-# computed alone, so the bytes are the one-piece kernel's
-BLOCK_ROWS = 4096
-
-
 def spmm(weights: Tensor, values: Tensor, neighbors: np.ndarray) -> Tensor:
     """Sparse-dense product over a neighbour table:
     out[i] = sum over k of weights[i, k] * values[neighbors[i, k]].
@@ -384,9 +445,9 @@ def spmm(weights: Tensor, values: Tensor, neighbors: np.ndarray) -> Tensor:
     and the ``values`` gradient ``A^T @ g``, both scipy CSR products with
     the table as A's column ids; the ``weights`` gradient is the row dot
     <g[i], values[neighbors[i, k]]> (SDDMM), a gather of neighbour rows
-    contracted against g, BLOCK_ROWS table rows at a time into one
-    [R, K] array. Backward keeps A, and ``values`` only when the weights
-    learn.
+    contracted against g, a cache-sized block of table rows at a time, into
+    one [R, K] array. Backward keeps A, and ``values`` (through ``_keep``)
+    only when the weights learn.
     """
     neighbors = _table(neighbors, values.data.shape[0])
     w = weights.data
@@ -398,16 +459,16 @@ def spmm(weights: Tensor, values: Tensor, neighbors: np.ndarray) -> Tensor:
     )
 
     cv, cw = values._cell, weights._cell
-    v = values.data if cw is not None else None
+    v_kept = _keep(values) if cw is not None else None
 
     def bwd(g):
         if cv is not None:
             _accum(cv, adj.T @ g)
         if cw is not None:
+            v = _kept(v_kept)
             dw = np.empty((r, k))
-            for lo in range(0, r, BLOCK_ROWS):
-                hi = lo + BLOCK_ROWS
-                np.einsum("rkf,rf->rk", np.take(v, neighbors[lo:hi], axis=0), g[lo:hi], out=dw[lo:hi])
+            for blk in _row_blocks((r, k, v.shape[1])):
+                np.einsum("rkf,rf->rk", np.take(v, neighbors[blk], axis=0), g[blk], out=dw[blk])
             _accum(cw, dw)
 
     return _make(adj @ values.data, (values, weights), bwd)
@@ -457,8 +518,14 @@ def segment_weighted_sum(values: Tensor, weights: Tensor) -> Tensor:
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Row-wise normalization with population variance and epsilon 1e-5, then affine."""
-    centered = np.subtract(x.data, x.data.mean(axis=1, keepdims=True))
+    """Row-wise normalization with population variance and epsilon 1e-5, then affine.
+
+    On a tape the output carries a rebuild of ``xhat * gain + bias``. The
+    backward and the rebuild read ``xhat``: the forward's array, or, when
+    ``x`` has a rebuild, ``(x - mean) * inv`` recomputed in place from it,
+    so the norm keeps ``x``'s rebuild and two [R, 1] columns instead."""
+    mean = x.data.mean(axis=1, keepdims=True)
+    centered = np.subtract(x.data, mean)
     with np.errstate(over="ignore"):  # an overflowing variance raises NonFiniteError below
         data = np.multiply(centered, centered)  # the output's buffer holds the squares first
         var = data.mean(axis=1, keepdims=True)  # as x.var: denominator F
@@ -467,26 +534,37 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     np.multiply(xhat, gain.data, out=data)
     np.add(data, bias.data, out=data)
     cx, c_gain, c_bias, gain_data = x._cell, gain._cell, bias._cell, gain.data
+    if x._rebuild is None:
+        xhat_kept = xhat
+    else:
+        x_rebuild = x._rebuild
+
+        def xhat_kept():
+            # the forward's two ufuncs in its order, on x's bytes
+            y = x_rebuild()
+            np.subtract(y, mean, out=y)
+            return np.multiply(y, inv, out=y)
+    del centered, xhat
 
     def bwd(g):
         # one [R, F] buffer: the products for the gain's sum become dxhat,
         # then x's gradient, one row block at a time; a block's dxhat * xhat
-        # (for m2), then xhat * m2, go through a [BLOCK_ROWS, F] temporary
+        # (for m2), then xhat * m2, go through a block-sized temporary
+        xhat = _kept(xhat_kept)
         buf = np.multiply(g, xhat)
         _accum(c_gain, np.sum(buf, axis=0))
         _accum(c_bias, np.sum(g, axis=0))
         if cx is not None:
             dxhat = np.multiply(g, gain_data, out=buf)
-            tmp = np.empty((min(BLOCK_ROWS, len(xhat)), xhat.shape[1]))
-            for lo in range(0, len(xhat), BLOCK_ROWS):
-                d, xh = dxhat[lo:lo + BLOCK_ROWS], xhat[lo:lo + BLOCK_ROWS]
+            for blk in _row_blocks(xhat.shape):
+                d, xh = dxhat[blk], xhat[blk]
                 m1 = d.mean(axis=1, keepdims=True)
-                prod = np.multiply(d, xh, out=tmp[:len(d)])
+                prod = np.multiply(d, xh)
                 m2 = prod.mean(axis=1, keepdims=True)
                 # inv * (dxhat - m1 - xhat * m2)
                 np.subtract(d, m1, out=d)
                 np.subtract(d, np.multiply(xh, m2, out=prod), out=d)
-                np.multiply(inv[lo:lo + BLOCK_ROWS], d, out=d)
+                np.multiply(inv[blk], d, out=d)
             _accum(cx, dxhat)
 
     out = _make(data, (x, gain, bias), bwd)
@@ -495,8 +573,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
         def rebuild():
             # the forward's two ufuncs in its order, so the bytes are data's;
-            # gain and bias change only after the backward pass
-            y = np.multiply(xhat, gain_data)
+            # gain and bias change only after the backward pass. A rebuilt
+            # xhat is written over, a kept one is not
+            xh = _kept(xhat_kept)
+            y = np.multiply(xh, gain_data, out=None if xh is xhat_kept else xh)
             return np.add(y, bias_data, out=y)
 
         out._rebuild = rebuild
@@ -525,13 +605,7 @@ def mlp(h: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, slope: float)
     with np.errstate(over="ignore", invalid="ignore"):
         a = _check_finite(h.data @ w1.data)
         _check_finite(np.add(a, b1.data, out=a))
-        # the LeakyReLU max(u, slope * u) in place, a row block at a time
-        tmp = np.empty((min(BLOCK_ROWS, len(a)), a.shape[1]))
-        for lo in range(0, len(a), BLOCK_ROWS):
-            u = a[lo:lo + BLOCK_ROWS]
-            np.maximum(u, np.multiply(u, slope, out=tmp[:len(u)]), out=u)
-        del tmp
-        _check_finite(a)
+        _check_finite(_leaky_in_place(a, slope))
         out = _check_finite(a @ w2.data)
         np.add(out, b2.data, out=out)
     ch, cw1, cb1, cw2, cb2 = h._cell, w1._cell, b1._cell, w2._cell, b2._cell
@@ -544,12 +618,11 @@ def mlp(h: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, slope: float)
         a = hidden.pop()
         if cw2 is not None:
             _accum(cw2, a.T @ g)
-        # where the pre-activation is not positive; a holds no NaN
-        not_positive = a <= 0
+        positive = a > 0  # a holds no NaN
         del a
         du = g @ w2_data.T
-        np.multiply(du, slope, out=du, where=not_positive)
-        del not_positive
+        _leaky_grad(du, positive, slope, out=du)
+        del positive
         _accum(cb1, du.sum(axis=0))
         if cw1 is not None:
             _accum(cw1, _kept(h_kept).T @ du)

@@ -99,13 +99,6 @@ def _at(x: Tensor, rows: np.ndarray | None) -> Tensor:
     return x if rows is None else T.take_rows(x, rows)
 
 
-def _aggregate_first(h: Tensor, w: Tensor) -> bool:
-    """Whether a layer that projects ``h`` by ``w`` aggregates before it
-    projects: ``A (h W) = (A h) W``, and the product over the edges is the
-    cheaper one on the narrower side."""
-    return h.shape[1] < w.shape[1]
-
-
 def gat_attention_layer(
     graph: Graph,
     h: Tensor,
@@ -123,16 +116,17 @@ def gat_attention_layer(
     output holds the nodes ``rows`` (None: every node), and only their rows
     are scored.
 
-    A head whose input ``h`` is narrower than its output aggregates first:
-    it scores with ``h @ (W a)`` and returns ``(A_alpha @ h) W``, the same
-    values without an [N, F'] array.
+    A head whose input ``h`` is narrower than its output aggregates first,
+    since ``A (h W) = (A h) W`` and the product over the edges is cheaper on
+    the narrower side: it scores with ``h @ (W a)`` and returns
+    ``(A_alpha @ h) W``, the same values without an [N, F'] array.
     """
     neighbors = graph.neighbors if rows is None else graph.neighbors[rows]
     heads = [name[:-2] for name in params if name.startswith(f"{prefix}.h") and name.endswith(".W")]
     outs = []
     for head in heads:
         w, a_dst, a_src = params[f"{head}.W"], params[f"{head}.a_dst"], params[f"{head}.a_src"]
-        if _aggregate_first(h, w):
+        if h.shape[1] < w.shape[1]:
             x, a_dst, a_src = h, T.matmul(w, a_dst), T.matmul(w, a_src)
         else:
             x, w = T.matmul(h, w), None  # [N, F']
@@ -176,17 +170,14 @@ def _decode(h: Tensor, params: dict[str, Tensor]) -> Tensor:
 
 
 def gcn_layer(graph: Graph, h: Tensor, w: Tensor, rows: np.ndarray | None = None) -> Tensor:
-    """Mean aggregation with fixed weights: out_i = LeakyReLU(mean_j h_j W),
+    """Mean aggregation with fixed weights: out_i = LeakyReLU((mean_j h_j) W),
     for the nodes ``rows`` (None: every node); each of a row's k+1 entries
-    weighs 1/(k+1). An ``h`` narrower than the output is aggregated before
-    it is projected."""
+    weighs 1/(k+1). The layer aggregates before it projects, so only the
+    rows it returns are multiplied by ``W``; with ``W`` as wide as ``h`` or
+    wider, that is never the costlier order."""
     neighbors = graph.neighbors if rows is None else graph.neighbors[rows]
     mean = Tensor(np.full(neighbors.shape, 1.0 / neighbors.shape[1]))
-    if _aggregate_first(h, w):
-        agg = T.matmul(T.spmm(mean, h, neighbors), w)
-    else:
-        agg = T.spmm(mean, T.matmul(h, w), neighbors)
-    return T.leaky_relu(agg, ATTN_SLOPE)
+    return T.leaky_relu(T.matmul(T.spmm(mean, h, neighbors), w), ATTN_SLOPE)
 
 
 def simple_gcn_forward(graph: Graph, h: Tensor, params: dict[str, Tensor], rows: np.ndarray | None = None) -> Tensor:

@@ -39,10 +39,15 @@ backward keeps one full [R, F] buffer, the input gradient. Row-wise kernels
 (the LeakyReLU and its gradient factor, the SDDMM, the norm backward's
 per-row products) run a block of about CACHE_BLOCK elements at a time, so
 their temporaries stay in cache; each row is computed alone, so the bytes
-are the one-piece kernel's.
+are the one-piece kernel's. Every LeakyReLU forward is one such kernel,
+``_leaky_in_place``: ``leaky_relu`` runs it on a copy of its input,
+``edge_logits`` on its gathered logits, ``mlp`` on its hidden layer and a
+rebuild on its rebuilt input.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import scipy.sparse
@@ -282,12 +287,13 @@ def _row_blocks(shape: tuple[int, ...]) -> list:
     of about CACHE_BLOCK elements; ``...`` for a 0-d array."""
     if not shape:
         return [...]
-    step = max(1, CACHE_BLOCK // max(1, int(np.prod(shape[1:]))))
+    step = max(1, CACHE_BLOCK // max(1, math.prod(shape[1:])))
     return [slice(lo, lo + step) for lo in range(0, shape[0], step)]
 
 
 def _leaky_in_place(u: np.ndarray, slope: float) -> np.ndarray:
-    """``u = max(u, slope * u)``, the forward's two ufuncs a block at a time."""
+    """``u = max(u, slope * u)`` in place, a block at a time; the one
+    LeakyReLU forward (see the module docstring)."""
     for blk in _row_blocks(u.shape):
         v = u[blk]
         np.maximum(v, np.multiply(v, slope), out=v)
@@ -305,8 +311,7 @@ def leaky_relu(x: Tensor, slope: float) -> Tensor:
     def bwd(g):
         _accum(cx, _leaky_grad(g, positive, slope))
 
-    data = np.multiply(x.data, slope)
-    out = _make(np.maximum(x.data, data, out=data), (x,), bwd)
+    out = _make(_leaky_in_place(x.data.copy(), slope), (x,), bwd)
     if out.tape is not None and x._rebuild is not None:
         x_rebuild = x._rebuild
         out._rebuild = lambda: _leaky_in_place(x_rebuild(), slope)
@@ -508,7 +513,7 @@ def edge_logits(score_dst: Tensor, score_src: Tensor, neighbors: np.ndarray, slo
             _accum(c_src, scattered.reshape(c_src.shape))
 
     with np.errstate(invalid="ignore"):  # an overflowed score times a slope of 0 is NaN
-        data = np.maximum(raw, np.multiply(raw, slope), out=raw)
+        data = _leaky_in_place(raw, slope)
     return _make(data, (score_dst, score_src), bwd)
 
 

@@ -356,6 +356,27 @@ class TestRestrictedRows:
             assert out.shape == rows.shape, name
             assert np.abs(out - full[rows]).max(initial=0.0) <= 1e-12, name
 
+    def test_restricted_simple_gcn_projects_only_its_rows(self, monkeypatch):
+        # each GCN layer aggregates, then projects what it aggregated: layer 0
+        # projects every node's 4 features, the restricted layer 1 only its R
+        # rows, never the [N, 64] input
+        rng = np.random.default_rng(0)
+        g = repeat_graph(rng, n=40)
+        rows = np.sort(rng.choice(g.num_nodes, size=8, replace=False))
+        params = bind_params(init_params("simple_gcn", 0), None)
+        products = []
+        matmul = T.matmul
+
+        def recording_matmul(a, b):
+            products.append((a.shape, b))
+            return matmul(a, b)
+
+        monkeypatch.setattr(T, "matmul", recording_matmul)
+        forward(g, Tensor(g.features), params, "simple_gcn", rows=rows)
+        width = HEADS * HEAD_WIDTH
+        assert [shape for shape, w in products if w is params["l0.W"]] == [(g.num_nodes, 4)]
+        assert [shape for shape, w in products if w is params["l1.W"]] == [(rows.size, width)]
+
     @pytest.mark.parametrize("heads", [1, 2])
     def test_attention_layer_at_rows_matches_dense_oracle(self, heads, monkeypatch):
         # the oracle's boolean adjacency counts a repeated source once, so

@@ -963,6 +963,11 @@ def memory_case(op: str, rng, tape: Tape):
         w1, b1 = Tensor(rng.normal(size=(64, 128)), tape), Tensor(rng.normal(size=128), tape)
         w2, b2 = Tensor(rng.normal(size=(128, 64)), tape), Tensor(rng.normal(size=64), tape)
         return lambda: T.mlp(x, w1, b1, w2, b2, 0.01)
+    if op == "edge_logits":
+        # [20000, 64] logits: one score per row and per source node
+        table = rng.integers(0, MEM_SHAPE[0], size=MEM_SHAPE)
+        dst, src = (Tensor(rng.normal(size=(MEM_SHAPE[0], 1)), tape) for _ in range(2))
+        return lambda: T.edge_logits(dst, src, table, 0.2)
     assert op == "segment_softmax"
     return lambda: T.segment_softmax(x)
 
@@ -978,10 +983,12 @@ def memory_case(op: str, rng, tape: Tape):
 # a [20000, 128] hidden layer, peaks at 3.01 forward and, as its backward
 # frees the hidden layer before allocating its gradient, at 1.01 backward;
 # the plain chain of matmul, add, leaky_relu, matmul and add peaked at 4.26
-# and 2.01.
+# and 2.01. edge_logits' forward, its gathered logits and their sign mask,
+# peaks at 1.15 with its LeakyReLU in cache-sized blocks, and at 2.13 with
+# the LeakyReLU's [R, K] product as one temporary.
 @pytest.mark.parametrize("op, forward_bound, backward_bound", [
     ("layer_norm", 2.3, 1.15), ("leaky_relu", 1.3, 1.3), ("scale", None, 1.3), ("segment_softmax", 1.3, None),
-    ("mlp", 3.3, 1.3),
+    ("mlp", 3.3, 1.3), ("edge_logits", 1.3, None),
 ])
 def test_op_peak_memory_stays_near_its_outputs(op, forward_bound, backward_bound):
     rng = np.random.default_rng(0)
@@ -1074,15 +1081,26 @@ def plain_segment_softmax(v, g):
     return alpha, [alpha * (g - (g * alpha).sum(axis=1, keepdims=True))]
 
 
+def plain_leaky_relu(x, g):
+    return np.maximum(x, 0.2 * x), [np.where(x > 0, g, 0.2 * g)]
+
+
+def signed_zeros(rng, shape) -> np.ndarray:
+    """Normal draws of which about a tenth are 0.0 and a tenth -0.0."""
+    u = rng.random(shape)
+    return np.where(u < 0.1, 0.0, np.where(u < 0.2, -0.0, rng.normal(size=shape)))
+
+
 # Each case: the input arrays, each recorded as a learned tensor; the op on
 # those tensors; and the op's plain expressions, which map the input arrays
 # and the upstream gradient to (output, [gradient per input]). The table
 # reads 300 source rows. BLOCKED_ROWS rows, those of the table and of the
-# second layer_norm and mlp cases, span more than one row block of each
+# ``_over_row_blocks`` cases, span more than one row block of each
 # blocked kernel there, with a short last block: the SDDMM's 186-row blocks
-# (K = 11, F = 16), the LeakyReLU factor's 2978-row blocks of the [R, 11]
-# logits, the norm's 2048-row blocks (F = 16) and the hidden layer's
-# 1024-row blocks (width 32).
+# (K = 11, F = 16), the LeakyReLU's and its factor's 2978-row blocks of the
+# [R, 11] logits and 2048-row blocks of the [R, 16] leaky_relu input, the
+# norm's 2048-row blocks (F = 16) and the hidden layer's 1024-row blocks
+# (width 32).
 BLOCKED_ROWS = T.CACHE_BLOCK // 8 + 37
 INPLACE_TABLE = np.random.default_rng(1).integers(0, 300, size=(BLOCKED_ROWS, 11))
 INPLACE_CASES = {
@@ -1096,8 +1114,9 @@ INPLACE_CASES = {
                                          rng.normal(size=32), rng.normal(size=(32, 16)), rng.normal(size=16)],
                             lambda *ts: T.mlp(*ts, 0.01), plain_mlp),
     "leaky_relu": (lambda rng: [np.where(rng.random((500, 64)) < 0.1, -0.0, rng.normal(size=(500, 64)))],
-                   lambda x: T.leaky_relu(x, 0.2),
-                   lambda x, g: (np.maximum(x, 0.2 * x), [np.where(x > 0, g, 0.2 * g)])),
+                   lambda x: T.leaky_relu(x, 0.2), plain_leaky_relu),
+    "leaky_relu_over_row_blocks": (lambda rng: [signed_zeros(rng, (BLOCKED_ROWS, 16))],
+                                   lambda x: T.leaky_relu(x, 0.2), plain_leaky_relu),
     "scale": (lambda rng: [rng.normal(size=(500, 64)), np.array(-0.7)],
               T.scale, lambda x, s, g: (x * s, [g * s, np.full((), np.sum(g * x))])),
     "scale_by_a_float": (lambda rng: [rng.normal(size=(500, 64))],
